@@ -7,8 +7,8 @@ evaluation harness with an experiment CLI.
 """
 
 from .activations import ACTIVATIONS, Activation, apply_activation, get_activation
-from .apg import (ApgProblem, ApgState, QuadGradient, StopRule, apg_solve,
-                  apg_step, initial_state, projected_grad_norm)
+from .apg import (ApgProblem, QuadGradient, StopRule, apg_solve,
+                  projected_grad_norm)
 from .dataio import (DatasetBundle, load_bundle, load_factors, load_labels,
                      load_matrix, save_bundle, save_factors, save_labels,
                      save_matrix)

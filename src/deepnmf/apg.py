@@ -1,18 +1,14 @@
 """Accelerated projected-gradient solver for nonneg-constrained blocks.
 
-One block subproblem is a convex function F over a matrix block V >= 0,
-handed to the solver as a gradient oracle plus a Lipschitz constant for that
-gradient. The solver runs Nesterov's accelerated scheme with the fixed step
-1/LC: no line search, no restarts.
-
-Quadratic blocks (every linear-model block in this package) additionally
-carry their affine gradient structure in a :class:`QuadGradient`, which lets
-:func:`apg_solve` dispatch the whole iteration to the compiled kernel in
+One block subproblem is a convex quadratic over a matrix block V >= 0, given
+as its affine gradient (a :class:`QuadGradient`) plus a Lipschitz constant
+for that gradient. :func:`apg_solve` runs Nesterov's accelerated scheme with
+the fixed step 1/LC (no line search, no restarts) in the kernel loop of
 :mod:`deepnmf.kernels`.
 """
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -41,18 +37,8 @@ class QuadGradient:
 
     def apply(self, v):
         """The quadratic operator part of the gradient (everything but lin)."""
-        a = v
-        if self.left is not None:
-            a = self.left @ a
-        if self.right is not None:
-            a = a @ self.right
-        if self.left is None and self.right is None:
-            a = a.copy()
-        if self.ridge != 0.0:
-            a = a + self.ridge * v
-        if self.colsum != 0.0:
-            a = a + self.colsum * v.sum(axis=0)
-        return a
+        return kernels.quad_apply(v, self.left, self.right, self.colsum,
+                                  self.ridge)
 
     def grad(self, v):
         return self.apply(v) + self.lin
@@ -76,74 +62,38 @@ class StopRule:
             raise InvalidInputError(f"grad_tol must be > 0, got {self.grad_tol}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ApgProblem:
-    """One nonneg-constrained block subproblem.
+    """One nonneg-constrained block subproblem: the quadratic and the
+    Lipschitz constant of its gradient, which fixes the step size."""
 
-    ``grad`` maps a candidate block to its gradient; ``lipschitz`` bounds the
-    gradient's variation and fixes the step size. ``objective`` is optional
-    and enables divergence checks and the monotone-return guard; ``quad``
-    carries the affine structure for the compiled fast path.
-    """
-
-    grad: Callable[[np.ndarray], np.ndarray]
+    quad: QuadGradient
     lipschitz: float
-    shape: tuple
-    objective: Optional[Callable[[np.ndarray], float]] = None
-    quad: Optional[QuadGradient] = None
 
     def __post_init__(self):
         if not np.isfinite(self.lipschitz) or self.lipschitz <= 0:
             raise InvalidInputError(
                 f"lipschitz must be positive and finite, got {self.lipschitz}")
-        self.shape = (int(self.shape[0]), int(self.shape[1]))
 
     @classmethod
     def from_quad(cls, quad, lipschitz):
-        return cls(grad=quad.grad, lipschitz=lipschitz, shape=quad.lin.shape,
-                   objective=quad.objective, quad=quad)
+        return cls(quad, lipschitz)
 
+    @property
+    def shape(self):
+        return self.quad.lin.shape
 
-@dataclass
-class ApgState:
-    """Solver state: the last two iterates, the search point, and momentum."""
+    def grad(self, v):
+        return self.quad.grad(v)
 
-    current: np.ndarray
-    previous: np.ndarray
-    search_point: np.ndarray
-    alpha: float = 1.0
-    iter: int = 0
-
-
-def initial_state(v0):
-    v0 = np.array(v0, dtype=np.float64)
-    return ApgState(current=v0, previous=v0.copy(), search_point=v0.copy())
-
-
-def next_momentum(alpha):
-    """Momentum recursion a_{k+1} = (1 + sqrt(4 a_k^2 + 1)) / 2."""
-    return 0.5 * (1.0 + np.sqrt(4.0 * alpha * alpha + 1.0))
+    def objective(self, v):
+        return self.quad.objective(v)
 
 
 def projected_grad_norm(v, g):
     """KKT residual: Frobenius norm of the gradient restricted to entries
     that are either negative or sit at a strictly positive variable."""
     return kernels.kkt_norm(v, g)
-
-
-def apg_step(state, problem):
-    """One accelerated step: project the gradient step taken at the search
-    point, advance the momentum coefficient, extrapolate the next search
-    point. The search point is not projected; only ``current`` stays
-    feasible."""
-    g = problem.grad(state.search_point)
-    if not np.all(np.isfinite(g)):
-        raise NumericalError("gradient produced non-finite entries")
-    new = np.maximum(state.search_point - g / problem.lipschitz, 0.0)
-    alpha_next = next_momentum(state.alpha)
-    search = new + ((state.alpha - 1.0) / alpha_next) * (new - state.current)
-    return ApgState(current=new, previous=state.current, search_point=search,
-                    alpha=alpha_next, iter=state.iter + 1)
 
 
 def _check_initial(initial, problem):
@@ -161,72 +111,27 @@ def apg_solve(initial, problem, stop=StopRule(), full_output=False):
     falls below ``stop.grad_tol`` times its value at ``initial`` or the
     iteration cap is hit.
 
-    The returned block never has a higher objective than ``initial`` (when an
-    objective is available to compare): acceleration is not monotone, so the
-    best iterate seen is kept as a fallback. An objective rising past 10x the
-    starting value aborts with NumericalError, which almost always means the
-    supplied Lipschitz constant is too small.
+    The returned block never has a higher objective than ``initial``:
+    acceleration is not monotone, so the best iterate seen is kept as a
+    fallback. An objective rising past 10x the starting value aborts with
+    NumericalError, which almost always means the supplied Lipschitz
+    constant is too small.
 
     With ``full_output=True`` also returns a dict with ``iters``,
     ``converged``, ``rel_residual`` and ``objective`` entries.
     """
     initial = _check_initial(initial, problem)
-
-    if problem.quad is not None:
-        v, iters, status, rel, f_val = kernels.apg_quad_solve(
-            initial, problem.quad.left, problem.quad.right, problem.quad.lin,
-            problem.quad.colsum, problem.quad.ridge, problem.quad.const,
-            problem.lipschitz, stop.grad_tol, stop.max_iters)
-        if status == kernels.NONFINITE:
-            raise NumericalError("gradient produced non-finite entries")
-        if status == kernels.DIVERGED:
-            raise NumericalError(
-                "objective grew past 10x its starting value; the Lipschitz "
-                "constant is likely wrong")
-        if full_output:
-            return v, {"iters": int(iters), "converged": status == kernels.CONVERGED,
-                       "rel_residual": float(rel), "objective": float(f_val)}
-        return v
-
-    # Generic oracle path (non-quadratic problems, e.g. tests).
-    g0 = problem.grad(initial)
-    if not np.all(np.isfinite(g0)):
+    quad = problem.quad
+    v, iters, status, rel, f_val = kernels.apg_quad_solve(
+        initial, quad.left, quad.right, quad.lin, quad.colsum, quad.ridge,
+        quad.const, problem.lipschitz, stop.grad_tol, stop.max_iters)
+    if status == kernels.NONFINITE:
         raise NumericalError("gradient produced non-finite entries")
-    r0 = projected_grad_norm(initial, g0)
-    f = problem.objective
-    f0 = f(initial) if f is not None else None
-    if r0 == 0.0:
-        if full_output:
-            return initial.copy(), {"iters": 0, "converged": True,
-                                    "rel_residual": 0.0, "objective": f0}
-        return initial.copy()
-
-    state = initial_state(initial)
-    best_f, best_v = f0, initial.copy()
-    div_floor = 2.5e-14 * (1.0 + abs(f0)) if f0 is not None else None
-    rel, f_cur, converged = 1.0, f0, False
-    for _ in range(stop.max_iters):
-        state = apg_step(state, problem)
-        g = problem.grad(state.current)
-        rel = projected_grad_norm(state.current, g) / r0
-        if f is not None:
-            f_cur = f(state.current)
-            if f_cur < best_f:
-                best_f, best_v = f_cur, state.current.copy()
-            if f_cur > 10.0 * max(f0, 0.0) + div_floor:
-                raise NumericalError(
-                    "objective grew past 10x its starting value; the "
-                    "Lipschitz constant is likely wrong")
-        if rel <= stop.grad_tol:
-            converged = True
-            break
-
-    result = state.current
-    if f is not None and f_cur > f0:
-        result, f_cur = best_v, best_f
-        rel = projected_grad_norm(result, problem.grad(result)) / r0
-        converged = converged and rel <= stop.grad_tol
+    if status == kernels.DIVERGED:
+        raise NumericalError(
+            "objective grew past 10x its starting value; the Lipschitz "
+            "constant is likely wrong")
     if full_output:
-        return result, {"iters": state.iter, "converged": converged,
-                        "rel_residual": float(rel), "objective": f_cur}
-    return result
+        return v, {"iters": int(iters), "converged": status == kernels.CONVERGED,
+                   "rel_residual": float(rel), "objective": float(f_val)}
+    return v

@@ -18,7 +18,7 @@ import json
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import product
 from pathlib import Path
 from typing import Optional
@@ -191,8 +191,7 @@ def _run_unit(cfg, bundle, spec, meta, point_idx, rep):
         return [dict(base, kmeans_rep=-1, error=type(spec).__name__)]
     t0 = time.perf_counter()
     try:
-        train_cfg = replace(cfg.train, seed=_derived_seed(cfg.eval.seed, point_idx, rep))
-        stack, report = fit(spec, bundle.x, train_cfg)
+        stack, report = fit(spec, bundle.x, cfg.train)
         wall_ms = (time.perf_counter() - t0) * 1000.0
         k = cfg.eval.k or (bundle.labels.n_clusters if bundle.labels
                            else spec.layer_sizes[-1])

@@ -2,17 +2,17 @@
 
 Two execution paths share this module:
 
-* the default path JIT-compiles each kernel with ``@njit(cache=True,
+* with numba installed (the optional ``numba`` extra, ``pip install -e
+  .[numba]``) each kernel is JIT-compiled with ``@njit(cache=True,
   nogil=True)``;
-* setting the environment variable ``DEEPNMF_NO_NUMBA=1`` (or running
-  without numba installed) keeps plain numpy implementations.
+* without numba, or with the environment variable ``DEEPNMF_NO_NUMBA=1``,
+  the same functions run as plain numpy.
 
-The solver and eigenvalue kernels are single-source (a numba-compatible
-numpy subset, no ``fastmath``), so both paths run the same arithmetic. The
-k-means assignment has one implementation per path - explicit loops
-compiled, vectorized otherwise - whose results agree except at exact
-distance ties. ``benchmarks/bench_kernels.py`` times the paths against each
-other.
+The quadratic operator, the accelerated solver loop and the eigenvalue
+kernel are single-source (a numba-compatible numpy subset, no
+``fastmath``), so both paths run the same arithmetic. The k-means
+assignment has one implementation per path - explicit loops compiled,
+vectorized otherwise - whose results agree except at exact distance ties.
 """
 
 import os
@@ -232,13 +232,27 @@ else:
 _DUMMY = np.zeros((1, 1))
 
 
+def _operand(m):
+    """(present, array) for an optional operator factor; None is an identity."""
+    if m is None:
+        return False, _DUMMY
+    return True, np.ascontiguousarray(m)
+
+
+def quad_apply(v, left, right, colsum_w, ridge):
+    """Apply the quadratic operator kernel; ``left``/``right`` may be None."""
+    use_left, left_arr = _operand(left)
+    use_right, right_arr = _operand(right)
+    return _quad_apply(np.ascontiguousarray(v, dtype=np.float64), left_arr,
+                       use_left, right_arr, use_right, float(colsum_w),
+                       float(ridge))
+
+
 def apg_quad_solve(v0, left, right, lin, colsum_w, ridge, obj_const,
                    lipschitz, rel_tol, max_iters):
     """Driver for the quadratic APG kernel; ``left``/``right`` may be None."""
-    use_left = left is not None
-    use_right = right is not None
-    left_arr = np.ascontiguousarray(left) if use_left else _DUMMY
-    right_arr = np.ascontiguousarray(right) if use_right else _DUMMY
+    use_left, left_arr = _operand(left)
+    use_right, right_arr = _operand(right)
     return _apg_quad(
         np.ascontiguousarray(v0), left_arr, use_left, right_arr, use_right,
         np.ascontiguousarray(lin), float(colsum_w), float(ridge),
@@ -258,11 +272,3 @@ def kmeans_assign(points, centers):
 
 def kkt_norm(v, g):
     return float(_kkt_norm(np.ascontiguousarray(v), np.ascontiguousarray(g)))
-
-
-def warmup():
-    """Trigger JIT compilation of every kernel on tiny inputs."""
-    a = np.ones((2, 2))
-    apg_quad_solve(a, a, None, -a, 0.1, 0.0, 0.0, 4.0, 1e-2, 3)
-    sym_top_eig(a, np.full(2, np.sqrt(0.5)), 1e-6, 10)
-    kmeans_assign(a, a)

@@ -250,35 +250,34 @@ def _colsum_sq(m):
     return float(np.dot(s, s))
 
 
-def objective(spec, x, stack, h_source="stack"):
-    """Full model objective: half squared reconstruction error plus the
-    variant's penalties.
+def add_layer_penalty(val, spec, layer, w=None, h=None):
+    """``val`` plus the penalties of 1-based ``layer``: the basis penalty on
+    ``w`` and the representation penalty on ``h``, each skipped when its
+    factor is None.
 
-    For ``sdnmf_r`` the penalties on hidden representations can be evaluated
-    on the stored factors (``h_source="stack"``, the pretraining reading) or
-    on their top-down reconstructions (``h_source="reconstruction"``, the
-    fine-tuning reading where only H_L is free).
+    The terms are added to ``val`` one at a time, W first, so every
+    objective built from this function sums in the same order.
     """
-    if h_source not in ("stack", "reconstruction"):
-        raise InvalidInputError(f"unknown h_source {h_source!r}")
+    mu = spec.w_weight(layer)
+    if w is not None and mu:
+        val += 0.5 * mu * _colsum_sq(w)
+    if h is not None:
+        lam, kind = spec.h_penalty(layer)
+        if kind == "ones":
+            val += 0.5 * lam * _colsum_sq(h)
+        elif kind == "ridge":
+            val += 0.5 * lam * frobenius_sq(h)
+    return val
+
+
+def objective(spec, x, stack):
+    """Full model objective: half squared reconstruction error plus the
+    variant's penalties, with every representation penalty evaluated on the
+    stored factor."""
     _check_conformance(spec, x, stack)
     val = 0.5 * frobenius_sq(x - reconstruct(spec, stack))
-    L = spec.depth
-    for l in range(1, L + 1):
-        mu = spec.w_weight(l)
-        if mu:
-            val += 0.5 * mu * _colsum_sq(stack.w[l - 1])
-        lam, kind = spec.h_penalty(l)
-        if not lam:
-            continue
-        if l == L or h_source == "stack":
-            h_l = stack.h[l - 1]
-        else:
-            h_l = reconstruct_h(spec, stack, l)
-        if kind == "ones":
-            val += 0.5 * lam * _colsum_sq(h_l)
-        elif kind == "ridge":
-            val += 0.5 * lam * frobenius_sq(h_l)
+    for l in range(1, spec.depth + 1):
+        val = add_layer_penalty(val, spec, l, w=stack.w[l - 1], h=stack.h[l - 1])
     return val
 
 
@@ -296,17 +295,8 @@ def finetune_objective(spec, x, stack):
     val = 0.5 * frobenius_sq(x - reconstruct(spec, stack))
     L = spec.depth
     for l in range(1, L + 1):
-        mu = spec.w_weight(l)
-        if mu:
-            val += 0.5 * mu * _colsum_sq(stack.w[l - 1])
-    lam, kind = spec.h_penalty(L)
-    if lam:
-        h_last = stack.h[L - 1]
-        if kind == "ones":
-            val += 0.5 * lam * _colsum_sq(h_last)
-        elif kind == "ridge":
-            val += 0.5 * lam * frobenius_sq(h_last)
-    return val
+        val = add_layer_penalty(val, spec, l, w=stack.w[l - 1])
+    return add_layer_penalty(val, spec, L, h=stack.h[L - 1])
 
 
 def _check_conformance(spec, x, stack):

@@ -19,7 +19,7 @@ from .activations import get_activation
 from .apg import apg_solve
 from .errors import InvalidInputError
 from .linalg import as_matrix, check_nonneg, frobenius_sq
-from .models import pretrain_problem, _check_conformance
+from .models import add_layer_penalty, pretrain_problem, _check_conformance
 from .train import TrainConfig, TrainReport, _noise_floor, _rel_change, pretrain
 
 ARMIJO_C = 1e-4
@@ -63,18 +63,9 @@ def nonlinear_objective(spec, x, w, h_last):
     final-representation penalty)."""
     pre, _ = _forward_chain(spec, w, h_last)
     val = 0.5 * frobenius_sq(x - pre[0])
-    for l in range(1, len(w) + 1):
-        mu = spec.w_weight(l)
-        if mu:
-            s = w[l - 1].sum(axis=0)
-            val += 0.5 * mu * float(np.dot(s, s))
-    lam, kind = spec.h_penalty(len(w))
-    if lam and kind == "ones":
-        s = h_last.sum(axis=0)
-        val += 0.5 * lam * float(np.dot(s, s))
-    elif lam and kind == "ridge":
-        val += 0.5 * lam * frobenius_sq(h_last)
-    return val
+    for l, w_l in enumerate(w, start=1):
+        val = add_layer_penalty(val, spec, l, w=w_l)
+    return add_layer_penalty(val, spec, len(w), h=h_last)
 
 
 def _backward_chain(spec, x, w, pre, fresh):
@@ -220,7 +211,6 @@ def nonlinear_finetune(spec, x, stack, cfg=TrainConfig()):
         if _rel_change(trace[-2], cur) < cfg.rel_obj_tol or cur <= floor:
             break
 
-    report = TrainReport(objective_trace=trace if cfg.record_trace else [],
-                         final_objective=trace[-1], sweeps_used=sweeps,
-                         stalled=stalled)
+    report = TrainReport(objective_trace=trace, final_objective=trace[-1],
+                         sweeps_used=sweeps, stalled=stalled)
     return stack, report

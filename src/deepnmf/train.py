@@ -16,8 +16,8 @@ import numpy as np
 from .apg import StopRule, apg_solve
 from .errors import InternalError, InvalidInputError
 from .linalg import as_matrix, check_nonneg, frobenius_sq
-from .models import (FactorStack, finetune_objective, finetune_problem,
-                     pretrain_problem)
+from .models import (FactorStack, add_layer_penalty, finetune_objective,
+                     finetune_problem, pretrain_problem)
 from .nnsvd import nnsvd_init
 
 _TINY = 1e-300
@@ -25,19 +25,16 @@ _TINY = 1e-300
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Stopping knobs for both phases plus bookkeeping options.
+    """Stopping knobs for both phases.
 
     ``inner_stop`` governs each block solve; ``max_sweeps``/``rel_obj_tol``
     stop the outer alternation (pretraining) and the fine-tuning sweeps.
-    ``seed`` feeds any randomized fallback and is recorded for provenance;
-    the training path itself is deterministic.
+    Training is deterministic: the same inputs give the same factors.
     """
 
     inner_stop: StopRule = field(default_factory=StopRule)
     max_sweeps: int = 200
     rel_obj_tol: float = 1e-6
-    seed: int = 0
-    record_trace: bool = True
 
     def __post_init__(self):
         if self.max_sweeps < 1:
@@ -72,18 +69,8 @@ def _noise_floor(x):
 def layer_objective(spec, layer, h_prev, w, h):
     """Pretraining objective of one layer: half squared fit of the previous
     representation plus this layer's penalties."""
-    val = 0.5 * frobenius_sq(h_prev - w @ h)
-    mu = spec.w_weight(layer)
-    if mu:
-        s = w.sum(axis=0)
-        val += 0.5 * mu * float(np.dot(s, s))
-    lam, kind = spec.h_penalty(layer)
-    if lam and kind == "ones":
-        s = h.sum(axis=0)
-        val += 0.5 * lam * float(np.dot(s, s))
-    elif lam and kind == "ridge":
-        val += 0.5 * lam * frobenius_sq(h)
-    return val
+    return add_layer_penalty(0.5 * frobenius_sq(h_prev - w @ h), spec, layer,
+                             w=w, h=h)
 
 
 def _pretrain_layer(spec, layer, h_input, cfg):
@@ -166,8 +153,8 @@ def finetune(spec, x, stack, cfg=TrainConfig()):
                 "Lipschitz constant is wrong")
         if _rel_change(trace[-2], cur) < cfg.rel_obj_tol or cur <= floor:
             break
-    report = TrainReport(objective_trace=trace if cfg.record_trace else [],
-                         final_objective=trace[-1], sweeps_used=sweeps)
+    report = TrainReport(objective_trace=trace, final_objective=trace[-1],
+                         sweeps_used=sweeps)
     return stack, report
 
 

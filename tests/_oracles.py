@@ -12,7 +12,7 @@ import numpy as np
 
 try:
     from numba import njit
-except ImportError:  # pragma: no cover - numba is an install dependency
+except ImportError:  # numba is an optional extra
     def njit(**kwargs):
         def wrap(f):
             return f

@@ -1,14 +1,6 @@
 import numpy as np
 import pytest
 
-from deepnmf import kernels
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _warm_kernels():
-    # Pay the JIT compile once, outside any timed assertion.
-    kernels.warmup()
-
 
 @pytest.fixture
 def rng():

@@ -2,14 +2,9 @@ import numpy as np
 import pytest
 
 from deepnmf import (ApgProblem, InvalidInputError, NumericalError,
-                     QuadGradient, StopRule, apg_solve, apg_step,
-                     initial_state, projected_grad_norm)
-from deepnmf.apg import next_momentum
+                     QuadGradient, StopRule, apg_solve, projected_grad_norm)
 
 from _oracles import plain_pg_quad, quad_objective
-
-GOLDEN_ALPHA_1 = 1.618033988749895
-GOLDEN_ALPHA_2 = 2.193527085331054  # (1 + sqrt(4*a1^2 + 1))/2, forced by the recursion
 
 
 def h_block_problem(w, x, lam=0.0):
@@ -21,54 +16,34 @@ def h_block_problem(w, x, lam=0.0):
     return ApgProblem.from_quad(quad, lc)
 
 
-class TestMomentum:
-    def test_first_two_values(self):
-        a1 = next_momentum(1.0)
-        assert a1 == pytest.approx(GOLDEN_ALPHA_1, rel=1e-12)
-        assert next_momentum(a1) == pytest.approx(GOLDEN_ALPHA_2, rel=1e-12)
-
-    def test_increasing_and_lower_bounded(self):
-        a = 1.0
-        for k in range(1, 1001):
-            nxt = next_momentum(a)
-            assert nxt > a
-            assert nxt >= (k + 2) / 2
-            a = nxt
+def separable_problem(x):
+    """minimize 0.5*||x - h||^2 over h >= 0: grad = h - x, LC = 1."""
+    quad = QuadGradient(lin=-x, const=0.5 * float(np.sum(x * x)))
+    return ApgProblem.from_quad(quad, 1.0)
 
 
 class TestApgStep:
-    def test_zero_momentum_when_iterates_equal(self):
-        v = np.array([[1.0, 2.0], [0.5, 0.0]])
-        state = initial_state(v)
-        problem = ApgProblem(grad=lambda h: np.zeros_like(h), lipschitz=1.0,
-                             shape=v.shape)
-        out = apg_step(state, problem)
-        np.testing.assert_allclose(out.search_point, out.current)
+    """A single accelerated step: apg_solve with a one-iteration budget."""
 
     def test_one_step_solves_separable_problem(self):
         x = np.array([[2.0, -1.0], [0.0, 3.0]])
-        state = initial_state(np.zeros_like(x))
-        problem = ApgProblem(grad=lambda h: h - x, lipschitz=1.0, shape=x.shape)
-        out = apg_step(state, problem)
-        np.testing.assert_array_equal(out.current, np.maximum(x, 0.0))
-        assert out.previous is not None
-        assert out.iter == 1
+        out, info = apg_solve(np.zeros_like(x), separable_problem(x),
+                              StopRule(1, 1e-10), full_output=True)
+        np.testing.assert_array_equal(out, np.maximum(x, 0.0))
+        assert info["iters"] == 1
 
     def test_non_finite_gradient_raises(self):
-        state = initial_state(np.ones((2, 2)))
-        problem = ApgProblem(grad=lambda h: np.full_like(h, np.nan),
-                             lipschitz=1.0, shape=(2, 2))
+        lin = np.array([[-1.0, np.nan], [0.0, -2.0]])
+        problem = ApgProblem.from_quad(QuadGradient(lin=lin), 1.0)
         with pytest.raises(NumericalError):
-            apg_step(state, problem)
+            apg_solve(np.ones((2, 2)), problem, StopRule(1, 1e-10))
 
 
 class TestApgSolve:
     def test_separable_projection(self):
-        # minimize 0.5*||x - h||^2 over h >= 0: grad = h - x, LC = 1.
         x = np.array([[2.0, -1.0], [0.0, 3.0]])
-        quad = QuadGradient(lin=-x, const=0.5 * float(np.sum(x * x)))
-        problem = ApgProblem.from_quad(quad, 1.0)
-        out = apg_solve(np.zeros_like(x), problem, StopRule(100, 1e-10))
+        out = apg_solve(np.zeros_like(x), separable_problem(x),
+                        StopRule(100, 1e-10))
         np.testing.assert_allclose(out, [[2.0, 0.0], [0.0, 3.0]], atol=1e-9)
 
     def test_matches_slow_pg_oracle(self, rng):
@@ -109,17 +84,6 @@ class TestApgSolve:
                 out = apg_solve(h0, problem, StopRule(iters, 1e-14))
                 assert problem.objective(out) <= problem.objective(h0) * (1 + 1e-12) + 1e-12
 
-    def test_generic_oracle_path_matches_quad_path(self, rng):
-        w = rng.standard_normal((5, 3)) + 1.5
-        x = rng.standard_normal((5, 4)) + 1.5
-        problem = h_block_problem(w, x)
-        generic = ApgProblem(grad=problem.quad.grad, lipschitz=problem.lipschitz,
-                             shape=problem.shape, objective=problem.quad.objective)
-        h0 = np.abs(rng.standard_normal((3, 4)))
-        stop = StopRule(300, 1e-8)
-        np.testing.assert_allclose(apg_solve(h0, problem, stop),
-                                   apg_solve(h0, generic, stop), atol=1e-10)
-
     def test_wrong_lipschitz_diverges(self, rng):
         w = rng.standard_normal((6, 4))
         x = rng.standard_normal((6, 5))
@@ -131,14 +95,12 @@ class TestApgSolve:
 
     def test_already_stationary_returns_input(self):
         x = np.array([[1.0, 2.0], [0.0, 1.0]])
-        quad = QuadGradient(lin=-x, const=0.5 * float(np.sum(x * x)))
-        problem = ApgProblem.from_quad(quad, 1.0)
-        out, info = apg_solve(x.copy(), problem, full_output=True)
+        out, info = apg_solve(x.copy(), separable_problem(x), full_output=True)
         assert info["iters"] == 0
         np.testing.assert_array_equal(out, x)
 
     def test_rejects_bad_initial(self):
-        problem = ApgProblem(grad=lambda h: h, lipschitz=1.0, shape=(2, 2))
+        problem = separable_problem(np.ones((2, 2)))
         with pytest.raises(InvalidInputError):
             apg_solve(np.zeros((3, 3)), problem)
         with pytest.raises(InvalidInputError):
@@ -153,10 +115,10 @@ class TestValidation:
             StopRule(grad_tol=0.0)
 
     def test_problem_lipschitz(self):
-        with pytest.raises(InvalidInputError):
-            ApgProblem(grad=lambda h: h, lipschitz=0.0, shape=(2, 2))
-        with pytest.raises(InvalidInputError):
-            ApgProblem(grad=lambda h: h, lipschitz=np.inf, shape=(2, 2))
+        quad = QuadGradient(lin=np.zeros((2, 2)))
+        for bad in (0.0, np.inf):
+            with pytest.raises(InvalidInputError):
+                ApgProblem.from_quad(quad, bad)
 
 
 def test_projected_grad_norm_masks_boundary():
