@@ -14,6 +14,17 @@ kernel are single-source (a numba-compatible numpy subset, no
 ``fastmath``), so both paths run the same arithmetic. The k-means
 assignment has one implementation per path - explicit loops compiled,
 vectorized otherwise - whose results agree except at exact distance ties.
+
+The solver loop applies the quadratic operator once per iteration, to the
+new iterate. Because the block gradient is affine, the gradient at the
+Nesterov search point is a combination of the two latest iterate gradients
+and is never evaluated on its own. Every block-sized array of the loop is a
+buffer allocated once per call and written in place through positional
+``out`` arguments (``np.dot(a, b, out)``, ``np.add(a, b, out)``,
+``np.clip(a, lo, hi, out)``); nothing is shared between calls, so
+concurrent solves in threads stay independent. ``_quad_apply`` and
+``_kkt_norm`` are allocating wrappers over the ``*_into`` variants the loop
+uses, so the operator and the KKT residual each have one definition.
 """
 
 import os
@@ -39,44 +50,80 @@ DIVERGED = 2
 NONFINITE = 3
 
 
-def _quad_apply(v, left, use_left, right, use_right, colsum_w, ridge):
-    """Apply the quadratic operator: left @ v @ right + colsum/ridge terms.
+def _quad_apply_into(v, left, use_left, right, use_right, colsum_w, ridge,
+                     out, tmp):
+    """Write left @ v @ right + colsum/ridge terms into ``out``.
 
-    The all-ones gram term is applied as a column-sum broadcast, never as a
-    materialized ones matrix.
+    ``tmp`` is scratch of v's shape. The all-ones gram term is applied as a
+    broadcast of v's weighted column sums (one matrix-vector product), never
+    as a materialized ones matrix.
     """
-    a = v
-    if use_left:
-        a = np.dot(left, a)
-    if use_right:
-        a = np.dot(a, right)
-    if not use_left and not use_right:
-        a = a.copy()
+    if use_left and use_right:
+        np.dot(left, v, tmp)
+        np.dot(tmp, right, out)
+    elif use_left:
+        np.dot(left, v, out)
+    elif use_right:
+        np.dot(v, right, out)
+    else:
+        out[:, :] = v
     if ridge != 0.0:
-        a = a + ridge * v
+        np.multiply(v, ridge, tmp)
+        np.add(out, tmp, out)
     if colsum_w != 0.0:
-        a = a + colsum_w * np.sum(v, axis=0)
-    return a
+        np.add(out, np.dot(np.full(v.shape[0], colsum_w), v), out)
 
 
-def _kkt_norm(v, g):
-    """Frobenius norm of the projected gradient.
+def _quad_apply(v, left, use_left, right, use_right, colsum_w, ridge):
+    """Apply the quadratic operator: left @ v @ right + colsum/ridge terms."""
+    out = np.empty(v.shape)
+    _quad_apply_into(v, left, use_left, right, use_right, colsum_w, ridge,
+                     out, np.empty(v.shape))
+    return out
+
+
+def _inner(a, b):
+    """Frobenius inner product of two contiguous arrays of one shape."""
+    return np.dot(a.ravel(), b.ravel())
+
+
+def _kkt_norm_into(v, g, mask, mask2, tmp):
+    """Frobenius norm of the projected gradient, using the given scratch.
 
     Gradient entries that are nonnegative at zero-valued variables do not
     count: they satisfy the first-order conditions of the nonneg constraint.
+    ``mask``/``mask2`` are boolean and ``tmp`` float scratch of v's shape.
     """
-    r = g * ((v > 0.0) | (g < 0.0))
-    return np.sqrt(np.sum(r * r))
+    np.greater(v, 0.0, mask)
+    np.less(g, 0.0, mask2)
+    np.logical_or(mask, mask2, tmp)
+    np.multiply(g, tmp, tmp)
+    return np.sqrt(_inner(tmp, tmp))
+
+
+def _kkt_norm(v, g):
+    """Frobenius norm of the projected gradient (see ``_kkt_norm_into``)."""
+    return _kkt_norm_into(v, g, np.empty(v.shape, dtype=np.bool_),
+                          np.empty(v.shape, dtype=np.bool_), np.empty(v.shape))
 
 
 def _apg_quad(v0, left, use_left, right, use_right, lin, colsum_w, ridge,
               obj_const, lipschitz, rel_tol, max_iters):
     """Accelerated projected gradient on a nonneg-constrained quadratic block.
 
-    Iterates x_{k} = P(y_k - grad(y_k)/LC) with the Nesterov extrapolation
-    y_{k+1} = x_k + ((a_k - 1)/a_{k+1})(x_k - x_{k-1}) and the momentum
-    recursion a_{k+1} = (1 + sqrt(4 a_k^2 + 1))/2, stopping when the projected
-    gradient norm at x_k falls below ``rel_tol`` times its value at ``v0``.
+    Iterates x_{k+1} = P(y_k - grad(y_k)/LC) with the Nesterov extrapolation
+    y_{k+1} = x_{k+1} + beta_k (x_{k+1} - x_k), beta_k = (a_k - 1)/a_{k+1},
+    the momentum recursion a_{k+1} = (1 + sqrt(4 a_k^2 + 1))/2 from a_0 = 1
+    and y_0 = x_0 = ``v0``, stopping when the projected gradient norm at the
+    iterate falls below ``rel_tol`` times its value at ``v0``.
+
+    The gradient is affine, so the search point needs no operator application
+    of its own: with g_k = grad(x_k) and u_k = x_k - g_k/LC, the step target
+    y_k - grad(y_k)/LC equals u_k + beta_{k-1} (u_k - u_{k-1}). Each
+    iteration applies the operator once, to the new iterate, and the target
+    is built from the two latest exact iterate gradients, so no error
+    accumulates. Block-sized arrays are buffers allocated once per call and
+    written in place.
 
     Because the accelerated iteration is not monotone, the best iterate seen
     (by block objective) is tracked and returned if the final iterate is
@@ -84,58 +131,88 @@ def _apg_quad(v0, left, use_left, right, use_right, lin, colsum_w, ridge,
 
     Returns (solution, iterations, status, relative_residual, objective).
     """
-    g0 = _quad_apply(v0, left, use_left, right, use_right, colsum_w, ridge) + lin
-    if not np.all(np.isfinite(g0)):
+    shape = v0.shape
+    g = np.empty(shape)
+    u = np.empty(shape)
+    # u_prev holds u_{k-1} only until the step target is formed; for the
+    # rest of each iteration, and outside the loop, it is scratch.
+    u_prev = np.empty(shape)
+    mask = np.empty(shape, dtype=np.bool_)
+    mask2 = np.empty(shape, dtype=np.bool_)
+    _quad_apply_into(v0, left, use_left, right, use_right, colsum_w, ridge,
+                     g, u_prev)
+    np.add(g, lin, g)
+    np.isfinite(g, mask)
+    if not np.all(mask):
         return v0.copy(), 0, NONFINITE, np.inf, np.inf
-    r0 = _kkt_norm(v0, g0)
-    f0 = 0.5 * np.sum(v0 * (g0 + lin)) + obj_const
+    r0 = _kkt_norm_into(v0, g, mask, mask2, u_prev)
+    f0 = 0.5 * (_inner(v0, g) + _inner(v0, lin)) + obj_const
     # Objectives this close to zero are roundoff of the constant term; the
     # divergence test must not fire on their noise.
     div_floor = 2.5e-14 * (1.0 + abs(obj_const))
     if r0 == 0.0:
         return v0.copy(), 0, CONVERGED, 0.0, f0
 
-    best_f = f0
+    step = 1.0 / lipschitz
+    np.multiply(g, -step, u)
+    np.add(u, v0, u)
+    u_prev[:, :] = u
     best_v = v0.copy()
-    cur = v0.copy()
-    y = v0.copy()
+    # The next iterate is written into ``spare``; the current one is ``cur``.
+    # An improving iterate becomes ``best_v`` by swapping buffers, not by
+    # copying, and the old best buffer becomes the spare.
+    spare = np.empty(shape)
+    cur = best_v
+    best_f = f0
     alpha = 1.0
+    beta = 0.0
     status = MAXITER
     rel = 1.0
     f_cur = f0
     iters = 0
     for k in range(max_iters):
-        gy = _quad_apply(y, left, use_left, right, use_right, colsum_w, ridge) + lin
-        if not np.all(np.isfinite(gy)):
+        # A non-finite entry of g = grad(x_k) makes f_cur non-finite, so this
+        # stands in for checking the search-point gradient.
+        if not np.isfinite(f_cur):
             status = NONFINITE
             break
-        new = np.maximum(y - gy / lipschitz, 0.0)
+        cur = spare
+        np.subtract(u, u_prev, cur)
+        np.multiply(cur, beta, cur)
+        np.add(cur, u, cur)
+        np.clip(cur, 0.0, np.inf, cur)
         alpha_next = 0.5 * (1.0 + np.sqrt(4.0 * alpha * alpha + 1.0))
-        y = new + ((alpha - 1.0) / alpha_next) * (new - cur)
-        cur = new
+        beta = (alpha - 1.0) / alpha_next
         alpha = alpha_next
         iters = k + 1
 
-        gc = _quad_apply(cur, left, use_left, right, use_right, colsum_w, ridge) + lin
-        f_cur = 0.5 * np.sum(cur * (gc + lin)) + obj_const
+        _quad_apply_into(cur, left, use_left, right, use_right, colsum_w,
+                         ridge, g, u_prev)
+        np.add(g, lin, g)
+        f_cur = 0.5 * (_inner(cur, g) + _inner(cur, lin)) + obj_const
         if f_cur < best_f:
             best_f = f_cur
-            best_v = cur.copy()
+            spare = best_v
+            best_v = cur
         if f_cur > 10.0 * max(f0, 0.0) + div_floor:
             status = DIVERGED
             break
-        rel = _kkt_norm(cur, gc) / r0
+        rel = _kkt_norm_into(cur, g, mask, mask2, u_prev) / r0
         if rel <= rel_tol:
             status = CONVERGED
             break
+        np.multiply(g, -step, u_prev)
+        np.add(u_prev, cur, u_prev)
+        u, u_prev = u_prev, u
 
     # Acceleration is not monotone: fall back to the best iterate seen only
     # when the final one ended up above the starting objective, and report
     # the residual of whatever is actually returned.
     if f_cur > f0:
-        gb = _quad_apply(best_v, left, use_left, right, use_right,
-                         colsum_w, ridge) + lin
-        rel = _kkt_norm(best_v, gb) / r0
+        _quad_apply_into(best_v, left, use_left, right, use_right, colsum_w,
+                         ridge, g, u_prev)
+        np.add(g, lin, g)
+        rel = _kkt_norm_into(best_v, g, mask, mask2, u_prev) / r0
         if status == CONVERGED and rel > rel_tol:
             status = MAXITER
         return best_v, iters, status, rel, best_f
@@ -222,7 +299,10 @@ def _kmeans_assign_loops(points, centers):
 
 
 if NUMBA_ENABLED:
+    _quad_apply_into = njit(cache=True, nogil=True)(_quad_apply_into)
     _quad_apply = njit(cache=True, nogil=True)(_quad_apply)
+    _inner = njit(cache=True, nogil=True)(_inner)
+    _kkt_norm_into = njit(cache=True, nogil=True)(_kkt_norm_into)
     _kkt_norm = njit(cache=True, nogil=True)(_kkt_norm)
     _apg_quad = njit(cache=True, nogil=True)(_apg_quad)
     _sym_top_eig = njit(cache=True, nogil=True)(_sym_top_eig)

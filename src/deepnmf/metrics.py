@@ -3,7 +3,8 @@
 The three scores compare an obtained partition against a reference one
 through their confusion matrix: normalized mutual information (symmetric,
 in [0, 1]), an indicator-matrix error rate (the square root of the Frobenius
-norm of the co-membership difference, taken literally with its outer root),
+norm of the co-membership difference, taken literally with its outer root,
+computed from the confusion counts without forming n-by-n matrices),
 and naive precision (per reference class, the largest overlap fraction with
 any obtained cluster).
 """
@@ -43,12 +44,11 @@ class Partition:
 def from_labels(labels):
     """Partition from raw ids, relabeled to consecutive ints by first occurrence."""
     labels = np.asarray(labels)
-    _, inverse = np.unique(labels, return_inverse=True)
-    order = {}
-    out = np.empty(labels.size, dtype=np.int64)
-    for i, v in enumerate(inverse):
-        out[i] = order.setdefault(int(v), len(order))
-    return Partition(out, len(order))
+    _, first, inverse = np.unique(labels, return_index=True,
+                                  return_inverse=True)
+    rank = np.empty(first.size, dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(first.size)
+    return Partition(rank[inverse], first.size)
 
 
 def confusion_matrix(c, c_star):
@@ -90,17 +90,22 @@ def nmi(c, c_star):
 def error_rate(c, c_star, literal_root=True):
     """Co-membership disagreement between the partitions.
 
-    Builds the 0/1 indicator matrices, takes the Frobenius norm of the
-    difference of their co-membership matrices, and (by default) applies the
-    outer square root on top, as the definition is written. Pass
-    ``literal_root=False`` for the plain Frobenius norm.
+    The Frobenius norm of the difference of the two co-membership matrices
+    (entry (i, j) is 1 when samples i and j share a cluster), with (by
+    default) the outer square root on top, as the definition is written.
+    Pass ``literal_root=False`` for the plain Frobenius norm.
+
+    The n-by-n matrices are never formed. With n_ij the confusion counts,
+    a_j the obtained cluster sizes and b_i the reference class sizes, the
+    squared norm is the count of ordered sample pairs on which the partitions
+    disagree, sum_j a_j^2 + sum_i b_i^2 - 2 sum_ij n_ij^2, an exact integer,
+    so the result equals the matrix computation bit for bit.
     """
-    if len(c) != len(c_star):
-        raise InvalidInputError(
-            f"partitions cover {len(c_star)} and {len(c)} samples")
-    co = (c.labels[:, None] == c.labels[None, :]).astype(np.float64)
-    co_star = (c_star.labels[:, None] == c_star.labels[None, :]).astype(np.float64)
-    frob = float(np.linalg.norm(co_star - co))
+    counts = confusion_matrix(c, c_star)
+    disagree = (int(np.sum(counts.sum(axis=0) ** 2))
+                + int(np.sum(counts.sum(axis=1) ** 2))
+                - 2 * int(np.sum(counts ** 2)))
+    frob = math.sqrt(float(disagree))
     return math.sqrt(frob) if literal_root else frob
 
 

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from deepnmf import (ApgProblem, InvalidInputError, NumericalError,
-                     QuadGradient, StopRule, apg_solve, projected_grad_norm)
+                     QuadGradient, StopRule, apg_solve, kernels,
+                     projected_grad_norm)
 
-from _oracles import plain_pg_quad, quad_objective
+from _oracles import plain_pg_quad, quad_objective, two_application_apg
 
 
 def h_block_problem(w, x, lam=0.0):
@@ -105,6 +106,68 @@ class TestApgSolve:
             apg_solve(np.zeros((3, 3)), problem)
         with pytest.raises(InvalidInputError):
             apg_solve(np.array([[-1.0, 0.0], [0.0, 0.0]]), problem)
+
+
+def _operator_setup(rng, sides, colsum, ridge):
+    """A least-squares block 0.5*||X - A V B||^2 (+ penalties) in kernel form:
+    (v0, left, right, lin, colsum, ridge, const, lipschitz); absent sides
+    are identities."""
+    rows, cols = 6, 9
+    a = rng.uniform(size=(8, rows)) if "left" in sides else np.eye(rows)
+    b = rng.uniform(size=(cols, 7)) if "right" in sides else np.eye(cols)
+    x = rng.uniform(size=(a.shape[0], b.shape[1])) - 0.2
+    left = a.T @ a if "left" in sides else None
+    right = b @ b.T if "right" in sides else None
+    lc = (float(np.linalg.eigvalsh(a.T @ a)[-1])
+          * float(np.linalg.eigvalsh(b @ b.T)[-1]) + colsum * rows + ridge)
+    v0 = rng.uniform(size=(rows, cols))
+    return (v0, left, right, -(a.T @ x @ b.T), colsum, ridge,
+            0.5 * float(np.sum(x * x)), lc)
+
+
+class TestKernelAgainstTwoApplicationLoop:
+    """The kernel applies the operator once per iteration and derives the
+    search-point gradient; the direct loop evaluates it twice. Over a full
+    budget both must walk the same iterates up to roundoff."""
+
+    @pytest.mark.parametrize("sides, colsum, ridge", [
+        (("left",), 0.3, 0.0),
+        (("left",), 0.0, 0.2),
+        (("right",), 0.3, 0.0),
+        (("left", "right"), 0.2, 0.0),
+        ((), 0.0, 0.0),
+    ], ids=["left+colsum", "left+ridge", "right+colsum", "two_sided+colsum",
+            "identity"])
+    def test_matches_reference_over_300_iterations(self, rng, sides, colsum,
+                                                   ridge):
+        args = _operator_setup(rng, sides, colsum, ridge)
+        before = [None if m is None else m.copy() for m in args[:4]]
+        v, iters, status, rel, f_val = kernels.apg_quad_solve(*args, 0.0, 300)
+        v_ref, iters_ref, status_ref, _, f_ref = two_application_apg(
+            *args, 0.0, 300)
+
+        assert (iters, status) == (iters_ref, status_ref)
+        assert np.max(np.abs(v - v_ref)) <= 1e-12 * np.max(np.abs(v_ref))
+        assert f_val == pytest.approx(f_ref, rel=1e-12, abs=0.0)
+        for name, m, m0 in zip(("v0", "left", "right", "lin"), args[:4],
+                               before):
+            if m is not None:
+                np.testing.assert_array_equal(m, m0, err_msg=name)
+                assert not np.shares_memory(v, m), name
+
+    def test_matches_reference_when_step_too_long(self, rng):
+        # Half the Lipschitz constant diverges after a few dozen iterations;
+        # both loops must stop on the same one and fall back to the same
+        # best iterate.
+        args = list(_operator_setup(rng, ("left",), 0.3, 0.0))
+        args[-1] /= 2.0
+        v, iters, status, _, f_val = kernels.apg_quad_solve(*args, 0.0, 300)
+        v_ref, iters_ref, status_ref, _, f_ref = two_application_apg(
+            *args, 0.0, 300)
+        assert (iters, status) == (iters_ref, kernels.DIVERGED)
+        assert status_ref == kernels.DIVERGED
+        np.testing.assert_allclose(v, v_ref, rtol=1e-12, atol=0.0)
+        assert f_val == pytest.approx(f_ref, rel=1e-12, abs=0.0)
 
 
 class TestValidation:

@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deepnmf import (InvalidInputError, Partition, confusion_matrix,
                      error_rate, from_labels, kmeans, naive_precision, nmi)
@@ -13,6 +16,17 @@ REF = Partition(np.array([0, 0, 1, 1]), 2)
 OBT = Partition(np.array([0, 1, 1, 1]), 2)
 NMI_EXPECTED = 0.3437110184854508  # frozen from the formula oracle
 ER_EXPECTED = 1.5650845800732873   # 6**(1/4): six disagreeing co-membership entries
+
+
+def _from_labels_loop(raw):
+    """The per-sample relabeling loop ``from_labels`` replaced."""
+    labels = np.asarray(raw)
+    _, inverse = np.unique(labels, return_inverse=True)
+    order = {}
+    out = np.empty(labels.size, dtype=np.int64)
+    for i, v in enumerate(inverse):
+        out[i] = order.setdefault(int(v), len(order))
+    return out, len(order)
 
 
 class TestPartition:
@@ -28,6 +42,18 @@ class TestPartition:
         part = from_labels([7, 7, 3, 9])
         np.testing.assert_array_equal(part.labels, [0, 0, 1, 2])
         assert part.n_clusters == 3
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(
+        st.lists(st.integers(-4, 6), min_size=1, max_size=40),
+        st.lists(st.sampled_from(["a", "b", "c", "zz"]), min_size=1,
+                 max_size=40)))
+    def test_from_labels_matches_per_sample_loop(self, raw):
+        part = from_labels(raw)
+        labels, n_clusters = _from_labels_loop(raw)
+        assert part.labels.dtype == np.int64
+        np.testing.assert_array_equal(part.labels, labels)
+        assert part.n_clusters == n_clusters
 
     def test_confusion_matrix(self):
         counts = confusion_matrix(OBT, REF)
@@ -79,6 +105,32 @@ class TestErrorRate:
 
     def test_symmetric(self):
         assert error_rate(OBT, REF) == error_rate(REF, OBT)
+
+    @pytest.mark.parametrize("literal_root", [True, False])
+    def test_equals_oracle_exactly(self, rng, literal_root):
+        pairs = [([1, 1, 2, 2], [1, 2, 2, 2])]
+        for n in range(1, 7):
+            parts = canonical_partitions(n, 3)
+            pairs += [(la, lb) for la in parts for lb in parts]
+        for _ in range(5):
+            pairs.append((rng.integers(0, 4, size=60).tolist(),
+                          rng.integers(0, 6, size=60).tolist()))
+        for la, lb in pairs:
+            assert error_rate(from_labels(la), from_labels(lb),
+                              literal_root=literal_root) == er_oracle(
+                la, lb, literal_root=literal_root)
+
+    def test_memory_does_not_grow_with_sample_pairs(self, rng):
+        n = 20_000
+        a = Partition(rng.integers(0, 10, size=n), 10)
+        b = Partition(rng.integers(0, 12, size=n), 12)
+        tracemalloc.start()
+        try:
+            error_rate(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
 
 
 class TestNaivePrecision:
