@@ -3,11 +3,14 @@
 One block subproblem is a convex quadratic over a matrix block V >= 0, given
 as its affine gradient (a :class:`QuadGradient`) plus a Lipschitz constant
 for that gradient. :func:`apg_solve` runs Nesterov's accelerated scheme with
-the fixed step 1/LC (no line search, no restarts) in the kernel loop of
-:mod:`deepnmf.kernels`. That loop applies the quadratic operator once per
-iteration, to the new iterate, and derives the search-point gradient from
-the two latest iterate gradients (exact for an affine gradient); its
-block-sized arrays are buffers allocated once per call.
+the fixed step 1/LC (no line search, no restarts) in the numpy kernel loop
+of :mod:`deepnmf.kernels`. The scheme's O(1/k^2) rate needs LC to be at
+least the true Lipschitz constant, which is why the models compute it
+exactly (:func:`deepnmf.linalg.sym_spectral_norm`). The loop applies the
+quadratic operator once per iteration, to the new iterate, and derives the
+search-point gradient from the two latest iterate gradients (exact for an
+affine gradient); its block-sized arrays are buffers allocated once per
+call.
 """
 
 from dataclasses import dataclass

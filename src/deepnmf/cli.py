@@ -16,8 +16,7 @@ import numpy as np
 from .apg import StopRule
 from .dataio import (load_bundle, load_factors, load_labels, save_bundle,
                      save_factors, save_labels)
-from .errors import (ConvergenceError, DataFormatError, InvalidInputError,
-                     NumericalError)
+from .errors import DataFormatError, InvalidInputError, NumericalError
 from .experiment import parse_config, run_experiment
 from .metrics import error_rate, kmeans, naive_precision, nmi
 from .models import make_spec
@@ -227,7 +226,7 @@ def cli_main(argv=None):
     except InvalidInputError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (NumericalError, ConvergenceError) as exc:
+    except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

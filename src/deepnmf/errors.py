@@ -13,18 +13,6 @@ class DataFormatError(DeepNmfError, ValueError):
     """A file could not be parsed; the message carries the byte or line location."""
 
 
-class ConvergenceError(DeepNmfError, RuntimeError):
-    """An iterative routine hit its iteration cap before reaching tolerance.
-
-    The last estimate is kept on the ``estimate`` attribute so callers can
-    decide whether it is still usable.
-    """
-
-    def __init__(self, message, estimate=None):
-        super().__init__(message)
-        self.estimate = estimate
-
-
 class NumericalError(DeepNmfError, RuntimeError):
     """A solve produced non-finite values or a diverging objective."""
 

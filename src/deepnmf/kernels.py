@@ -1,47 +1,24 @@
-"""Hot numeric kernels, compiled with numba when available.
+"""Hot numeric kernels in plain numpy.
 
-Two execution paths share this module:
-
-* with numba installed (the optional ``numba`` extra, ``pip install -e
-  .[numba]``) each kernel is JIT-compiled with ``@njit(cache=True,
-  nogil=True)``;
-* without numba, or with the environment variable ``DEEPNMF_NO_NUMBA`` set
-  to any value other than empty, ``0``, ``false`` or ``no`` (ignoring case
-  and surrounding spaces), the same functions run as plain numpy.
-
-The quadratic operator, the accelerated solver loop and the eigenvalue
-kernel are single-source (a numba-compatible numpy subset, no
-``fastmath``), so both paths run the same arithmetic. The k-means
-assignment has one implementation per path - explicit loops compiled,
-vectorized otherwise - whose results agree except at exact distance ties.
+The quadratic operator, the KKT residual, the accelerated solver loop and
+the k-means assignment each have one implementation. ``left``/``right``
+operator factors of None stand for identities.
 
 The solver loop applies the quadratic operator once per iteration, to the
 new iterate. Because the block gradient is affine, the gradient at the
 Nesterov search point is a combination of the two latest iterate gradients
 and is never evaluated on its own. Every block-sized array of the loop is a
-buffer allocated once per call and written in place through positional
-``out`` arguments (``np.dot(a, b, out)``, ``np.add(a, b, out)``,
-``np.clip(a, lo, hi, out)``); nothing is shared between calls, so
-concurrent solves in threads stay independent. ``_quad_apply`` and
-``_kkt_norm`` are allocating wrappers over the ``*_into`` variants the loop
-uses, so the operator and the KKT residual each have one definition.
+buffer allocated once per call and written in place through ``out``
+arguments; nothing is shared between calls, so concurrent solves in threads
+stay independent. ``_quad_apply_into`` and ``_kkt_norm_into`` are the single
+definitions of the operator and the KKT residual; the loop calls them on its
+buffers, and ``quad_apply``/``kkt_norm`` on fresh ones.
 """
-
-import os
 
 import numpy as np
 
-_flag = os.environ.get("DEEPNMF_NO_NUMBA", "").strip().lower()
-_DISABLED = _flag not in ("", "0", "false", "no")
-
-try:
-    if _DISABLED:
-        raise ImportError
-    from numba import njit
-
-    NUMBA_ENABLED = True
-except ImportError:
-    NUMBA_ENABLED = False
+# Read by perfbench/worker.py's provenance record; numpy is the only path.
+NUMBA_ENABLED = False
 
 # Solve status codes shared by kernels and their callers.
 CONVERGED = 0
@@ -50,20 +27,24 @@ DIVERGED = 2
 NONFINITE = 3
 
 
-def _quad_apply_into(v, left, use_left, right, use_right, colsum_w, ridge,
-                     out, tmp):
+def _contiguous_or_none(m):
+    """Operator factor as a C-contiguous array; None (an identity) stays."""
+    return None if m is None else np.ascontiguousarray(m)
+
+
+def _quad_apply_into(v, left, right, colsum_w, ridge, out, tmp):
     """Write left @ v @ right + colsum/ridge terms into ``out``.
 
     ``tmp`` is scratch of v's shape. The all-ones gram term is applied as a
     broadcast of v's weighted column sums (one matrix-vector product), never
     as a materialized ones matrix.
     """
-    if use_left and use_right:
+    if left is not None and right is not None:
         np.dot(left, v, tmp)
         np.dot(tmp, right, out)
-    elif use_left:
+    elif left is not None:
         np.dot(left, v, out)
-    elif use_right:
+    elif right is not None:
         np.dot(v, right, out)
     else:
         out[:, :] = v
@@ -74,11 +55,12 @@ def _quad_apply_into(v, left, use_left, right, use_right, colsum_w, ridge,
         np.add(out, np.dot(np.full(v.shape[0], colsum_w), v), out)
 
 
-def _quad_apply(v, left, use_left, right, use_right, colsum_w, ridge):
+def quad_apply(v, left, right, colsum_w, ridge):
     """Apply the quadratic operator: left @ v @ right + colsum/ridge terms."""
+    v = np.ascontiguousarray(v, dtype=np.float64)
     out = np.empty(v.shape)
-    _quad_apply_into(v, left, use_left, right, use_right, colsum_w, ridge,
-                     out, np.empty(v.shape))
+    _quad_apply_into(v, _contiguous_or_none(left), _contiguous_or_none(right),
+                     colsum_w, ridge, out, np.empty(v.shape))
     return out
 
 
@@ -101,14 +83,17 @@ def _kkt_norm_into(v, g, mask, mask2, tmp):
     return np.sqrt(_inner(tmp, tmp))
 
 
-def _kkt_norm(v, g):
+def kkt_norm(v, g):
     """Frobenius norm of the projected gradient (see ``_kkt_norm_into``)."""
-    return _kkt_norm_into(v, g, np.empty(v.shape, dtype=np.bool_),
-                          np.empty(v.shape, dtype=np.bool_), np.empty(v.shape))
+    v = np.ascontiguousarray(v)
+    return float(_kkt_norm_into(v, np.ascontiguousarray(g),
+                                np.empty(v.shape, dtype=np.bool_),
+                                np.empty(v.shape, dtype=np.bool_),
+                                np.empty(v.shape)))
 
 
-def _apg_quad(v0, left, use_left, right, use_right, lin, colsum_w, ridge,
-              obj_const, lipschitz, rel_tol, max_iters):
+def apg_quad_solve(v0, left, right, lin, colsum_w, ridge, obj_const,
+                   lipschitz, rel_tol, max_iters):
     """Accelerated projected gradient on a nonneg-constrained quadratic block.
 
     Iterates x_{k+1} = P(y_k - grad(y_k)/LC) with the Nesterov extrapolation
@@ -131,6 +116,10 @@ def _apg_quad(v0, left, use_left, right, use_right, lin, colsum_w, ridge,
 
     Returns (solution, iterations, status, relative_residual, objective).
     """
+    v0 = np.ascontiguousarray(v0)
+    lin = np.ascontiguousarray(lin)
+    left = _contiguous_or_none(left)
+    right = _contiguous_or_none(right)
     shape = v0.shape
     g = np.empty(shape)
     u = np.empty(shape)
@@ -139,8 +128,7 @@ def _apg_quad(v0, left, use_left, right, use_right, lin, colsum_w, ridge,
     u_prev = np.empty(shape)
     mask = np.empty(shape, dtype=np.bool_)
     mask2 = np.empty(shape, dtype=np.bool_)
-    _quad_apply_into(v0, left, use_left, right, use_right, colsum_w, ridge,
-                     g, u_prev)
+    _quad_apply_into(v0, left, right, colsum_w, ridge, g, u_prev)
     np.add(g, lin, g)
     np.isfinite(g, mask)
     if not np.all(mask):
@@ -186,8 +174,7 @@ def _apg_quad(v0, left, use_left, right, use_right, lin, colsum_w, ridge,
         alpha = alpha_next
         iters = k + 1
 
-        _quad_apply_into(cur, left, use_left, right, use_right, colsum_w,
-                         ridge, g, u_prev)
+        _quad_apply_into(cur, left, right, colsum_w, ridge, g, u_prev)
         np.add(g, lin, g)
         f_cur = 0.5 * (_inner(cur, g) + _inner(cur, lin)) + obj_const
         if f_cur < best_f:
@@ -209,8 +196,7 @@ def _apg_quad(v0, left, use_left, right, use_right, lin, colsum_w, ridge,
     # when the final one ended up above the starting objective, and report
     # the residual of whatever is actually returned.
     if f_cur > f0:
-        _quad_apply_into(best_v, left, use_left, right, use_right, colsum_w,
-                         ridge, g, u_prev)
+        _quad_apply_into(best_v, left, right, colsum_w, ridge, g, u_prev)
         np.add(g, lin, g)
         rel = _kkt_norm_into(best_v, g, mask, mask2, u_prev) / r0
         if status == CONVERGED and rel > rel_tol:
@@ -219,7 +205,8 @@ def _apg_quad(v0, left, use_left, right, use_right, lin, colsum_w, ridge,
     return cur, iters, status, rel, f_cur
 
 
-def _sym_top_eig(gram, v0, rel_tol, max_iters):
+# Timed by the kernels.eig_us_per_iter.60x60 case of perfbench/worker.py.
+def sym_top_eig(gram, v0, rel_tol, max_iters):
     """Power iteration for the top eigenvalue of a symmetric PSD matrix.
 
     Convergence is linear with some ratio r, so the remaining error is about
@@ -227,10 +214,10 @@ def _sym_top_eig(gram, v0, rel_tol, max_iters):
     tolerance by the estimated (1-r)/r to actually deliver it.
 
     Returns (eigenvalue, iterations, status). A zero eigenvalue estimate with
-    a nonzero matrix signals a start vector orthogonal to the top eigenspace;
-    the caller restarts with a different vector in that case.
+    a nonzero matrix signals a start vector orthogonal to the top eigenspace.
     """
-    v = v0.copy()
+    gram = np.ascontiguousarray(gram)
+    v = np.ascontiguousarray(v0).copy()
     lam = 0.0
     d_prev = np.inf
     status = MAXITER
@@ -258,11 +245,13 @@ def _sym_top_eig(gram, v0, rel_tol, max_iters):
     return lam, iters, status
 
 
-def _kmeans_assign_vectorized(points, centers):
+def kmeans_assign(points, centers):
     """Nearest-center assignment, one vectorized pass per center.
 
     Ties break toward the lowest center index. Returns (labels, sq_dists).
     """
+    points = np.ascontiguousarray(points)
+    centers = np.ascontiguousarray(centers)
     n = points.shape[0]
     k = centers.shape[0]
     best = np.full(n, np.inf)
@@ -275,81 +264,3 @@ def _kmeans_assign_vectorized(points, centers):
         best = np.where(better, d2, best)
     return labels, best
 
-
-def _kmeans_assign_loops(points, centers):
-    """Nearest-center assignment as explicit loops; only used compiled."""
-    n, d = points.shape
-    k = centers.shape[0]
-    best = np.full(n, np.inf)
-    labels = np.zeros(n, dtype=np.int64)
-    for i in range(n):
-        bd = np.inf
-        bc = 0
-        for c in range(k):
-            acc = 0.0
-            for j in range(d):
-                diff = points[i, j] - centers[c, j]
-                acc += diff * diff
-            if acc < bd:
-                bd = acc
-                bc = c
-        labels[i] = bc
-        best[i] = bd
-    return labels, best
-
-
-if NUMBA_ENABLED:
-    _quad_apply_into = njit(cache=True, nogil=True)(_quad_apply_into)
-    _quad_apply = njit(cache=True, nogil=True)(_quad_apply)
-    _inner = njit(cache=True, nogil=True)(_inner)
-    _kkt_norm_into = njit(cache=True, nogil=True)(_kkt_norm_into)
-    _kkt_norm = njit(cache=True, nogil=True)(_kkt_norm)
-    _apg_quad = njit(cache=True, nogil=True)(_apg_quad)
-    _sym_top_eig = njit(cache=True, nogil=True)(_sym_top_eig)
-    _kmeans_assign = njit(cache=True, nogil=True)(_kmeans_assign_loops)
-else:
-    _kmeans_assign = _kmeans_assign_vectorized
-
-_DUMMY = np.zeros((1, 1))
-
-
-def _operand(m):
-    """(present, array) for an optional operator factor; None is an identity."""
-    if m is None:
-        return False, _DUMMY
-    return True, np.ascontiguousarray(m)
-
-
-def quad_apply(v, left, right, colsum_w, ridge):
-    """Apply the quadratic operator kernel; ``left``/``right`` may be None."""
-    use_left, left_arr = _operand(left)
-    use_right, right_arr = _operand(right)
-    return _quad_apply(np.ascontiguousarray(v, dtype=np.float64), left_arr,
-                       use_left, right_arr, use_right, float(colsum_w),
-                       float(ridge))
-
-
-def apg_quad_solve(v0, left, right, lin, colsum_w, ridge, obj_const,
-                   lipschitz, rel_tol, max_iters):
-    """Driver for the quadratic APG kernel; ``left``/``right`` may be None."""
-    use_left, left_arr = _operand(left)
-    use_right, right_arr = _operand(right)
-    return _apg_quad(
-        np.ascontiguousarray(v0), left_arr, use_left, right_arr, use_right,
-        np.ascontiguousarray(lin), float(colsum_w), float(ridge),
-        float(obj_const), float(lipschitz), float(rel_tol), int(max_iters),
-    )
-
-
-def sym_top_eig(gram, v0, rel_tol, max_iters):
-    return _sym_top_eig(np.ascontiguousarray(gram), np.ascontiguousarray(v0),
-                        float(rel_tol), int(max_iters))
-
-
-def kmeans_assign(points, centers):
-    return _kmeans_assign(np.ascontiguousarray(points),
-                          np.ascontiguousarray(centers))
-
-
-def kkt_norm(v, g):
-    return float(_kkt_norm(np.ascontiguousarray(v), np.ascontiguousarray(g)))

@@ -2,16 +2,14 @@
 
 Matrices are plain C-contiguous float64 numpy arrays, row-major, with columns
 holding samples throughout the package. Nonnegativity is enforced per use via
-:func:`check_nonneg`, not by a wrapper type.
+:func:`check_nonneg`, not by a wrapper type. Spectral norms, which fix the
+solvers' Lipschitz constants, come from numpy's symmetric eigensolver and
+are exact up to its roundoff.
 """
 
 import numpy as np
 
-from .errors import ConvergenceError, InvalidInputError
-from . import kernels
-
-POWER_ITER_CAP = 10_000
-_RESTART_SEED = 0x5EED
+from .errors import InvalidInputError
 
 
 def as_matrix(a, name="matrix"):
@@ -55,49 +53,24 @@ def ones_gram_norm(dim):
     return float(dim)
 
 
-def sym_spectral_norm(gram, tol=1e-9, max_iters=POWER_ITER_CAP):
-    """Top eigenvalue of a symmetric PSD matrix by power iteration.
+def sym_spectral_norm(gram):
+    """Top eigenvalue of a symmetric PSD matrix, from a symmetric eigensolver.
 
-    Starts from the normalized all-ones vector for reproducibility; if that
-    vector turns out to be orthogonal to the top eigenspace (flagged by a zero
-    Rayleigh estimate on a nonzero matrix), restarts once from a fixed seeded
-    pseudorandom vector.
+    This is the Lipschitz constant of a block gradient whose operator is
+    ``gram``. The value is exact up to the eigensolver's roundoff, so a
+    fixed step of its inverse is safe; an iterative estimate that stops
+    early comes out below the true value.
     """
     gram = as_matrix(gram, "gram")
     n = gram.shape[0]
     if gram.shape[1] != n:
         raise InvalidInputError(f"gram must be square, got shape {gram.shape}")
-    if tol <= 0:
-        raise InvalidInputError(f"tol must be > 0, got {tol}")
     if not np.any(gram):
         return 0.0
-
-    v0 = np.full(n, 1.0 / np.sqrt(n))
-    lam, _, status = kernels.sym_top_eig(gram, v0, tol, max_iters)
-    if lam <= 0.0:
-        rng = np.random.default_rng(_RESTART_SEED)
-        v0 = rng.standard_normal(n)
-        v0 /= np.sqrt(np.dot(v0, v0))
-        lam, _, status = kernels.sym_top_eig(gram, v0, tol, max_iters)
-    if status != kernels.CONVERGED:
-        raise ConvergenceError(
-            f"power iteration did not converge within {max_iters} iterations",
-            estimate=float(max(lam, 0.0)))
-    return float(max(lam, 0.0))
+    return float(max(np.linalg.eigvalsh(gram)[-1], 0.0))
 
 
-def spectral_norm(m, tol=1e-9, max_iters=POWER_ITER_CAP):
-    """Largest singular value of ``m`` via power iteration on m.T @ m.
-
-    Args:
-        m: nonempty matrix.
-        tol: relative tolerance on the squared-norm estimate.
-        max_iters: iteration cap; exceeding it raises ConvergenceError with
-            the last estimate attached.
-    """
+def spectral_norm(m):
+    """Largest singular value of ``m``, from the top eigenvalue of m.T @ m."""
     m = as_matrix(m)
-    try:
-        lam = sym_spectral_norm(m.T @ m, tol=tol, max_iters=max_iters)
-    except ConvergenceError as e:
-        raise ConvergenceError(str(e), estimate=float(np.sqrt(max(e.estimate, 0.0)))) from None
-    return float(np.sqrt(lam))
+    return float(np.sqrt(sym_spectral_norm(m.T @ m)))

@@ -1,12 +1,13 @@
 """Clustering of learned representations and external partition scores.
 
 The three scores compare an obtained partition against a reference one
-through their confusion matrix: normalized mutual information (symmetric,
-in [0, 1]), an indicator-matrix error rate (the square root of the Frobenius
-norm of the co-membership difference, taken literally with its outer root,
-computed from the confusion counts without forming n-by-n matrices),
-and naive precision (per reference class, the largest overlap fraction with
-any obtained cluster).
+through the nonzero cells of their confusion matrix, so their memory grows
+with the sample count, not with the product of the cluster counts:
+normalized mutual information (symmetric, in [0, 1]), an indicator-matrix
+error rate (the square root of the Frobenius norm of the co-membership
+difference, taken literally with its outer root, computed from the confusion
+counts without forming n-by-n matrices), and naive precision (per reference
+class, the largest overlap fraction with any obtained cluster).
 """
 
 import math
@@ -51,14 +52,23 @@ def from_labels(labels):
     return Partition(rank[inverse], first.size)
 
 
-def confusion_matrix(c, c_star):
-    """Overlap counts with reference classes as rows, obtained clusters as columns."""
+def _overlap_cells(c, c_star):
+    """The nonzero confusion cells in row-major order, as (reference class,
+    obtained cluster, count) arrays; the one definition of label pairing."""
     if len(c) != len(c_star):
         raise InvalidInputError(
             f"partitions cover {len(c_star)} and {len(c)} samples")
-    counts = np.zeros((c_star.n_clusters, c.n_clusters), dtype=np.int64)
-    np.add.at(counts, (c_star.labels, c.labels), 1)
-    return counts
+    cells, counts = np.unique(c_star.labels * c.n_clusters + c.labels,
+                              return_counts=True)
+    return cells // c.n_clusters, cells % c.n_clusters, counts
+
+
+def confusion_matrix(c, c_star):
+    """Overlap counts with reference classes as rows, obtained clusters as columns."""
+    rows, cols, counts = _overlap_cells(c, c_star)
+    matrix = np.zeros((c_star.n_clusters, c.n_clusters), dtype=np.int64)
+    matrix[rows, cols] = counts
+    return matrix
 
 
 def nmi(c, c_star):
@@ -68,19 +78,14 @@ def nmi(c, c_star):
     score is then 1 when the partitions agree (they necessarily do) and 0
     otherwise.
     """
-    counts = confusion_matrix(c, c_star)
-    n = counts.sum()
-    rows = counts.sum(axis=1)
-    cols = counts.sum(axis=0)
-    numer = 0.0
-    for i in range(counts.shape[0]):
-        for j in range(counts.shape[1]):
-            nij = counts[i, j]
-            if nij:
-                numer += nij * math.log(nij * n / (rows[i] * cols[j]))
-    numer *= -2.0
-    denom = sum(r * math.log(r / n) for r in rows if r)
-    denom += sum(col * math.log(col / n) for col in cols if col)
+    rows, cols, counts = _overlap_cells(c, c_star)
+    n = len(c)
+    ref_sizes = np.bincount(c_star.labels)
+    sizes = np.bincount(c.labels)
+    numer = -2.0 * float(np.sum(
+        counts * np.log(counts * n / (ref_sizes[rows] * sizes[cols]))))
+    denom = sum(float(np.sum(m * np.log(m / n)))
+                for m in (ref_sizes[ref_sizes > 0], sizes[sizes > 0]))
     if denom == 0.0:
         return 1.0 if np.array_equal(
             from_labels(c.labels).labels, from_labels(c_star.labels).labels) else 0.0
@@ -101,9 +106,9 @@ def error_rate(c, c_star, literal_root=True):
     disagree, sum_j a_j^2 + sum_i b_i^2 - 2 sum_ij n_ij^2, an exact integer,
     so the result equals the matrix computation bit for bit.
     """
-    counts = confusion_matrix(c, c_star)
-    disagree = (int(np.sum(counts.sum(axis=0) ** 2))
-                + int(np.sum(counts.sum(axis=1) ** 2))
+    _, _, counts = _overlap_cells(c, c_star)
+    disagree = (int(np.sum(np.bincount(c.labels) ** 2))
+                + int(np.sum(np.bincount(c_star.labels) ** 2))
                 - 2 * int(np.sum(counts ** 2)))
     frob = math.sqrt(float(disagree))
     return math.sqrt(frob) if literal_root else frob
@@ -111,12 +116,14 @@ def error_rate(c, c_star, literal_root=True):
 
 def naive_precision(c, c_star):
     """Mean over reference classes of (largest overlap) / (class size)."""
-    counts = confusion_matrix(c, c_star)
-    sizes = counts.sum(axis=1)
+    rows, _, counts = _overlap_cells(c, c_star)
+    sizes = np.bincount(c_star.labels, minlength=c_star.n_clusters)
     if np.any(sizes == 0):
         empty = int(np.argmin(sizes))
         raise InvalidInputError(f"reference class {empty} is empty")
-    return float(np.mean(counts.max(axis=1) / sizes))
+    largest = np.zeros(c_star.n_clusters, dtype=np.int64)
+    np.maximum.at(largest, rows, counts)
+    return float(np.mean(largest / sizes))
 
 
 def _kmeanspp_centers(points, k, rng):

@@ -12,16 +12,7 @@ from itertools import product
 
 import numpy as np
 
-try:
-    from numba import njit
-except ImportError:  # numba is an optional extra
-    def njit(**kwargs):
-        def wrap(f):
-            return f
-        return wrap
 
-
-@njit(cache=True)
 def plain_pg_quad(v0, gram, lin, lipschitz, max_iters):
     """Plain projected gradient x <- max(x - (gram @ x + lin)/LC, 0).
 
@@ -39,7 +30,6 @@ def plain_pg_quad(v0, gram, lin, lipschitz, max_iters):
     return x
 
 
-@njit(cache=True)
 def plain_pg_iters_to_tol(v0, gram, lin, lipschitz, rel_tol, max_iters):
     """Iterations plain PG needs before its projected-gradient norm drops
     below rel_tol times the starting one."""

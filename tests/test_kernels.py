@@ -1,106 +1,24 @@
-"""The compiled and pure-numpy kernel paths must agree.
-
-The pure path is selected by the DEEPNMF_NO_NUMBA environment variable at
-import time, so the comparison runs the same computation in two subprocesses,
-one with the flag set and one without it, and diffs their results. The
-comparison needs numba and is skipped where it is not installed; the parsing
-of the flag itself is checked on any machine.
-"""
-
-import importlib.util
-import json
-import os
-import subprocess
-import sys
+"""Kernel contracts that no other test pins down."""
 
 import numpy as np
-import pytest
 
 from deepnmf import kernels
-
-_SCRIPT = r"""
-import json
-import sys
-
-import numpy as np
-
-from deepnmf import StopRule, TrainConfig, fit, kernels, make_spec, synth_generate
-
-rng = np.random.default_rng(99)
-w = rng.uniform(0.1, 1.0, size=(8, 4))
-x = rng.uniform(0.1, 1.0, size=(8, 12))
-gram = w.T @ w
-v, iters, status, rel, f_val = kernels.apg_quad_solve(
-    np.abs(rng.standard_normal((4, 12))), gram, None, -(w.T @ x),
-    0.05, 0.0, 0.5 * float(np.sum(x * x)),
-    float(np.linalg.eigvalsh(gram).max()) + 0.05 * 4, 1e-10, 400)
-
-lam, _, _ = kernels.sym_top_eig(gram, np.full(4, 0.5), 1e-12, 1000)
-
-bundle = synth_generate("planted_linear", seed=21, rows=10, cols=24,
-                        layer_sizes=(4, 2), classes=2, noise=0.01)
-cfg = TrainConfig(inner_stop=StopRule(100, 1e-4), max_sweeps=8, rel_obj_tol=1e-8)
-stack, report = fit(make_spec("sdnmf_l", (4, 2), mu=0.1), bundle.x, cfg)
-
-json.dump({
-    "numba": kernels.NUMBA_ENABLED,
-    "solution": v.tolist(),
-    "objective": f_val,
-    "eig": lam,
-    "trace": report.objective_trace,
-}, sys.stdout)
-"""
-
-
-def _run(env_flag):
-    env = dict(os.environ)
-    if env_flag:
-        env["DEEPNMF_NO_NUMBA"] = "1"
-    else:
-        env.pop("DEEPNMF_NO_NUMBA", None)
-    out = subprocess.run([sys.executable, "-c", _SCRIPT], env=env,
-                         capture_output=True, text=True)
-    assert out.returncode == 0, out.stderr
-    return json.loads(out.stdout)
-
-
-def test_numpy_fallback_matches_compiled_path():
-    pytest.importorskip("numba")
-    pure = _run(env_flag=True)
-    assert pure["numba"] is False
-    jit = _run(env_flag=False)
-    assert jit["numba"] is True
-
-    np.testing.assert_allclose(pure["solution"], jit["solution"],
-                               rtol=1e-10, atol=1e-12)
-    assert pure["objective"] == pytest.approx(jit["objective"], rel=1e-10)
-    assert pure["eig"] == pytest.approx(jit["eig"], rel=1e-10)
-    np.testing.assert_allclose(pure["trace"], jit["trace"], rtol=1e-8)
-
-
-def _load_kernels():
-    spec = importlib.util.find_spec("deepnmf.kernels")
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return mod
-
-
-def test_env_flag_parsing(monkeypatch):
-    have_numba = importlib.util.find_spec("numba") is not None
-    # Values read as "flag off": the compiled path runs iff numba is there.
-    for raw in ("", "0", "false", "no", " FALSE "):
-        monkeypatch.setenv("DEEPNMF_NO_NUMBA", raw)
-        mod = _load_kernels()
-        assert mod._DISABLED is False, repr(raw)
-        assert mod.NUMBA_ENABLED is have_numba, repr(raw)
-    # Values read as "flag on": always the numpy path.
-    for raw in ("1", "true", "yes"):
-        monkeypatch.setenv("DEEPNMF_NO_NUMBA", raw)
-        mod = _load_kernels()
-        assert mod._DISABLED is True, repr(raw)
-        assert mod.NUMBA_ENABLED is False, repr(raw)
 
 
 def test_status_constants_stable():
     assert (kernels.CONVERGED, kernels.MAXITER, kernels.DIVERGED,
             kernels.NONFINITE) == (0, 1, 2, 3)
+
+
+def test_kmeans_assign_ties_go_to_lowest_center():
+    # Every point is exactly equally near to two or more nearest centers
+    # (center 4 repeats center 0); a last-wins rule would pick 4, 4, 4, 3,
+    # 4, 2.
+    centers = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0],
+                        [1.0, 0.0]])
+    points = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 0.5], [-0.5, -0.5],
+                       [0.5, -0.5], [-0.5, 0.5]])
+    labels, d2 = kernels.kmeans_assign(points, centers)
+    np.testing.assert_array_equal(labels, [0, 0, 0, 1, 0, 1])
+    np.testing.assert_array_equal(
+        d2, np.min(((points[:, None, :] - centers[None]) ** 2).sum(-1), axis=1))

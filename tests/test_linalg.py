@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from deepnmf import (ConvergenceError, InvalidInputError, frobenius_sq,
-                     ones_gram_norm, project_nonneg, spectral_norm)
+from deepnmf import (InvalidInputError, frobenius_sq, ones_gram_norm,
+                     project_nonneg, spectral_norm, sym_spectral_norm)
 
 finite_matrices = arrays(
     np.float64, st.tuples(st.integers(1, 6), st.integers(1, 6)),
@@ -46,10 +46,7 @@ class TestSpectralNorm:
         assert spectral_norm(np.eye(3)) == pytest.approx(1.0, rel=1e-12)
 
     def test_diagonal(self):
-        # Default tol is 1e-9; the estimate must land within it.
-        assert spectral_norm(np.diag([3.0, 4.0])) == pytest.approx(4.0, rel=1e-9)
-        assert spectral_norm(np.diag([3.0, 4.0]), tol=1e-13) == pytest.approx(
-            4.0, rel=1e-12)
+        assert spectral_norm(np.diag([3.0, 4.0])) == pytest.approx(4.0, rel=1e-12)
 
     def test_matches_svd(self, rng):
         m = rng.standard_normal((5, 5))
@@ -59,35 +56,58 @@ class TestSpectralNorm:
     def test_transpose_invariance(self, rng):
         for _ in range(5):
             m = rng.standard_normal((4, 7))
-            a = spectral_norm(m, tol=1e-13)
-            b = spectral_norm(m.T, tol=1e-13)
+            a = spectral_norm(m)
+            b = spectral_norm(m.T)
             assert a == pytest.approx(b, rel=1e-10)
 
     def test_scaling(self, rng):
         m = rng.standard_normal((5, 4))
-        base = spectral_norm(m, tol=1e-13)
+        base = spectral_norm(m)
         for c in (-2.5, 0.25, 7.0):
-            assert spectral_norm(c * m, tol=1e-13) == pytest.approx(
+            assert spectral_norm(c * m) == pytest.approx(
                 abs(c) * base, rel=1e-10)
 
     def test_ones_start_orthogonal_to_top_restarts(self):
-        # m.T @ m annihilates the all-ones start vector; the seeded restart
-        # must still find the top singular value 2.
+        # m.T @ m annihilates the all-ones vector; the top singular value 2
+        # must still be found.
         m = np.array([[1.0, -1.0], [1.0, -1.0]])
         assert spectral_norm(m) == pytest.approx(2.0, rel=1e-9)
 
     def test_zero_matrix(self):
         assert spectral_norm(np.zeros((3, 2))) == 0.0
 
-    def test_iteration_cap_raises_with_estimate(self, rng):
-        m = rng.standard_normal((6, 6))
-        with pytest.raises(ConvergenceError) as exc:
-            spectral_norm(m, tol=1e-16, max_iters=2)
-        assert exc.value.estimate > 0
 
-    def test_tol_validation(self):
+class TestSymSpectralNorm:
+    """The value is a Lipschitz constant, so it must never come out below
+    the top eigenvalue by more than roundoff."""
+
+    @staticmethod
+    def _never_below(a):
+        s_max = np.linalg.svd(a, compute_uv=False)[0]
+        assert sym_spectral_norm(a.T @ a) >= s_max ** 2 * (1 - 1e-12)
+
+    def test_random_nonneg_grams(self):
+        rng = np.random.default_rng(2012)
+        for cols in range(1, 41):
+            for _ in range(3):
+                self._never_below(rng.uniform(size=(2 * cols + 5, cols)))
+
+    def test_small_eigengap(self):
+        # The gram's top two eigenvalues are 1 and 0.999, a 0.1% gap, on
+        # which an iterative estimate converges slowly.
+        rng = np.random.default_rng(7)
+        q, _ = np.linalg.qr(rng.standard_normal((30, 30)))
+        p, _ = np.linalg.qr(rng.standard_normal((50, 30)))
+        sing = np.concatenate([[1.0, np.sqrt(0.999)],
+                               np.linspace(0.9, 0.1, 28)])
+        a = p @ np.diag(sing) @ q.T
+        self._never_below(a)
+        assert sym_spectral_norm(a.T @ a) == pytest.approx(1.0, rel=1e-12)
+
+    def test_validation(self):
         with pytest.raises(InvalidInputError):
-            spectral_norm(np.eye(2), tol=0.0)
+            sym_spectral_norm(np.ones((2, 3)))
+        assert sym_spectral_norm(np.zeros((3, 3))) == 0.0
 
 
 class TestOnesGramNorm:

@@ -215,6 +215,22 @@ class TestKmeans:
             kmeans(rng.uniform(0.0, 1.0, size=(2, 4)), 2, restarts=0)
 
 
+@pytest.mark.parametrize("score", [nmi, error_rate, naive_precision])
+def test_memory_scales_with_samples_not_cluster_pairs(score):
+    # Singleton partitions have n clusters each; a dense confusion matrix of
+    # them would take n^2 counts (69 MB at n = 3000).
+    n = 3000
+    a = Partition(np.arange(n), n)
+    b = Partition(np.random.default_rng(3).permutation(n), n)
+    tracemalloc.start()
+    try:
+        score(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+
+
 def test_mismatched_sample_counts_rejected():
     a = Partition(np.array([0, 1]), 2)
     with pytest.raises(InvalidInputError):
