@@ -1,8 +1,8 @@
 """Hot numeric kernels in plain numpy.
 
-The quadratic operator, the KKT residual, the accelerated solver loop and
-the k-means assignment each have one implementation. ``left``/``right``
-operator factors of None stand for identities.
+The quadratic operator, the KKT residual and the accelerated solver loop
+each have one implementation. ``left``/``right`` operator factors of None
+stand for identities.
 
 The solver loop applies the quadratic operator once per iteration, to the
 new iterate. Because the block gradient is affine, the gradient at the
@@ -13,6 +13,12 @@ arguments; nothing is shared between calls, so concurrent solves in threads
 stay independent. ``_quad_apply_into`` and ``_kkt_norm_into`` are the single
 definitions of the operator and the KKT residual; the loop calls them on its
 buffers, and ``quad_apply``/``kkt_norm`` on fresh ones.
+
+The k-means assignment is defined by a per-center loop over difference
+arrays. ``kmeans_assign`` returns that loop's labels and distances bit for
+bit at a fraction of its cost: one matrix product screens every center, a
+rounding bound proves which points have a single nearest center, and only
+the rest go through the loop.
 """
 
 import numpy as np
@@ -245,18 +251,17 @@ def sym_top_eig(gram, v0, rel_tol, max_iters):
     return lam, iters, status
 
 
-def kmeans_assign(points, centers):
+def _kmeans_assign_loop(points, centers):
     """Nearest-center assignment, one vectorized pass per center.
 
-    Ties break toward the lowest center index. Returns (labels, sq_dists).
+    The definition that :func:`kmeans_assign` reproduces bit for bit: the
+    squared distance is ``np.sum(diff * diff, axis=1)`` of the difference
+    array and the first center with the smallest one wins (strict ``<``).
     """
-    points = np.ascontiguousarray(points)
-    centers = np.ascontiguousarray(centers)
     n = points.shape[0]
-    k = centers.shape[0]
     best = np.full(n, np.inf)
     labels = np.zeros(n, dtype=np.int64)
-    for c in range(k):
+    for c in range(centers.shape[0]):
         diff = points - centers[c]
         d2 = np.sum(diff * diff, axis=1)
         better = d2 < best
@@ -264,3 +269,72 @@ def kmeans_assign(points, centers):
         best = np.where(better, d2, best)
     return labels, best
 
+
+_EPS = np.finfo(np.float64).eps
+_TINY = np.finfo(np.float64).tiny
+# Above this, a squared distance or a screen entry could overflow.
+_PSI_MAX = np.finfo(np.float64).max / 4
+
+
+def kmeans_assign(points, centers):
+    """Nearest-center assignment: one GEMM screens, exact arithmetic settles.
+
+    Returns (labels, sq_dists) for float64 ``points`` (n, d) and ``centers``
+    (k, d), bit-identical to :func:`_kmeans_assign_loop`: ties break toward
+    the lowest center index, and a point whose distances are all NaN or
+    infinite gets label 0 and distance inf.
+
+    The screen is s_ic = |c|^2 - 2 p_i.c for all centers at once; |p_i|^2,
+    the same for every center of a point, is left out. Bound its rounding
+    with u = eps/2, g_m = m u/(1 - m u), psi_i = |p_i|^2 + max_c |c|^2 and
+    the exact D_ic = |p_i - c|^2 = |p_i|^2 + t_ic:
+
+    * In any summation order p.c is within g_d sum_j |p_j c_j|
+      <= g_d psi/2 of its value and |c|^2 within g_d psi, and the final
+      subtraction adds at most 2u(1 + g_d) psi, so
+      |s_ic - t_ic| <= ((d + 1) eps + O(eps^2)) psi_i.
+    * The difference form sums d nonnegative terms with at most three
+      roundings each, so its value q_ic obeys
+      |q_ic - D_ic| <= g_(d+2) D_ic <= ((d + 2) eps + O(eps^2)) psi_i.
+    * The loop picks r with q_ir <= q_ic for every c. For the screen's
+      minimizer m, s_ir - s_im <= (D_ir - D_im) + 2 (d + 1) eps psi_i
+      <= (4d + 6) eps psi_i to first order.
+
+    The threshold tau_i = (6d + 20)(eps psi_i + tiny) covers that, the
+    second-order terms and the rounding of psi_i and tau_i themselves; the
+    tiny term (the smallest normal number) covers underflow, which moves
+    each of the 6d products involved by at most tiny, even when flushed to
+    zero. So r is always within tau_i of the screened minimum, and a point
+    with exactly one center there takes it. Its distance is then taken from
+    ``np.sum(diff * diff, axis=1)`` on the gathered (n, d) difference array;
+    numpy reduces each row of a C-contiguous array in an order that depends
+    only on d, so the bits equal the loop's. Points with two or more
+    candidates, or with psi_i not finite or above max/4 (where a sum could
+    overflow), go through the loop, restricted to those rows.
+    """
+    points = np.ascontiguousarray(points, dtype=np.float64)
+    centers = np.ascontiguousarray(centers, dtype=np.float64)
+    if centers.shape[0] == 0:
+        return _kmeans_assign_loop(points, centers)
+    d = points.shape[1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        c2 = np.einsum("ij,ij->i", centers, centers)
+        screen = np.dot(-2.0 * centers, points.T)
+        np.add(screen, c2[:, None], screen)
+        psi = np.einsum("ij,ij->i", points, points)
+        psi += c2.max()
+        cand = screen <= (screen.min(axis=0)
+                          + (6 * d + 20) * (_EPS * psi + _TINY))
+        settled = np.count_nonzero(cand, axis=0) == 1
+        settled &= psi <= _PSI_MAX
+        # The index of the one candidate; meaningless on unsettled points,
+        # which the loop overwrites.
+        labels = np.arange(centers.shape[0], dtype=np.int64) @ cand
+        diff = points - centers.take(labels, axis=0, mode="clip")
+        diff *= diff
+        sq_dists = np.sum(diff, axis=1)
+    rest = np.flatnonzero(~settled)
+    if rest.size:
+        labels[rest], sq_dists[rest] = _kmeans_assign_loop(points[rest],
+                                                           centers)
+    return labels, sq_dists

@@ -8,6 +8,11 @@ error rate (the square root of the Frobenius norm of the co-membership
 difference, taken literally with its outer root, computed from the confusion
 counts without forming n-by-n matrices), and naive precision (per reference
 class, the largest overlap fraction with any obtained cluster).
+
+Partitions of a representation come from :func:`kmeans`, Lloyd's algorithm
+whose assignment step (:func:`deepnmf.kernels.kmeans_assign`) screens all
+centers with one matrix product and returns the per-center loop's labels
+and distances bit for bit.
 """
 
 import math
@@ -158,13 +163,15 @@ def _lloyd(points, centers, max_iters):
                     taken += 1
             continue
         if labels is not None and np.array_equal(new_labels, labels):
-            labels = new_labels
-            break
+            # The centers have not moved since this assignment.
+            return labels, float(d2.sum())
         labels = new_labels
         for c in range(k):
             centers[c] = points[labels == c].mean(axis=0)
-    _, d2 = kernels.kmeans_assign(points, centers)
-    return labels, float(d2.sum())
+    last_labels, d2 = kernels.kmeans_assign(points, centers)
+    # Fewer distinct points than clusters re-seeds on every iteration; the
+    # last assignment, with empty clusters, is then the partition.
+    return (last_labels if labels is None else labels), float(d2.sum())
 
 
 def kmeans(data, k, restarts=10, seed=0, max_iters=KMEANS_MAX_ITERS):
@@ -172,7 +179,12 @@ def kmeans(data, k, restarts=10, seed=0, max_iters=KMEANS_MAX_ITERS):
 
     Each restart is seeded with k-means++ from its own deterministic
     substream; the partition with the lowest within-cluster sum of squares
-    wins, ties going to the lowest restart index.
+    wins, ties going to the lowest restart index. Every assignment step is
+    :func:`deepnmf.kernels.kmeans_assign`: one matrix product screens all
+    centers and only points within a rounding bound of a tie take the
+    per-center loop, so labels and distances equal the loop's bit for bit.
+    A restart that converges reuses the distances of its last assignment.
+    With fewer distinct samples than ``k``, some clusters stay empty.
     """
     data = np.ascontiguousarray(data, dtype=np.float64)
     points = np.ascontiguousarray(data.T)

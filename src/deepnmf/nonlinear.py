@@ -10,7 +10,8 @@ available for the unrolled nonlinear reconstruction, so the final
 representation and every basis factor above the first are updated by
 projected gradient descent with Armijo backtracking; hidden representations
 are refreshed from the inverse-activation chain, and the first basis factor
-keeps its exact convex block and is still solved by the accelerated method.
+keeps its convex block and is still solved by the accelerated method, to the
+same stop rule as the linear path (relative tolerance or iteration cap).
 """
 
 import numpy as np
@@ -123,13 +124,13 @@ def basis_gradient(spec, x, stack, layer):
     return g
 
 
-def _armijo_step(value, grad, f_of, step0):
-    """Projected gradient step with Armijo backtracking.
+def _armijo_step(value, f0, grad, f_of, step0):
+    """Projected gradient step with Armijo backtracking from ``value``, where
+    the objective is ``f0``.
 
-    Returns (new_value, new_f, accepted_step) or (value, f, None) when 50
+    Returns (new_value, new_f, accepted_step) or (value, f0, None) when 50
     halvings fail to produce sufficient decrease.
     """
-    f0 = f_of(value)
     step = step0
     for _ in range(MAX_HALVINGS):
         cand = np.maximum(value - step * grad, 0.0)
@@ -149,9 +150,11 @@ def nonlinear_finetune(spec, x, stack, cfg=TrainConfig()):
     Each sweep: one backtracked projected-gradient step on the final
     representation, one on every basis factor above the first (bottom-up),
     a refresh of the hidden representations from the inverse-activation
-    chain, then an exact accelerated solve of the first basis factor's
-    convex block. Accepted steps never increase the objective; a block whose
-    backtracking stalls ends the run with the ``stalled`` flag set.
+    chain, then an accelerated solve of the first basis factor's convex
+    block, stopped by ``cfg.inner_stop``. Accepted steps never increase the
+    objective; a block whose backtracking stalls ends the run with the
+    ``stalled`` flag set. Each step starts from the objective the previous
+    one returned, so no step re-evaluates it at its starting point.
     """
     if spec.activation == "linear":
         raise InvalidInputError("nonlinear_finetune requires a nonlinear activation")
@@ -170,7 +173,7 @@ def nonlinear_finetune(spec, x, stack, cfg=TrainConfig()):
     for _ in range(cfg.max_sweeps):
         g = representation_gradient(spec, x, stack)
         new_h, obj, used = _armijo_step(
-            stack.h[-1], g,
+            stack.h[-1], obj, g,
             lambda v: nonlinear_objective(spec, x, stack.w, v),
             steps["h"])
         if used is None:
@@ -187,7 +190,8 @@ def nonlinear_finetune(spec, x, stack, cfg=TrainConfig()):
                 w_try[_l - 1] = v
                 return nonlinear_objective(spec, x, w_try, stack.h[-1])
 
-            new_w, obj, used = _armijo_step(stack.w[l - 1], g, f_of, steps[("w", l)])
+            new_w, obj, used = _armijo_step(stack.w[l - 1], obj, g, f_of,
+                                            steps[("w", l)])
             if used is None:
                 stalled = True
                 break
@@ -205,10 +209,10 @@ def nonlinear_finetune(spec, x, stack, cfg=TrainConfig()):
         problem = pretrain_problem(spec, 1, "w", x, stack.w[0], stack.h[0])
         stack.set_w(1, apg_solve(stack.w[0], problem, cfg.inner_stop))
 
-        cur = nonlinear_objective(spec, x, stack.w, stack.h[-1])
+        obj = nonlinear_objective(spec, x, stack.w, stack.h[-1])
         sweeps += 1
-        trace.append(cur)
-        if _rel_change(trace[-2], cur) < cfg.rel_obj_tol or cur <= floor:
+        trace.append(obj)
+        if _rel_change(trace[-2], obj) < cfg.rel_obj_tol or obj <= floor:
             break
 
     report = TrainReport(objective_trace=trace, final_objective=trace[-1],

@@ -1,11 +1,14 @@
 """Training orchestration: layer-wise pretraining and fine-tuning sweeps.
 
 Pretraining walks the layers once, seeding each (W_l, H_l) with NNSVD on the
-previous representation and alternating exact block solves (H first, then W)
+previous representation and alternating block solves (H first, then W)
 until the layer objective stalls. Fine-tuning then sweeps the whole system,
-layer by layer from the bottom, updating W_l and H_l with the exact block
-subproblems from :mod:`deepnmf.models`; every block solve is monotone, so
-the recorded objective trace never increases.
+layer by layer from the bottom, updating W_l and H_l on the block
+subproblems from :mod:`deepnmf.models`. A block solve is not exact: it stops
+when the projected-gradient norm falls below ``inner_stop.grad_tol`` times
+its starting value or at ``inner_stop.max_iters`` iterations, and most
+fine-tune solves stop at that cap. Every block solve is monotone, so the
+recorded objective trace never increases.
 """
 
 import math
@@ -74,7 +77,8 @@ def layer_objective(spec, layer, h_prev, w, h):
 
 
 def _pretrain_layer(spec, layer, h_input, cfg):
-    """NNSVD seed plus alternating exact block solves for one layer."""
+    """NNSVD seed plus alternating block solves (to ``cfg.inner_stop``) for
+    one layer."""
     w, h = nnsvd_init(h_input, spec.layer_sizes[layer - 1])
     floor = _noise_floor(h_input)
     trace = []
@@ -125,9 +129,11 @@ def pretrain(spec, x, cfg=TrainConfig(), between_layers=None, after_last=None,
 def finetune(spec, x, stack, cfg=TrainConfig()):
     """Whole-system sweeps over the pretrained stack (linear models).
 
-    Each sweep visits layers bottom-up, updating W_l then H_l with exact
-    block solves; the basis-product cache is refreshed as soon as a basis
-    factor changes, so every subproblem sees current factors. Stops when the
+    Each sweep visits layers bottom-up, updating W_l then H_l with block
+    solves that stop at ``cfg.inner_stop`` (its relative tolerance or, for
+    most fine-tune blocks, its iteration cap); the basis-product cache is
+    refreshed as soon as a basis factor changes, so every subproblem sees
+    current factors. Stops when the
     relative objective change drops below ``rel_obj_tol`` or at
     ``max_sweeps``.
     """

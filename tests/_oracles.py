@@ -3,8 +3,8 @@
 Everything here is written from the definitions, sharing no code with the
 package: a plain projected-gradient solver for quadratic blocks, the
 accelerated solver written with two gradient evaluations per iteration,
-brute-force partition scores, finite differences, and small-case partition
-enumeration.
+the per-center k-means assignment loop, brute-force partition scores, finite
+differences, and small-case partition enumeration.
 """
 
 import math
@@ -112,6 +112,26 @@ def two_application_apg(v0, left, right, lin, colsum, ridge, const,
             status = 1
         return best_v, iters, status, rel, best_f
     return cur, iters, status, rel, f_cur
+
+
+def kmeans_assign_oracle(points, centers):
+    """Nearest-center assignment, one pass over all points per center.
+
+    The squared distance is ``np.sum(diff * diff, axis=1)`` of the (n, d)
+    difference array, and a center replaces the best so far only when
+    strictly nearer, so ties go to the lowest index and NaN distances never
+    win. Returns (labels, sq_dists).
+    """
+    n = points.shape[0]
+    best = np.full(n, np.inf)
+    labels = np.zeros(n, dtype=np.int64)
+    for c in range(centers.shape[0]):
+        diff = points - centers[c]
+        d2 = np.sum(diff * diff, axis=1)
+        better = d2 < best
+        labels = np.where(better, c, labels)
+        best = np.where(better, d2, best)
+    return labels, best
 
 
 def central_diff(f, v, eps=1e-6):

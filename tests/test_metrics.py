@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 
 from deepnmf import (InvalidInputError, Partition, confusion_matrix,
                      error_rate, from_labels, kmeans, naive_precision, nmi)
+from deepnmf import kernels, metrics
 
-from _oracles import canonical_partitions, er_oracle, nmi_oracle, np_oracle
+from _oracles import (canonical_partitions, er_oracle, kmeans_assign_oracle,
+                      nmi_oracle, np_oracle)
 
 # Worked example: reference {1,1,2,2} against obtained {1,2,2,2}.
 REF = Partition(np.array([0, 0, 1, 1]), 2)
@@ -213,6 +215,41 @@ class TestKmeans:
     def test_restarts_validated(self, rng):
         with pytest.raises(InvalidInputError):
             kmeans(rng.uniform(0.0, 1.0, size=(2, 4)), 2, restarts=0)
+
+    def test_fewer_distinct_samples_than_clusters(self):
+        # Every Lloyd iteration re-seeds an empty cluster; the last
+        # assignment is the partition, with empty clusters.
+        part = kmeans(np.ones((3, 6)), 3)
+        assert part.n_clusters == 3
+        np.testing.assert_array_equal(part.labels, np.zeros(6))
+        part = kmeans(np.array([[0.0, 0.0, 5.0, 5.0, 5.0]]), 3, restarts=2)
+        assert part.labels[0] == part.labels[1] != part.labels[2]
+        assert len(set(part.labels[2:].tolist())) == 1
+
+    def test_labels_equal_with_assignment_loop(self, rng, monkeypatch):
+        members = np.repeat(np.arange(6), 40)
+        blobs = (rng.uniform(0.0, 20.0, size=(5, 6))[:, members]
+                 + rng.standard_normal((5, 240)))
+        grid = rng.integers(0, 3, size=(3, 200)).astype(float)
+        sparse = np.maximum(rng.standard_normal((10, 500)), 0.0)
+        cases = [(blobs, 6), (grid, 7), (sparse, 10)]
+        got = [kmeans(data, k, restarts=3, seed=5).labels for data, k in cases]
+        monkeypatch.setattr(kernels, "kmeans_assign", kmeans_assign_oracle)
+        for (data, k), labels in zip(cases, got):
+            np.testing.assert_array_equal(
+                labels, kmeans(data, k, restarts=3, seed=5).labels)
+
+    @pytest.mark.parametrize("max_iters", [1, 2, 300])
+    def test_lloyd_wcss_is_that_of_the_final_centers(self, rng, max_iters):
+        # A converged run reuses its last assignment's distances; they must
+        # be those of the centers it returns with.
+        points = rng.uniform(0.0, 1.0, size=(150, 3))
+        centers = points[:4].copy()
+        labels, wcss = metrics._lloyd(points, centers, max_iters)
+        want_labels, d2 = kmeans_assign_oracle(points, centers)
+        assert wcss == float(d2.sum())
+        if max_iters == 300:
+            np.testing.assert_array_equal(labels, want_labels)
 
 
 @pytest.mark.parametrize("score", [nmi, error_rate, naive_precision])
