@@ -7,8 +7,7 @@ evaluation harness with an experiment CLI.
 """
 
 from .activations import ACTIVATIONS, Activation, apply_activation, get_activation
-from .apg import (ApgProblem, QuadGradient, StopRule, apg_solve,
-                  projected_grad_norm)
+from .apg import ApgProblem, StopRule, apg_solve, projected_grad_norm
 from .dataio import (DatasetBundle, load_bundle, load_factors, load_labels,
                      load_matrix, save_bundle, save_factors, save_labels,
                      save_matrix)
@@ -16,8 +15,8 @@ from .errors import (DataFormatError, DeepNmfError, InternalError,
                      InvalidInputError, NumericalError)
 from .experiment import (EvalConfig, ExperimentConfig, SweepAxes,
                          draw_layer_structures, parse_config, run_experiment)
-from .linalg import (as_matrix, check_nonneg, frobenius_sq, ones_gram_norm,
-                     project_nonneg, spectral_norm, sym_spectral_norm)
+from .linalg import (as_matrix, check_nonneg, frobenius_sq, project_nonneg,
+                     spectral_norm, sym_spectral_norm)
 from .metrics import (Partition, confusion_matrix, error_rate, from_labels,
                       kmeans, naive_precision, nmi)
 from .models import (FactorStack, ModelSpec, VARIANTS, finetune_objective,
@@ -25,7 +24,7 @@ from .models import (FactorStack, ModelSpec, VARIANTS, finetune_objective,
                      reconstruct, reconstruct_h)
 from .nnsvd import InitPair, nnsvd_init
 from .nonlinear import (basis_gradient, nonlinear_finetune, nonlinear_objective,
-                        nonlinear_pretrain, representation_gradient)
+                        representation_gradient)
 from .synth import synth_generate
 from .train import TrainConfig, TrainReport, finetune, fit, pretrain
 

@@ -1,11 +1,12 @@
 """Accelerated projected-gradient solver for nonneg-constrained blocks.
 
 One block subproblem is a convex quadratic over a matrix block V >= 0, given
-as its affine gradient (a :class:`QuadGradient`) plus a Lipschitz constant
-for that gradient. :func:`apg_solve` runs Nesterov's accelerated scheme with
-the fixed step 1/LC (no line search, no restarts) in the numpy kernel loop
-of :mod:`deepnmf.kernels`. The scheme's O(1/k^2) rate needs LC to be at
-least the true Lipschitz constant, which is why the models compute it
+as plain data (an :class:`ApgProblem`): the factors of its affine gradient
+plus a Lipschitz constant for that gradient, both assembled in one place,
+:mod:`deepnmf.models`. :func:`apg_solve` runs Nesterov's accelerated scheme
+with the fixed step 1/LC (no line search, no restarts) in the numpy kernel
+loop of :mod:`deepnmf.kernels`. The scheme's O(1/k^2) rate needs LC to be
+at least the true Lipschitz constant, which is why the models compute it
 exactly (:func:`deepnmf.linalg.sym_spectral_norm`). The loop applies the
 quadratic operator once per iteration, to the new iterate, and derives the
 search-point gradient from the two latest iterate gradients (exact for an
@@ -20,38 +21,6 @@ import numpy as np
 
 from .errors import InvalidInputError, NumericalError
 from . import kernels
-
-
-@dataclass(frozen=True)
-class QuadGradient:
-    """Affine gradient grad(V) = left @ V @ right + lin + extras.
-
-    ``left``/``right`` of None stand for identity factors (the product term
-    is always present). ``colsum`` weights an all-ones gram term applied as
-    a column-sum broadcast (never materialized); ``ridge`` weights an
-    identity term. The implied block objective is
-    0.5*<V, grad(V) - lin> + <lin, V> + const, whose gradient is exactly
-    ``grad`` because every operator here is self-adjoint.
-    """
-
-    lin: np.ndarray
-    left: Optional[np.ndarray] = None
-    right: Optional[np.ndarray] = None
-    colsum: float = 0.0
-    ridge: float = 0.0
-    const: float = 0.0
-
-    def apply(self, v):
-        """The quadratic operator part of the gradient (everything but lin)."""
-        return kernels.quad_apply(v, self.left, self.right, self.colsum,
-                                  self.ridge)
-
-    def grad(self, v):
-        return self.apply(v) + self.lin
-
-    def objective(self, v):
-        return float(0.5 * np.sum(v * self.apply(v)) + np.sum(self.lin * v)
-                     + self.const)
 
 
 @dataclass(frozen=True)
@@ -70,30 +39,40 @@ class StopRule:
 
 @dataclass(frozen=True)
 class ApgProblem:
-    """One nonneg-constrained block subproblem: the quadratic and the
-    Lipschitz constant of its gradient, which fixes the step size."""
+    """One nonneg-constrained block subproblem with the affine gradient
+    grad(V) = left @ V @ right + colsum * 1 1' V + ridge * V + lin.
 
-    quad: QuadGradient
+    ``left``/``right`` of None stand for identity factors (the product term
+    is always present). The ``colsum`` all-ones gram term is applied as a
+    column-sum broadcast, never materialized. The implied block objective is
+    0.5*<V, grad(V) - lin> + <lin, V> + const, whose gradient is exactly
+    ``grad`` because every operator here is self-adjoint. ``lipschitz``
+    bounds the gradient's Lipschitz constant and fixes the step 1/LC.
+    """
+
+    lin: np.ndarray
     lipschitz: float
+    left: Optional[np.ndarray] = None
+    right: Optional[np.ndarray] = None
+    colsum: float = 0.0
+    ridge: float = 0.0
+    const: float = 0.0
 
     def __post_init__(self):
         if not np.isfinite(self.lipschitz) or self.lipschitz <= 0:
             raise InvalidInputError(
                 f"lipschitz must be positive and finite, got {self.lipschitz}")
 
-    @classmethod
-    def from_quad(cls, quad, lipschitz):
-        return cls(quad, lipschitz)
-
-    @property
-    def shape(self):
-        return self.quad.lin.shape
+    def _apply(self, v):
+        return kernels.quad_apply(v, self.left, self.right, self.colsum,
+                                  self.ridge)
 
     def grad(self, v):
-        return self.quad.grad(v)
+        return self._apply(v) + self.lin
 
     def objective(self, v):
-        return self.quad.objective(v)
+        return float(0.5 * np.sum(v * self._apply(v)) + np.sum(self.lin * v)
+                     + self.const)
 
 
 def projected_grad_norm(v, g):
@@ -104,9 +83,10 @@ def projected_grad_norm(v, g):
 
 def _check_initial(initial, problem):
     initial = np.ascontiguousarray(initial, dtype=np.float64)
-    if initial.shape != problem.shape:
+    if initial.shape != problem.lin.shape:
         raise InvalidInputError(
-            f"initial has shape {initial.shape}, problem expects {problem.shape}")
+            f"initial has shape {initial.shape}, problem expects "
+            f"{problem.lin.shape}")
     if np.min(initial) < 0:
         raise InvalidInputError("initial point must be nonnegative")
     return initial
@@ -127,10 +107,10 @@ def apg_solve(initial, problem, stop=StopRule(), full_output=False):
     ``converged``, ``rel_residual`` and ``objective`` entries.
     """
     initial = _check_initial(initial, problem)
-    quad = problem.quad
     v, iters, status, rel, f_val = kernels.apg_quad_solve(
-        initial, quad.left, quad.right, quad.lin, quad.colsum, quad.ridge,
-        quad.const, problem.lipschitz, stop.grad_tol, stop.max_iters)
+        initial, problem.left, problem.right, problem.lin, problem.colsum,
+        problem.ridge, problem.const, problem.lipschitz, stop.grad_tol,
+        stop.max_iters)
     if status == kernels.NONFINITE:
         raise NumericalError("gradient produced non-finite entries")
     if status == kernels.DIVERGED:

@@ -14,10 +14,10 @@ from pathlib import Path
 import numpy as np
 
 from .apg import StopRule
-from .dataio import (load_bundle, load_factors, load_labels, save_bundle,
-                     save_factors, save_labels)
+from .dataio import (load_bundle, load_factors, load_labels, parse_sizes,
+                     parse_weights, save_bundle, save_factors, save_labels)
 from .errors import DataFormatError, InvalidInputError, NumericalError
-from .experiment import parse_config, run_experiment
+from .experiment import _derived_seed, parse_config, run_experiment
 from .metrics import error_rate, kmeans, naive_precision, nmi
 from .models import make_spec
 from .synth import KINDS, synth_generate
@@ -48,7 +48,8 @@ def _build_parser():
     p.add_argument("--out", required=True)
     p.add_argument("--rows", type=int, default=30)
     p.add_argument("--cols", type=int, default=100)
-    p.add_argument("--sizes", default="10,5", help="planted layer sizes, comma-separated")
+    p.add_argument("--sizes", type=parse_sizes, default=(10, 5),
+                   help="planted layer sizes, comma-separated")
     p.add_argument("--classes", type=int, default=5)
     p.add_argument("--noise", type=float, default=0.0)
     p.add_argument("--activation", default="root")
@@ -56,10 +57,11 @@ def _build_parser():
 
     p = sub.add_parser("train", help="fit one model and write its factors")
     p.add_argument("--data", required=True)
-    p.add_argument("--layers", required=True, help="layer sizes, comma-separated")
+    p.add_argument("--layers", type=parse_sizes, required=True,
+                   help="layer sizes, comma-separated")
     p.add_argument("--variant", default="dnmf")
-    p.add_argument("--mu", default=None)
-    p.add_argument("--lambda", dest="lam", default=None)
+    p.add_argument("--mu", type=parse_weights, default=None)
+    p.add_argument("--lambda", dest="lam", type=parse_weights, default=None)
     p.add_argument("--activation", default="linear")
     p.add_argument("--projection", default=None)
     p.add_argument("--sweeps", type=int, default=200)
@@ -87,17 +89,10 @@ def _build_parser():
     return parser
 
 
-def _weights(raw):
-    if raw is None:
-        return None
-    parts = [float(v) for v in raw.split(",")]
-    return parts[0] if len(parts) == 1 else tuple(parts)
-
-
 def _cmd_synth(args):
     bundle = synth_generate(
         args.kind, args.seed, rows=args.rows, cols=args.cols,
-        layer_sizes=tuple(int(v) for v in args.sizes.split(",")),
+        layer_sizes=args.sizes,
         classes=args.classes, noise=args.noise, activation=args.activation,
         separation=args.separation)
     save_bundle(args.out, bundle)
@@ -107,8 +102,7 @@ def _cmd_synth(args):
 
 def _cmd_train(args):
     bundle = load_bundle(args.data)
-    spec = make_spec(args.variant, tuple(int(v) for v in args.layers.split(",")),
-                     mu=_weights(args.mu), lam=_weights(args.lam),
+    spec = make_spec(args.variant, args.layers, mu=args.mu, lam=args.lam,
                      activation=args.activation, projection_mode=args.projection)
     cfg = TrainConfig(inner_stop=StopRule(args.inner_iters, args.inner_tol),
                       max_sweeps=args.sweeps, rel_obj_tol=args.tol)
@@ -138,7 +132,7 @@ def _cmd_evaluate(args):
     scores = {"nmi": [], "er": [], "np": []}
     for rep in range(args.reps):
         part = kmeans(stack.h[-1], k, restarts=args.restarts,
-                      seed=int(np.random.SeedSequence([abs(args.seed), rep]).generate_state(1)[0]))
+                      seed=_derived_seed(args.seed, rep))
         scores["nmi"].append(nmi(part, labels))
         scores["er"].append(error_rate(part, labels))
         scores["np"].append(naive_precision(part, labels))

@@ -203,6 +203,31 @@ def read_flat_config(path):
     return out
 
 
+def parse_sizes(raw):
+    """Comma-separated layer sizes as a tuple of ints; ValueError when an
+    entry is not an integer."""
+    return tuple(int(v) for v in raw.split(","))
+
+
+def parse_weights(raw):
+    """Comma-separated penalty weights: one number as a float (broadcast
+    over the layers by :func:`deepnmf.models.make_spec`), several as a
+    tuple; None stays None. ValueError when an entry is not a number."""
+    if raw is None:
+        return None
+    parts = [float(v) for v in raw.split(",")]
+    return parts[0] if len(parts) == 1 else tuple(parts)
+
+
+def parse_entry(path, key, raw, parse):
+    """``parse(raw)`` for entry ``key`` of the file ``path``, raising a
+    DataFormatError that names both when the value is malformed."""
+    try:
+        return parse(raw)
+    except ValueError as exc:
+        raise DataFormatError(f"{path}: {key} = {raw!r}: {exc}") from None
+
+
 def save_factors(outdir, spec, stack, extra=None):
     """Dump a trained stack into a directory of BIN files plus meta.cfg."""
     outdir = Path(outdir)
@@ -231,12 +256,18 @@ def load_factors(factors_dir):
     if not meta_path.exists():
         raise DataFormatError(f"{factors_dir}: missing meta.cfg")
     meta = read_flat_config(meta_path)
-    sizes = tuple(int(v) for v in meta["layer_sizes"].split(","))
+
+    def entry(key, parse=str):
+        if key not in meta:
+            raise DataFormatError(f"{meta_path}: missing {key}")
+        return parse_entry(meta_path, key, meta[key], parse)
+
+    sizes = entry("layer_sizes", parse_sizes)
     spec = ModelSpec(
-        variant=meta["variant"],
+        variant=entry("variant"),
         layer_sizes=sizes,
-        mu=tuple(float(v) for v in meta["mu"].split(",")),
-        lam=tuple(float(v) for v in meta["lambda"].split(",")),
+        mu=np.atleast_1d(entry("mu", parse_weights)),
+        lam=np.atleast_1d(entry("lambda", parse_weights)),
         activation=meta.get("activation", "linear"),
         projection_mode=meta.get("projection_mode", "none"),
     )

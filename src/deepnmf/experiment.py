@@ -26,7 +26,8 @@ from typing import Optional
 import numpy as np
 
 from .apg import StopRule
-from .dataio import load_bundle, read_flat_config, save_factors
+from .dataio import (load_bundle, parse_entry, parse_sizes, parse_weights,
+                     read_flat_config, save_factors)
 from .errors import DataFormatError, InvalidInputError
 from .metrics import error_rate, kmeans, naive_precision, nmi
 from .models import ModelSpec, make_spec
@@ -112,7 +113,7 @@ def resolve_bundle(data):
         if key in data:
             kwargs[key] = int(data[key])
     if "layer_sizes" in data:
-        kwargs["layer_sizes"] = tuple(int(v) for v in str(data["layer_sizes"]).split(","))
+        kwargs["layer_sizes"] = parse_sizes(str(data["layer_sizes"]))
     for key in ("noise", "separation"):
         if key in data:
             kwargs[key] = float(data[key])
@@ -303,8 +304,11 @@ def parse_config(path):
     """Build an ExperimentConfig from a flat dotted-key config file."""
     raw = read_flat_config(path)
 
-    def pop(key, default=None):
-        return raw.pop(key, default)
+    def pop(key, default=None, parse=None):
+        value = raw.pop(key, default)
+        if parse is None or value is None:
+            return value
+        return parse_entry(path, key, value, parse)
 
     data = {k.split(".", 1)[1]: v for k, v in list(raw.items())
             if k.startswith("data.")}
@@ -312,41 +316,34 @@ def parse_config(path):
         if k.startswith("data."):
             raw.pop(k)
 
-    sizes = pop("model.layer_sizes")
-    if sizes is None:
+    layer_sizes = pop("model.layer_sizes", parse=parse_sizes)
+    if layer_sizes is None:
         raise DataFormatError(f"{path}: missing model.layer_sizes")
-    layer_sizes = tuple(int(v) for v in sizes.split(","))
-
-    def weights(raw_value):
-        if raw_value is None:
-            return None
-        parts = [float(v) for v in raw_value.split(",")]
-        return parts[0] if len(parts) == 1 else tuple(parts)
 
     model = make_spec(pop("model.variant", "dnmf"), layer_sizes,
-                      mu=weights(pop("model.mu")), lam=weights(pop("model.lambda")),
+                      mu=pop("model.mu", parse=parse_weights),
+                      lam=pop("model.lambda", parse=parse_weights),
                       activation=pop("model.activation", "linear"),
                       projection_mode=pop("model.projection_mode"))
 
     train_cfg = TrainConfig(
-        inner_stop=StopRule(max_iters=int(pop("train.inner_iters", 500)),
-                            grad_tol=float(pop("train.inner_tol", 1e-4))),
-        max_sweeps=int(pop("train.max_sweeps", 200)),
-        rel_obj_tol=float(pop("train.rel_obj_tol", 1e-6)),
+        inner_stop=StopRule(max_iters=pop("train.inner_iters", 500, int),
+                            grad_tol=pop("train.inner_tol", 1e-4, float)),
+        max_sweeps=pop("train.max_sweeps", 200, int),
+        rel_obj_tol=pop("train.rel_obj_tol", 1e-6, float),
     )
-    k_raw = pop("eval.k")
     eval_cfg = EvalConfig(
-        kmeans_restarts=int(pop("eval.kmeans_restarts", 5)),
-        model_reps=int(pop("eval.model_reps", 3)),
-        kmeans_reps=int(pop("eval.kmeans_reps", 5)),
-        seed=int(pop("eval.seed", 0)),
-        k=int(k_raw) if k_raw else None,
+        kmeans_restarts=pop("eval.kmeans_restarts", 5, int),
+        model_reps=pop("eval.model_reps", 3, int),
+        kmeans_reps=pop("eval.kmeans_reps", 5, int),
+        seed=pop("eval.seed", 0, int),
+        k=pop("eval.k", parse=lambda v: int(v) if v else None),
     )
 
-    sweep_kwargs = {"cap": int(pop("sweep.cap", 512))}
-    structure = pop("sweep.structure")
-    if structure:
-        parts = [float(v) for v in structure.split(",")]
+    sweep_kwargs = {"cap": pop("sweep.cap", 512, int)}
+    parts = pop("sweep.structure",
+                parse=lambda v: [float(e) for e in v.split(",")] if v else None)
+    if parts:
         if len(parts) < 3:
             raise DataFormatError(
                 f"{path}: sweep.structure needs draws,depth,last[,lo,hi,p]")
@@ -359,20 +356,15 @@ def parse_config(path):
         if raw.get("sweep.layer_sizes"):
             raise DataFormatError(
                 f"{path}: give sweep.layer_sizes or sweep.structure, not both")
-    for key, name in (("sweep.layer_sizes", "layer_sizes"), ("sweep.mu", "mu"),
-                      ("sweep.lambda", "lam"), ("sweep.activation", "activation"),
-                      ("sweep.projection_mode", "projection_mode")):
-        value = pop(key)
-        if value is None:
-            continue
-        entries = _split_list(value)
-        if name == "layer_sizes":
-            sweep_kwargs[name] = tuple(tuple(int(v) for v in e.split(","))
-                                       for e in entries)
-        elif name in ("mu", "lam"):
-            sweep_kwargs[name] = tuple(weights(e) for e in entries)
-        else:
-            sweep_kwargs[name] = tuple(entries)
+    for key, name, parse in (("sweep.layer_sizes", "layer_sizes", parse_sizes),
+                             ("sweep.mu", "mu", parse_weights),
+                             ("sweep.lambda", "lam", parse_weights),
+                             ("sweep.activation", "activation", str),
+                             ("sweep.projection_mode", "projection_mode", str)):
+        value = pop(key, parse=lambda v, p=parse: tuple(
+            p(e) for e in _split_list(v)))
+        if value is not None:
+            sweep_kwargs[name] = value
 
     output_dir = pop("output_dir", "results")
     dump = str(pop("dump_factors", "false")).lower() in ("1", "true", "yes")

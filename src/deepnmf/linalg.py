@@ -45,14 +45,6 @@ def frobenius_sq(m):
     return float(np.dot(r, r))
 
 
-def ones_gram_norm(dim):
-    """Spectral norm of the all-ones dim x dim matrix, which equals dim."""
-    dim = int(dim)
-    if dim < 1:
-        raise InvalidInputError(f"dim must be >= 1, got {dim}")
-    return float(dim)
-
-
 def sym_spectral_norm(gram):
     """Top eigenvalue of a symmetric PSD matrix, from a symmetric eigensolver.
 

@@ -194,6 +194,8 @@ def kmeans(data, k, restarts=10, seed=0, max_iters=KMEANS_MAX_ITERS):
         raise InvalidInputError(f"k must be in [1, {n}], got {k}")
     if restarts < 1:
         raise InvalidInputError(f"restarts must be >= 1, got {restarts}")
+    if not np.all(np.isfinite(points)):
+        raise InvalidInputError("data contains non-finite entries")
 
     best_labels, best_wcss = None, math.inf
     for r in range(restarts):

@@ -14,13 +14,17 @@ differing only in which factors carry a sparsity penalty:
                   (ridge) penalty on H_L, smoothing the final representation.
 
 For nonnegative factors the squared column L1 norm equals the all-ones gram
-quadratic form, so every block subproblem stays quadratic and each module
-function below can hand the solver an exact gradient and Lipschitz constant.
+quadratic form, so every block subproblem stays quadratic, with an exact
+gradient and Lipschitz constant. A spec states each layer's penalties as two
+numbers per factor role: the basis weight (:meth:`ModelSpec.w_weight`) and
+the representation's (colsum, ridge) weights (:meth:`ModelSpec.h_weights`).
 
-This module builds those block subproblems for both training phases:
-layer-wise pretraining (factor H_{l-1} ~ W_l H_l in isolation) and
-whole-system fine-tuning (blocks of the full product, using the cumulative
-basis products and the top-down reconstruction of each representation).
+One assembler builds the block subproblems of both training phases. A
+fine-tune W block fits the data between the cumulative basis product below
+the layer and the top-down reconstruction of its representation; an H block
+fits the data against the basis product through the layer. A layer-wise
+pretraining block (factor H_{l-1} ~ W_l H_l in isolation) is the same
+problem with no basis prefix.
 """
 
 import warnings
@@ -29,9 +33,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .activations import get_activation
-from .apg import ApgProblem, QuadGradient
+from .apg import ApgProblem
 from .errors import InternalError, InvalidInputError
-from .linalg import as_matrix, check_nonneg, frobenius_sq, ones_gram_norm, sym_spectral_norm
+from .linalg import as_matrix, check_nonneg, frobenius_sq, sym_spectral_norm
 
 VARIANTS = ("dnmf", "sdnmf_l", "sdnmf_r", "sdnmf_rl1", "sdnmf_rl2")
 PROJECTION_MODES = ("none", "hidden", "all")
@@ -107,18 +111,16 @@ class ModelSpec:
         """Basis-penalty weight for 1-based ``layer`` (0 when the variant has none)."""
         return self.mu[layer - 1] if self.variant in _W_PENALIZED else 0.0
 
-    def h_penalty(self, layer):
-        """(weight, kind) of the representation penalty at 1-based ``layer``.
-
-        kind is ``"ones"`` for the squared column L1 form, ``"ridge"`` for
-        the Frobenius form, ``"none"`` otherwise.
+    def h_weights(self, layer):
+        """(colsum, ridge) weights of the representation penalty at 1-based
+        ``layer``: the squared column L1 form, the Frobenius form, or both 0.
         """
         w = self.lam[layer - 1]
         if self.variant in ("sdnmf_r", "sdnmf_rl1"):
-            return (w, "ones") if w else (0.0, "none")
+            return w, 0.0
         if self.variant == "sdnmf_rl2":
-            return (w, "ridge") if w else (0.0, "none")
-        return (0.0, "none")
+            return 0.0, w
+        return 0.0, 0.0
 
 
 def make_spec(variant, layer_sizes, mu=None, lam=None, activation="linear",
@@ -262,11 +264,11 @@ def add_layer_penalty(val, spec, layer, w=None, h=None):
     if w is not None and mu:
         val += 0.5 * mu * _colsum_sq(w)
     if h is not None:
-        lam, kind = spec.h_penalty(layer)
-        if kind == "ones":
-            val += 0.5 * lam * _colsum_sq(h)
-        elif kind == "ridge":
-            val += 0.5 * lam * frobenius_sq(h)
+        colsum, ridge = spec.h_weights(layer)
+        if colsum:
+            val += 0.5 * colsum * _colsum_sq(h)
+        if ridge:
+            val += 0.5 * ridge * frobenius_sq(h)
     return val
 
 
@@ -313,40 +315,45 @@ def _check_conformance(spec, x, stack):
             f"({stack.w[0].shape[0]}, {stack.h[-1].shape[1]})")
 
 
-def _h_block_problem(gram, lin, n_rows, lam, kind, const):
-    """Assemble the H-role problem: grad = gram @ H + lin (+ penalty term)."""
-    lc = sym_spectral_norm(gram)
-    colsum = ridge = 0.0
-    if kind == "ones" and lam:
-        colsum = lam
-        lc += lam * ones_gram_norm(n_rows)
-    elif kind == "ridge" and lam:
-        ridge = lam
-        lc += lam
-    quad = QuadGradient(lin=lin, left=gram, colsum=colsum, ridge=ridge, const=const)
-    return ApgProblem.from_quad(quad, max(lc, _LC_FLOOR))
+def _problem(lin, left, right, colsum, ridge, target):
+    """The block problem with gradient left @ V @ right + colsum * 1 1' V
+    + ridge * V + lin for a fit of ``target``. Its Lipschitz constant is
+    the product of the gram norms plus the all-ones gram norm (the block's
+    row count) times ``colsum`` plus ``ridge``."""
+    lc = 1.0
+    for gram in (right, left):
+        if gram is not None:
+            lc *= sym_spectral_norm(gram)
+    lc += colsum * lin.shape[0] + ridge
+    return ApgProblem(lin, max(lc, _LC_FLOOR), left=left, right=right,
+                      colsum=colsum, ridge=ridge,
+                      const=0.5 * frobenius_sq(target))
 
 
-def _w_block_problem(left, right, lin, n_rows, mu, const):
-    """Assemble the W-role problem: grad = left @ W @ right + lin (+ penalty)."""
-    lc = sym_spectral_norm(right)
-    if left is not None:
-        lc *= sym_spectral_norm(left)
-    if mu:
-        lc += mu * ones_gram_norm(n_rows)
-    quad = QuadGradient(lin=lin, left=left, right=right,
-                        colsum=mu if mu else 0.0, const=const)
-    return ApgProblem.from_quad(quad, max(lc, _LC_FLOOR))
+def _h_problem(spec, layer, target, basis):
+    """H block of fitting ``target`` ~ basis @ H, plus the layer's H penalty."""
+    colsum, ridge = spec.h_weights(layer)
+    return _problem(-(basis.T @ target), basis.T @ basis, None, colsum,
+                    ridge, target)
+
+
+def _w_problem(spec, layer, target, prefix, rep):
+    """W block of fitting ``target`` ~ prefix @ W @ rep (a ``prefix`` of None
+    is the identity), plus the layer's basis penalty."""
+    right = rep @ rep.T
+    if prefix is None:
+        left, lin = None, -(target @ rep.T)
+    else:
+        left, lin = prefix.T @ prefix, -(prefix.T @ target @ rep.T)
+    return _problem(lin, left, right, spec.w_weight(layer), 0.0, target)
 
 
 def pretrain_problem(spec, layer, role, h_prev, w_cur, h_cur):
     """Block subproblem for layer-wise pretraining on input ``h_prev``.
 
-    Pretraining factorizes h_prev ~ W H in isolation. For role "h" the
-    gradient is W'(W H - h_prev) plus the variant's H penalty; for role "w"
-    it is (W H - h_prev) H' plus the basis penalty. Lipschitz constants are
-    the spectral norms of the corresponding gram matrices plus the penalty
-    contributions (the all-ones gram norm is the block-row dimension).
+    Pretraining factorizes h_prev ~ W H in isolation: the fine-tune blocks
+    below with no basis prefix, ``w_cur`` as the H block's basis and
+    ``h_cur`` as the W block's representation.
     """
     if not 1 <= layer <= spec.depth:
         raise InvalidInputError(f"layer {layer} out of range 1..{spec.depth}")
@@ -355,18 +362,10 @@ def pretrain_problem(spec, layer, role, h_prev, w_cur, h_cur):
     h_cur = as_matrix(h_cur, "h_cur")
     if w_cur.shape[0] != h_prev.shape[0] or h_cur.shape[1] != h_prev.shape[1]:
         raise InvalidInputError("pretrain block shapes do not conform")
-    const = 0.5 * frobenius_sq(h_prev)
-
     if role == "h":
-        gram = w_cur.T @ w_cur
-        lin = -(w_cur.T @ h_prev)
-        lam, kind = spec.h_penalty(layer)
-        return _h_block_problem(gram, lin, h_cur.shape[0], lam, kind, const)
+        return _h_problem(spec, layer, h_prev, w_cur)
     if role == "w":
-        right = h_cur @ h_cur.T
-        lin = -(h_prev @ h_cur.T)
-        return _w_block_problem(None, right, lin, w_cur.shape[0],
-                                spec.w_weight(layer), const)
+        return _w_problem(spec, layer, h_prev, None, h_cur)
     raise InvalidInputError(f"role must be 'w' or 'h', got {role!r}")
 
 
@@ -374,11 +373,9 @@ def finetune_problem(spec, layer, role, x, stack):
     """Block subproblem for whole-system fine-tuning (linear models).
 
     W blocks minimize the full reconstruction error with every other factor
-    fixed, substituting the cumulative basis product up to layer-1 and the
-    top-down reconstruction of this layer's representation; H blocks fit the
-    data against the cumulative basis product through this layer. Penalties
-    and Lipschitz constants follow the same pattern as in pretraining, with
-    the W-block constant picking up the basis-product gram norm as a factor.
+    fixed, between the cumulative basis product up to layer-1 and the
+    top-down reconstruction of this layer's representation; H blocks fit
+    the data against the cumulative basis product through this layer.
     """
     if spec.activation != "linear":
         raise InvalidInputError(
@@ -388,25 +385,9 @@ def finetune_problem(spec, layer, role, x, stack):
         raise InvalidInputError(f"layer {layer} out of range 1..{spec.depth}")
     x = as_matrix(x, "x")
     _check_conformance(spec, x, stack)
-    const = 0.5 * frobenius_sq(x)
-
     if role == "w":
-        prefix = stack.basis_product(layer - 1)
-        h_rec = reconstruct_h(spec, stack, layer)
-        right = h_rec @ h_rec.T
-        if prefix is None:
-            return _w_block_problem(None, right, -(x @ h_rec.T),
-                                    stack.w[layer - 1].shape[0],
-                                    spec.w_weight(layer), const)
-        left = prefix.T @ prefix
-        lin = -(prefix.T @ x @ h_rec.T)
-        return _w_block_problem(left, right, lin, stack.w[layer - 1].shape[0],
-                                spec.w_weight(layer), const)
+        return _w_problem(spec, layer, x, stack.basis_product(layer - 1),
+                          reconstruct_h(spec, stack, layer))
     if role == "h":
-        basis = stack.basis_product(layer)
-        gram = basis.T @ basis
-        lin = -(basis.T @ x)
-        lam, kind = spec.h_penalty(layer)
-        return _h_block_problem(gram, lin, stack.h[layer - 1].shape[0],
-                                lam, kind, const)
+        return _h_problem(spec, layer, x, stack.basis_product(layer))
     raise InvalidInputError(f"role must be 'w' or 'h', got {role!r}")

@@ -1,9 +1,10 @@
 """Training path for models with a nonlinear inter-layer activation.
 
-Pretraining reuses the linear layer-wise machinery: each solved
-representation is passed through the activation before it feeds the next
-layer (projection mode ``all`` additionally projects the final
-representation after its last solve).
+Pretraining is :func:`deepnmf.train.pretrain`, which reads the activation
+and projection mode from the spec: each solved representation is passed
+through the activation before it feeds the next layer (projection mode
+``all`` additionally projects the final representation after its last
+solve).
 
 Fine-tuning cannot use fixed 1/LC steps because no Lipschitz constant is
 available for the unrolled nonlinear reconstruction, so the final
@@ -21,21 +22,13 @@ from .apg import apg_solve
 from .errors import InvalidInputError
 from .linalg import as_matrix, check_nonneg, frobenius_sq
 from .models import add_layer_penalty, pretrain_problem, _check_conformance
-from .train import TrainConfig, TrainReport, _noise_floor, _rel_change, pretrain
+from .train import TrainConfig, TrainReport, _noise_floor, _rel_change
+# Nothing here calls pretrain; perfbench/tracing.py patches nonlinear.pretrain.
+from .train import pretrain
 
 ARMIJO_C = 1e-4
 MAX_HALVINGS = 50
 _STEP_CAP = 1e12
-
-
-def nonlinear_pretrain(spec, x, cfg=TrainConfig(), full_output=False):
-    """Layer-wise pretraining with activated inter-layer inputs."""
-    if spec.activation == "linear":
-        raise InvalidInputError("nonlinear_pretrain requires a nonlinear activation")
-    act = get_activation(spec.activation)
-    after_last = act.g if spec.projection_mode == "all" else None
-    return pretrain(spec, x, cfg, between_layers=act.g, after_last=after_last,
-                    full_output=full_output)
 
 
 def _forward_chain(spec, w, h_last):
@@ -99,11 +92,11 @@ def representation_gradient(spec, x, stack):
     pre, fresh = _forward_chain(spec, stack.w, stack.h[-1])
     up, _ = _backward_chain(spec, x, stack.w, pre, fresh)
     g = up[-1]
-    lam, kind = spec.h_penalty(spec.depth)
-    if lam and kind == "ones":
-        g = g + lam * stack.h[-1].sum(axis=0)
-    elif lam and kind == "ridge":
-        g = g + lam * stack.h[-1]
+    colsum, ridge = spec.h_weights(spec.depth)
+    if colsum:
+        g = g + colsum * stack.h[-1].sum(axis=0)
+    if ridge:
+        g = g + ridge * stack.h[-1]
     return g
 
 

@@ -2,9 +2,10 @@
 
 Pretraining walks the layers once, seeding each (W_l, H_l) with NNSVD on the
 previous representation and alternating block solves (H first, then W)
-until the layer objective stalls. Fine-tuning then sweeps the whole system,
-layer by layer from the bottom, updating W_l and H_l on the block
-subproblems from :mod:`deepnmf.models`. A block solve is not exact: it stops
+until the layer objective stalls; a nonlinear model's activation maps each
+solved representation before it feeds the next layer. Fine-tuning then
+sweeps the whole system, layer by layer from the bottom, updating W_l and
+H_l on the block subproblems from :mod:`deepnmf.models`. A block solve is not exact: it stops
 when the projected-gradient norm falls below ``inner_stop.grad_tol`` times
 its starting value or at ``inner_stop.max_iters`` iterations, and most
 fine-tune solves stop at that cap. Every block solve is monotone, so the
@@ -16,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .activations import get_activation
 from .apg import StopRule, apg_solve
 from .errors import InternalError, InvalidInputError
 from .linalg import as_matrix, check_nonneg, frobenius_sq
@@ -96,30 +98,29 @@ def _pretrain_layer(spec, layer, h_input, cfg):
     return w, h, trace
 
 
-def pretrain(spec, x, cfg=TrainConfig(), between_layers=None, after_last=None,
-             full_output=False):
+def pretrain(spec, x, cfg=TrainConfig(), full_output=False):
     """Greedy layer-wise initialization of the whole stack.
 
-    ``between_layers`` (optional) maps each solved representation before it
-    becomes the next layer's input; ``after_last`` maps the final
-    representation once. Both hooks exist for the nonlinear path and are
-    identity here.
+    For a nonlinear ``spec`` each solved hidden representation passes
+    through the activation before it becomes the next layer's input (the
+    stack keeps the solved factor), and projection mode ``all`` also passes
+    the final representation through it.
 
     With ``full_output=True`` also returns the per-layer objective traces.
     """
     x = as_matrix(x, "x")
     check_nonneg(x, "x")
+    act = None if spec.activation == "linear" else get_activation(spec.activation)
     ws, hs, traces = [], [], []
     h_input = x
     for layer in range(1, spec.depth + 1):
         w, h, trace = _pretrain_layer(spec, layer, h_input, cfg)
-        if layer == spec.depth and after_last is not None:
-            h = after_last(h)
+        last = layer == spec.depth
+        project = act is not None and (not last or spec.projection_mode == "all")
+        h_input = act.g(h) if project else h
         ws.append(w)
-        hs.append(h)
+        hs.append(h_input if last else h)
         traces.append(trace)
-        if layer < spec.depth:
-            h_input = between_layers(h) if between_layers is not None else h
     stack = FactorStack(ws, hs)
     if full_output:
         return stack, traces
@@ -170,13 +171,12 @@ def fit(spec, x, cfg=TrainConfig()):
     Returns (stack, report); the report carries the final pretraining
     objective of every layer alongside the fine-tuning trace.
     """
+    stack, layer_traces = pretrain(spec, x, cfg, full_output=True)
     if spec.activation == "linear":
-        stack, layer_traces = pretrain(spec, x, cfg, full_output=True)
         stack, report = finetune(spec, x, stack, cfg)
     else:
-        from .nonlinear import nonlinear_finetune, nonlinear_pretrain
+        from .nonlinear import nonlinear_finetune
 
-        stack, layer_traces = nonlinear_pretrain(spec, x, cfg, full_output=True)
         stack, report = nonlinear_finetune(spec, x, stack, cfg)
     report.per_layer_pretrain_objectives = [t[-1] if t else math.nan
                                             for t in layer_traces]

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from deepnmf import (ApgProblem, EvalConfig, ExperimentConfig, FactorStack,
-                     QuadGradient, StopRule, SweepAxes, TrainConfig, VARIANTS,
+                     StopRule, SweepAxes, TrainConfig, VARIANTS,
                      apg_solve, basis_gradient, error_rate, finetune,
                      finetune_problem, fit, kmeans, make_spec, naive_precision,
                      nmi, nnsvd_init, nonlinear_objective, pretrain,
@@ -62,8 +62,7 @@ def test_criterion_01_solver_matches_slow_pg_oracle():
     t0 = time.perf_counter()
     worst = 0.0
     for h0, gram, lin, const, lc in nmf_h_instances():
-        problem = ApgProblem.from_quad(
-            QuadGradient(lin=lin, left=gram, const=const), lc)
+        problem = ApgProblem(lin, lc, left=gram, const=const)
         out = apg_solve(h0, problem, StopRule(20000, 1e-10))
         ref = plain_pg_quad(h0, gram, lin, lc, 10**6)
         f_out = quad_objective(out, gram, lin, const)
@@ -79,8 +78,7 @@ def test_criterion_01_solver_matches_slow_pg_oracle():
 def test_criterion_02_acceleration_beats_plain_pg():
     pairs = []
     for h0, gram, lin, const, lc in nmf_h_instances():
-        problem = ApgProblem.from_quad(
-            QuadGradient(lin=lin, left=gram, const=const), lc)
+        problem = ApgProblem(lin, lc, left=gram, const=const)
         _, info = apg_solve(h0, problem, StopRule(10**6, 1e-6), full_output=True)
         pg_iters = plain_pg_iters_to_tol(h0, gram, lin, lc, 1e-6, 10**6)
         assert info["converged"]
@@ -102,7 +100,7 @@ def test_criterion_03_converged_solves_certify_kkt():
         problems += [finetune_problem(spec, layer, role, x, stack)
                      for layer in (1, 2) for role in ("w", "h")]
         for problem in problems:
-            v0 = rng.uniform(0.0, 1.0, size=problem.shape)
+            v0 = rng.uniform(0.0, 1.0, size=problem.lin.shape)
             out, info = apg_solve(v0, problem, StopRule(20000, 1e-4),
                                   full_output=True)
             assert info["converged"]
@@ -135,7 +133,7 @@ def test_criterion_04_gradients_match_finite_differences():
                 ("finetune", "h"): finetune_problem(spec, layer, "h", x, stack),
             }
             for (phase, role), problem in problems.items():
-                v = rng.uniform(0.1, 1.0, size=problem.shape)
+                v = rng.uniform(0.1, 1.0, size=problem.lin.shape)
                 fd = central_diff(problem.objective, v)
                 rel = (np.linalg.norm(problem.grad(v) - fd)
                        / max(np.linalg.norm(fd), 1e-300))
@@ -255,8 +253,8 @@ def test_criterion_09_lipschitz_constants_are_valid():
                     finetune_problem(spec, 2, "h", x, stack)]
         for problem in problems:
             for _ in range(100):
-                a = rng.uniform(0.0, 2.0, size=problem.shape)
-                b = rng.uniform(0.0, 2.0, size=problem.shape)
+                a = rng.uniform(0.0, 2.0, size=problem.lin.shape)
+                b = rng.uniform(0.0, 2.0, size=problem.lin.shape)
                 lhs = np.linalg.norm(problem.grad(a) - problem.grad(b))
                 rhs = problem.lipschitz * np.linalg.norm(a - b)
                 assert lhs <= rhs * (1 + 1e-9), variant
@@ -278,15 +276,13 @@ def test_criterion_10_reductions():
 
     def h_problem(w):
         gram = w.T @ w
-        return ApgProblem.from_quad(
-            QuadGradient(lin=-(w.T @ x), left=gram, const=const),
-            float(np.linalg.eigvalsh(gram).max()))
+        return ApgProblem(-(w.T @ x), float(np.linalg.eigvalsh(gram).max()),
+                          left=gram, const=const)
 
     def w_problem(h):
         right = h @ h.T
-        return ApgProblem.from_quad(
-            QuadGradient(lin=-(x @ h.T), right=right, const=const),
-            float(np.linalg.eigvalsh(right).max()))
+        return ApgProblem(-(x @ h.T), float(np.linalg.eigvalsh(right).max()),
+                          right=right, const=const)
 
     w, h = nnsvd_init(x, 4)
     prev = np.inf

@@ -1,9 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from deepnmf import (ApgProblem, InvalidInputError, NumericalError,
-                     QuadGradient, StopRule, apg_solve, kernels,
-                     projected_grad_norm)
+from deepnmf import (ApgProblem, InvalidInputError, NumericalError, StopRule,
+                     apg_solve, kernels, projected_grad_norm)
 
 from _oracles import plain_pg_quad, quad_objective, two_application_apg
 
@@ -11,16 +12,14 @@ from _oracles import plain_pg_quad, quad_objective, two_application_apg
 def h_block_problem(w, x, lam=0.0):
     """Least-squares H-block: minimize 0.5*||x - w h||^2 (+ column-L1 term)."""
     gram = w.T @ w
-    quad = QuadGradient(lin=-(w.T @ x), left=gram, colsum=lam,
-                        const=0.5 * float(np.sum(x * x)))
     lc = float(np.linalg.eigvalsh(gram)[-1]) + lam * w.shape[1]
-    return ApgProblem.from_quad(quad, lc)
+    return ApgProblem(-(w.T @ x), lc, left=gram, colsum=lam,
+                      const=0.5 * float(np.sum(x * x)))
 
 
 def separable_problem(x):
     """minimize 0.5*||x - h||^2 over h >= 0: grad = h - x, LC = 1."""
-    quad = QuadGradient(lin=-x, const=0.5 * float(np.sum(x * x)))
-    return ApgProblem.from_quad(quad, 1.0)
+    return ApgProblem(-x, 1.0, const=0.5 * float(np.sum(x * x)))
 
 
 class TestApgStep:
@@ -35,7 +34,7 @@ class TestApgStep:
 
     def test_non_finite_gradient_raises(self):
         lin = np.array([[-1.0, np.nan], [0.0, -2.0]])
-        problem = ApgProblem.from_quad(QuadGradient(lin=lin), 1.0)
+        problem = ApgProblem(lin, 1.0)
         with pytest.raises(NumericalError):
             apg_solve(np.ones((2, 2)), problem, StopRule(1, 1e-10))
 
@@ -56,8 +55,8 @@ class TestApgSolve:
 
         gram, lin = w.T @ w, -(w.T @ x)
         ref = plain_pg_quad(h0, gram, lin, problem.lipschitz, 10**6)
-        f_out = quad_objective(out, gram, lin, problem.quad.const)
-        f_ref = quad_objective(ref, gram, lin, problem.quad.const)
+        f_out = quad_objective(out, gram, lin, problem.const)
+        f_ref = quad_objective(ref, gram, lin, problem.const)
         assert f_out == pytest.approx(f_ref, rel=1e-6)
 
     def test_penalized_block_reaches_kkt(self, rng):
@@ -89,7 +88,7 @@ class TestApgSolve:
         w = rng.standard_normal((6, 4))
         x = rng.standard_normal((6, 5))
         problem = h_block_problem(w, x)
-        bad = ApgProblem.from_quad(problem.quad, problem.lipschitz / 50.0)
+        bad = replace(problem, lipschitz=problem.lipschitz / 50.0)
         h0 = np.abs(rng.standard_normal((4, 5)))
         with pytest.raises(NumericalError):
             apg_solve(h0, bad, StopRule(500, 1e-10))
@@ -178,10 +177,9 @@ class TestValidation:
             StopRule(grad_tol=0.0)
 
     def test_problem_lipschitz(self):
-        quad = QuadGradient(lin=np.zeros((2, 2)))
         for bad in (0.0, np.inf):
             with pytest.raises(InvalidInputError):
-                ApgProblem.from_quad(quad, bad)
+                ApgProblem(np.zeros((2, 2)), bad)
 
 
 def test_projected_grad_norm_masks_boundary():

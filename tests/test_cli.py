@@ -1,3 +1,5 @@
+import pytest
+
 from deepnmf import load_factors
 from deepnmf.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, cli_main
 
@@ -90,6 +92,40 @@ class TestExitCodes:
                            "--class", "0")
         assert code == EXIT_DATA
         assert "labels" in err
+
+    @pytest.mark.parametrize("line", ["model.layer_sizes = 10,abc",
+                                      "model.layer_sizes = 4\nmodel.mu ="])
+    def test_malformed_config_number_is_data_error(self, capsys, tmp_path, line):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"data.kind = blobs\nmodel.variant = sdnmf_l\n{line}\n")
+        code, _, err = run(capsys, "sweep", "--config", str(cfg))
+        assert code == EXIT_DATA
+        assert str(cfg) in err and "model." in err
+
+    @pytest.mark.parametrize("flags", [("--layers", "4,x"),
+                                       ("--layers", "4", "--mu", "abc"),
+                                       ("--layers", "4", "--lambda", "1,,2")])
+    def test_malformed_train_flag_is_usage_error(self, capsys, flags):
+        code, _, err = run(capsys, "train", "--data", "d.bin", *flags)
+        assert code == EXIT_USAGE
+        assert "usage" in err
+
+    @pytest.mark.parametrize("command", ["evaluate", "inspect"])
+    def test_factor_meta_without_variant_is_data_error(self, capsys, tmp_path,
+                                                       rng, command):
+        from deepnmf import make_spec, save_factors
+        from deepnmf.models import FactorStack
+
+        w = rng.uniform(0.1, 1.0, size=(5, 3))
+        h = rng.uniform(0.1, 1.0, size=(3, 8))
+        run_dir = save_factors(tmp_path / "run", make_spec("dnmf", (3,)),
+                               FactorStack([w], [h]))
+        meta = run_dir / "meta.cfg"
+        meta.write_text("".join(line for line in meta.read_text().splitlines(True)
+                                if not line.startswith("variant")))
+        code, _, err = run(capsys, command, "--factors", str(run_dir))
+        assert code == EXIT_DATA
+        assert "meta.cfg" in err and "variant" in err
 
 
 class TestSweepCommand:

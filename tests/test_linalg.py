@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from deepnmf import (InvalidInputError, frobenius_sq, ones_gram_norm,
-                     project_nonneg, spectral_norm, sym_spectral_norm)
+from deepnmf import (InvalidInputError, frobenius_sq, project_nonneg,
+                     spectral_norm, sym_spectral_norm)
 
 finite_matrices = arrays(
     np.float64, st.tuples(st.integers(1, 6), st.integers(1, 6)),
@@ -108,23 +108,6 @@ class TestSymSpectralNorm:
         with pytest.raises(InvalidInputError):
             sym_spectral_norm(np.ones((2, 3)))
         assert sym_spectral_norm(np.zeros((3, 3))) == 0.0
-
-
-class TestOnesGramNorm:
-    @pytest.mark.parametrize("dim,expected", [(1, 1.0), (4, 4.0), (600, 600.0)])
-    def test_closed_form(self, dim, expected):
-        assert ones_gram_norm(dim) == expected
-
-    def test_matches_actual_gram(self):
-        # The norm of the all-ones gram really is the vector length.
-        for dim in (2, 5, 9):
-            gram = np.ones((dim, dim))
-            top = np.linalg.eigvalsh(gram)[-1]
-            assert ones_gram_norm(dim) == pytest.approx(top, rel=1e-12)
-
-    def test_zero_rejected(self):
-        with pytest.raises(InvalidInputError):
-            ones_gram_norm(0)
 
 
 class TestFrobeniusSq:

@@ -216,6 +216,11 @@ class TestKmeans:
         with pytest.raises(InvalidInputError):
             kmeans(rng.uniform(0.0, 1.0, size=(2, 4)), 2, restarts=0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_data_rejected(self, bad):
+        with pytest.raises(InvalidInputError):
+            kmeans(np.array([[bad, 1.0, 2.0, 3.0]]), 2)
+
     def test_fewer_distinct_samples_than_clusters(self):
         # Every Lloyd iteration re-seeds an empty cluster; the last
         # assignment is the partition, with empty clusters.

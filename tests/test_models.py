@@ -220,8 +220,8 @@ class TestFinetuneProblems:
                     finetune_problem(spec, 2, "h", x, stack)]
         for problem in problems:
             for _ in range(20):
-                a = rng.uniform(0.0, 2.0, size=problem.shape)
-                b = rng.uniform(0.0, 2.0, size=problem.shape)
+                a = rng.uniform(0.0, 2.0, size=problem.lin.shape)
+                b = rng.uniform(0.0, 2.0, size=problem.lin.shape)
                 lhs = np.linalg.norm(problem.grad(a) - problem.grad(b))
                 rhs = problem.lipschitz * np.linalg.norm(a - b)
                 assert lhs <= rhs * (1 + 1e-9)

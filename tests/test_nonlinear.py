@@ -4,7 +4,7 @@ import pytest
 from deepnmf import (FactorStack, InvalidInputError, StopRule, TrainConfig,
                      apply_activation, basis_gradient, finetune, finetune_problem,
                      get_activation, make_spec, nonlinear_finetune,
-                     nonlinear_objective, nonlinear_pretrain, pretrain,
+                     nonlinear_objective, pretrain,
                      representation_gradient, synth_generate)
 
 from _oracles import central_diff
@@ -57,11 +57,6 @@ class TestActivations:
 
 
 class TestNonlinearPretrain:
-    def test_rejects_linear_spec(self, rng):
-        x = rng.uniform(0.0, 1.0, size=(6, 8))
-        with pytest.raises(InvalidInputError):
-            nonlinear_pretrain(make_spec("dnmf", (3,)), x, FAST)
-
     def test_planted_root_data_fits(self):
         bundle = synth_generate("planted_nonlinear", seed=5, rows=20, cols=60,
                                 layer_sizes=(8, 4), classes=4, noise=0.0,
@@ -69,7 +64,7 @@ class TestNonlinearPretrain:
         spec = make_spec("dnmf", (8, 4), activation="root")
         cfg = TrainConfig(inner_stop=StopRule(300, 1e-5), max_sweeps=80,
                           rel_obj_tol=1e-9)
-        stack = nonlinear_pretrain(spec, bundle.x, cfg)
+        stack = pretrain(spec, bundle.x, cfg)
         data_fit = nonlinear_objective(spec, bundle.x, stack.w, stack.h[-1])
         rel_err = np.sqrt(2.0 * data_fit) / np.linalg.norm(bundle.x)
         assert rel_err <= 1e-2
@@ -77,19 +72,31 @@ class TestNonlinearPretrain:
     def test_shapes_match_linear_pretrain(self, rng):
         x = rng.uniform(0.1, 1.0, size=(8, 12))
         lin = pretrain(make_spec("dnmf", (4, 2)), x, FAST)
-        non = nonlinear_pretrain(make_spec("dnmf", (4, 2), activation="root"),
-                                 x, FAST)
+        non = pretrain(make_spec("dnmf", (4, 2), activation="root"), x, FAST)
         for a, b in zip(lin.w + lin.h, non.w + non.h):
             assert a.shape == b.shape
+
+    def test_second_layer_fits_activated_first_representation(self, rng):
+        # The activation comes from the spec: layer 2 factorizes g(H_1),
+        # while the stack keeps the solved H_1.
+        x = rng.uniform(0.1, 1.0, size=(8, 12))
+        spec = make_spec("dnmf", (4, 2), activation="root")
+        stack, traces = pretrain(spec, x, FAST, full_output=True)
+        target = get_activation("root").g(stack.h[0])
+        fit2 = 0.5 * float(np.sum((target - stack.w[1] @ stack.h[1]) ** 2))
+        assert traces[1][-1] == pytest.approx(fit2, rel=1e-12)
+        linear = pretrain(make_spec("dnmf", (4, 2)), x, FAST)
+        np.testing.assert_array_equal(linear.h[0], stack.h[0])
+        assert not np.array_equal(linear.w[1], stack.w[1])
 
     def test_projecting_all_enlarges_subunit_final_representation(self, rng):
         # root on values below one increases them; mode "all" applies it to
         # the final representation, mode "hidden" leaves it alone.
         x = rng.uniform(0.0, 0.5, size=(8, 12))
-        hidden = nonlinear_pretrain(
+        hidden = pretrain(
             make_spec("dnmf", (4, 2), activation="root", projection_mode="hidden"),
             x, FAST)
-        allmode = nonlinear_pretrain(
+        allmode = pretrain(
             make_spec("dnmf", (4, 2), activation="root", projection_mode="all"),
             x, FAST)
         np.testing.assert_allclose(allmode.h[-1], np.sqrt(hidden.h[-1]), atol=1e-12)
@@ -173,7 +180,7 @@ class TestNonlinearFinetune:
 
         nl_spec = make_spec("dnmf", (4, 2), activation="identity",
                             projection_mode="hidden")
-        nl_stack = nonlinear_pretrain(nl_spec, x, FAST)
+        nl_stack = pretrain(nl_spec, x, FAST)
         _, nl_report = nonlinear_finetune(nl_spec, x, nl_stack, FAST)
         assert nl_report.final_objective == pytest.approx(
             lin_report.final_objective, rel=0.05)
@@ -184,7 +191,7 @@ class TestNonlinearFinetune:
                                 activation="root")
         spec = make_spec("sdnmf_l", (6, 3), mu=0.05, activation="root",
                          projection_mode="hidden")
-        stack = nonlinear_pretrain(spec, bundle.x, FAST)
+        stack = pretrain(spec, bundle.x, FAST)
         tuned, report = nonlinear_finetune(spec, bundle.x, stack, FAST)
         trace = np.asarray(report.objective_trace)
         assert trace[-1] <= trace[0]
@@ -194,7 +201,7 @@ class TestNonlinearFinetune:
         x = rng.uniform(0.1, 1.0, size=(8, 15))
         spec = make_spec("sdnmf_rl2", (4, 2), mu=0.1, lam=0.1,
                          activation="root", projection_mode="all")
-        stack = nonlinear_pretrain(spec, x, FAST)
+        stack = pretrain(spec, x, FAST)
         tuned, _ = nonlinear_finetune(spec, x, stack, FAST)
         for m in tuned.w + tuned.h:
             assert m.min() >= 0.0

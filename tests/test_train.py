@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from deepnmf import (ApgProblem, InvalidInputError, QuadGradient, StopRule,
-                     TrainConfig, VARIANTS, apg_solve, finetune,
+from deepnmf import (ApgProblem, InvalidInputError, StopRule, TrainConfig,
+                     VARIANTS, apg_solve, finetune,
                      finetune_objective, fit, make_spec, nnsvd_init, pretrain)
 
 PEN = {
@@ -121,15 +121,13 @@ class TestFinetune:
 
         def h_problem(w):
             gram = w.T @ w
-            return ApgProblem.from_quad(
-                QuadGradient(lin=-(w.T @ x), left=gram, const=const),
-                float(np.linalg.eigvalsh(gram).max()))
+            return ApgProblem(-(w.T @ x), float(np.linalg.eigvalsh(gram).max()),
+                              left=gram, const=const)
 
         def w_problem(h):
             right = h @ h.T
-            return ApgProblem.from_quad(
-                QuadGradient(lin=-(x @ h.T), right=right, const=const),
-                float(np.linalg.eigvalsh(right).max()))
+            return ApgProblem(-(x @ h.T), float(np.linalg.eigvalsh(right).max()),
+                              right=right, const=const)
 
         def data_fit(w, h):
             return 0.5 * float(np.sum((x - w @ h) ** 2))
