@@ -28,25 +28,26 @@ MAGIC = b"SDNMF1"
 _HEADER = len(MAGIC) + 8  # magic + two uint32 dims
 
 
-def save_matrix(path, m, format=None):
-    """Write a matrix as CSV or BIN (format inferred from the suffix)."""
+def _is_csv(path):
+    return path.suffix.lower() == ".csv"
+
+
+def save_matrix(path, m):
+    """Write a matrix as CSV (a ``.csv`` suffix) or BIN (any other)."""
     path = Path(path)
-    fmt = format or ("csv" if path.suffix.lower() == ".csv" else "bin")
     m = np.ascontiguousarray(m, dtype=np.float64)
     if m.ndim != 2:
         raise InvalidInputError(f"need a 2-d matrix, got ndim={m.ndim}")
-    if fmt == "csv":
+    if _is_csv(path):
         with open(path, "w") as fh:
             for row in m:
                 fh.write(",".join(repr(float(v)) for v in row))
                 fh.write("\n")
-    elif fmt == "bin":
+    else:
         with open(path, "wb") as fh:
             fh.write(MAGIC)
             fh.write(struct.pack("<II", m.shape[0], m.shape[1]))
             fh.write(m.astype("<f8").tobytes(order="F"))
-    else:
-        raise InvalidInputError(f"unknown format {fmt!r}")
     return path
 
 
@@ -97,18 +98,12 @@ def _load_bin(path):
     return np.ascontiguousarray(flat.reshape((rows, cols), order="F"))
 
 
-def load_matrix(path, format=None, require_nonneg=False):
-    """Read a matrix back; ``format`` is csv/bin or inferred from the suffix."""
+def load_matrix(path, require_nonneg=False):
+    """Read a matrix back, as CSV for a ``.csv`` suffix and BIN otherwise."""
     path = Path(path)
     if not path.exists():
         raise DataFormatError(f"{path}: file not found")
-    fmt = format or ("csv" if path.suffix.lower() == ".csv" else "bin")
-    if fmt == "csv":
-        m = _load_csv(path)
-    elif fmt == "bin":
-        m = _load_bin(path)
-    else:
-        raise InvalidInputError(f"unknown format {fmt!r}")
+    m = _load_csv(path) if _is_csv(path) else _load_bin(path)
     if not np.all(np.isfinite(m)):
         i, j = np.argwhere(~np.isfinite(m))[0]
         raise DataFormatError(f"{path}: non-finite value at row {i}, column {j}")

@@ -18,4 +18,4 @@ class NumericalError(DeepNmfError, RuntimeError):
 
 
 class InternalError(DeepNmfError, RuntimeError):
-    """Internal consistency violated (stale caches, impossible states)."""
+    """Internal consistency violated (a rising objective, impossible states)."""

@@ -40,6 +40,11 @@ RECORD_FIELDS = (
     "final_objective", "sweeps_used", "wall_ms", "error",
 )
 _STAT_NAMES = ("mean", "std", "min", "max")
+# Parsers of the typed ``data.*`` config keys; the others stay strings.
+_DATA_PARSERS = {"rows": int, "cols": int, "classes": int, "seed": int,
+                 "layer_sizes": parse_sizes, "noise": float, "separation": float}
+_SYNTH_KEYS = ("rows", "cols", "classes", "layer_sizes", "noise", "separation",
+               "activation")
 
 
 @dataclass(frozen=True)
@@ -102,24 +107,15 @@ def draw_layer_structures(seed, draws, depth, last_size, lo=50, hi=600, p=0.02):
 
 
 def resolve_bundle(data):
-    """Load or generate the dataset named by the ``data.*`` config keys."""
+    """Load or generate the dataset named by the ``data.*`` config keys
+    (values as :func:`parse_config` parses them)."""
     if data.get("path"):
         return load_bundle(data["path"])
     kind = data.get("kind")
     if not kind:
         raise InvalidInputError("config needs either data.path or data.kind")
-    kwargs = {}
-    for key in ("rows", "cols", "classes"):
-        if key in data:
-            kwargs[key] = int(data[key])
-    if "layer_sizes" in data:
-        kwargs["layer_sizes"] = parse_sizes(str(data["layer_sizes"]))
-    for key in ("noise", "separation"):
-        if key in data:
-            kwargs[key] = float(data[key])
-    if "activation" in data:
-        kwargs["activation"] = data["activation"]
-    return synth_generate(kind, int(data.get("seed", 0)), **kwargs)
+    kwargs = {key: data[key] for key in _SYNTH_KEYS if key in data}
+    return synth_generate(kind, data.get("seed", 0), **kwargs)
 
 
 def sweep_points(cfg):
@@ -310,11 +306,10 @@ def parse_config(path):
             return value
         return parse_entry(path, key, value, parse)
 
-    data = {k.split(".", 1)[1]: v for k, v in list(raw.items())
-            if k.startswith("data.")}
-    for k in list(raw):
-        if k.startswith("data."):
-            raw.pop(k)
+    data = {}
+    for key in [k for k in raw if k.startswith("data.")]:
+        name = key[len("data."):]
+        data[name] = pop(key, parse=_DATA_PARSERS.get(name))
 
     layer_sizes = pop("model.layer_sizes", parse=parse_sizes)
     if layer_sizes is None:

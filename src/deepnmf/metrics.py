@@ -97,13 +97,12 @@ def nmi(c, c_star):
     return numer / denom
 
 
-def error_rate(c, c_star, literal_root=True):
+def error_rate(c, c_star):
     """Co-membership disagreement between the partitions.
 
     The Frobenius norm of the difference of the two co-membership matrices
-    (entry (i, j) is 1 when samples i and j share a cluster), with (by
-    default) the outer square root on top, as the definition is written.
-    Pass ``literal_root=False`` for the plain Frobenius norm.
+    (entry (i, j) is 1 when samples i and j share a cluster), with the
+    outer square root on top, as the definition is written.
 
     The n-by-n matrices are never formed. With n_ij the confusion counts,
     a_j the obtained cluster sizes and b_i the reference class sizes, the
@@ -115,8 +114,7 @@ def error_rate(c, c_star, literal_root=True):
     disagree = (int(np.sum(np.bincount(c.labels) ** 2))
                 + int(np.sum(np.bincount(c_star.labels) ** 2))
                 - 2 * int(np.sum(counts ** 2)))
-    frob = math.sqrt(float(disagree))
-    return math.sqrt(frob) if literal_root else frob
+    return math.sqrt(math.sqrt(float(disagree)))
 
 
 def naive_precision(c, c_star):
@@ -174,7 +172,7 @@ def _lloyd(points, centers, max_iters):
     return (last_labels if labels is None else labels), float(d2.sum())
 
 
-def kmeans(data, k, restarts=10, seed=0, max_iters=KMEANS_MAX_ITERS):
+def kmeans(data, k, restarts=10, seed=0):
     """Lloyd's algorithm on the columns of ``data`` (columns are samples).
 
     Each restart is seeded with k-means++ from its own deterministic
@@ -201,7 +199,7 @@ def kmeans(data, k, restarts=10, seed=0, max_iters=KMEANS_MAX_ITERS):
     for r in range(restarts):
         rng = np.random.default_rng([abs(int(seed)), r])
         centers = _kmeanspp_centers(points, k, rng)
-        labels, wcss = _lloyd(points, centers, max_iters)
+        labels, wcss = _lloyd(points, centers, KMEANS_MAX_ITERS)
         if wcss < best_wcss:
             best_labels, best_wcss = labels, wcss
     return Partition(best_labels, k)

@@ -19,6 +19,11 @@ gradient and Lipschitz constant. A spec states each layer's penalties as two
 numbers per factor role: the basis weight (:meth:`ModelSpec.w_weight`) and
 the representation's (colsum, ridge) weights (:meth:`ModelSpec.h_weights`).
 
+The model is one chain, X ~ W_1 ... W_L H_L, unrolled from the top through
+the inverse activation of a nonlinear model by :func:`unroll`. Both
+fine-tuning paths decrease :func:`chain_objective`: the chain's misfit plus
+the basis penalties and the H_L penalty.
+
 One assembler builds the block subproblems of both training phases. A
 fine-tune W block fits the data between the cumulative basis product below
 the layer and the top-down reconstruction of its representation; an H block
@@ -34,7 +39,7 @@ import numpy as np
 
 from .activations import get_activation
 from .apg import ApgProblem
-from .errors import InternalError, InvalidInputError
+from .errors import InvalidInputError
 from .linalg import as_matrix, check_nonneg, frobenius_sq, sym_spectral_norm
 
 VARIANTS = ("dnmf", "sdnmf_l", "sdnmf_r", "sdnmf_rl1", "sdnmf_rl2")
@@ -162,12 +167,8 @@ def make_spec(variant, layer_sizes, mu=None, lam=None, activation="linear",
 
 
 class FactorStack:
-    """The learned factors W_1..W_L and H_1..H_L plus a lazy cache of the
-    cumulative basis products W_1 ... W_l.
-
-    Mutate factors through :meth:`set_w` / :meth:`set_h` so the cache stays
-    coherent; W_l is ``w[l-1]`` in the underlying lists.
-    """
+    """The learned factors W_1..W_L and H_1..H_L; W_l is ``w[l-1]`` and H_l
+    is ``h[l-1]``. Trainers replace factors by assigning list entries."""
 
     def __init__(self, w, h):
         self.w = [as_matrix(m, f"w[{i}]") for i, m in enumerate(w)]
@@ -185,66 +186,60 @@ class FactorStack:
                     f"layer {i} columns {self.w[i - 1].shape[1]}")
             check_nonneg(wi, f"w[{i}]")
             check_nonneg(hi, f"h[{i}]")
-        self._products = {}
 
     @property
     def depth(self):
         return len(self.w)
 
-    def set_w(self, layer, value):
-        self.w[layer - 1] = np.ascontiguousarray(value, dtype=np.float64)
-        self._products.clear()
-
-    def set_h(self, layer, value):
-        self.h[layer - 1] = np.ascontiguousarray(value, dtype=np.float64)
-
     def basis_product(self, upto):
-        """W_1 @ ... @ W_upto; ``None`` for upto == 0 (an implicit identity)."""
+        """W_1 @ ... @ W_upto, multiplied left to right; ``None`` for
+        upto == 0 (an implicit identity)."""
         if upto == 0:
             return None
         if not 1 <= upto <= self.depth:
             raise InvalidInputError(f"layer index {upto} out of range")
-        if upto not in self._products:
-            prev = self.basis_product(upto - 1)
-            self._products[upto] = (self.w[upto - 1] if prev is None
-                                    else prev @ self.w[upto - 1])
-        cached = self._products[upto]
-        if cached.shape != (self.w[0].shape[0], self.w[upto - 1].shape[1]):
-            raise InternalError(
-                f"basis-product cache for layer {upto} has shape {cached.shape}; "
-                "factors changed without set_w")
-        return cached
+        prod = self.w[0]
+        for w in self.w[1:upto]:
+            prod = prod @ w
+        return prod
 
     def copy(self):
-        out = FactorStack([m.copy() for m in self.w], [m.copy() for m in self.h])
-        return out
+        return FactorStack([m.copy() for m in self.w], [m.copy() for m in self.h])
 
-    def max_entry(self):
-        return max(float(m.max()) for m in self.w + self.h)
+
+def unroll(spec, w, h_last, stop=0):
+    """Unroll the chain from H_L down to 1-based layer ``stop`` (0: down to
+    the data).
+
+    Returns (pre, fresh): ``fresh[i]`` is layer i+1's representation, H_L at
+    the top and g_inv(pre[i+1]) below it (pre[i+1] itself when linear), and
+    ``pre[i] = w[i] @ fresh[i]``, so ``pre[0]`` reconstructs the data.
+    Entries below ``stop`` stay None and are never computed.
+    """
+    act = None if spec.activation == "linear" else get_activation(spec.activation)
+    L = len(w)
+    pre = [None] * L
+    fresh = [None] * L
+    fresh[L - 1] = h_last
+    for i in range(L - 1, stop - 1, -1):
+        pre[i] = w[i] @ fresh[i]
+        if i > 0:
+            fresh[i - 1] = pre[i] if act is None else act.inverse(pre[i])
+    return pre, fresh
 
 
 def reconstruct_h(spec, stack, layer):
     """Top-down reconstruction of the layer's representation from the factors
-    above it: H_L itself at the last layer, otherwise W_{l+1} times the
-    reconstruction below (passed through the inverse activation when the
-    model is nonlinear)."""
+    above it: ``fresh[layer-1]`` of :func:`unroll`."""
     L = stack.depth
     if not 1 <= layer <= L:
         raise InvalidInputError(f"layer {layer} out of range 1..{L}")
-    cur = stack.h[L - 1]
-    if spec.activation == "linear":
-        for l in range(L - 1, layer - 1, -1):
-            cur = stack.w[l] @ cur
-        return cur
-    act = get_activation(spec.activation)
-    for l in range(L - 1, layer - 1, -1):
-        cur = act.inverse(stack.w[l] @ cur)
-    return cur
+    return unroll(spec, stack.w, stack.h[L - 1], stop=layer)[1][layer - 1]
 
 
 def reconstruct(spec, stack):
     """Model reconstruction of the data matrix from the stack."""
-    return stack.w[0] @ reconstruct_h(spec, stack, 1)
+    return unroll(spec, stack.w, stack.h[-1])[0][0]
 
 
 def _colsum_sq(m):
@@ -283,9 +278,20 @@ def objective(spec, x, stack):
     return val
 
 
+def chain_objective(spec, x, w, h_last):
+    """Misfit of the chain unrolled from basis factors ``w`` and ``h_last``,
+    plus every basis penalty and the final-representation penalty: the
+    objective both fine-tuning paths decrease."""
+    val = 0.5 * frobenius_sq(x - unroll(spec, w, h_last)[0][0])
+    for l, w_l in enumerate(w, start=1):
+        val = add_layer_penalty(val, spec, l, w=w_l)
+    return add_layer_penalty(val, spec, len(w), h=h_last)
+
+
 def finetune_objective(spec, x, stack):
-    """The quantity the fine-tuning sweep jointly decreases: reconstruction
-    error, all basis penalties, and the final-representation penalty.
+    """The quantity the fine-tuning sweep jointly decreases:
+    :func:`chain_objective` of the stack, after checking that it conforms
+    to ``spec`` and ``x``.
 
     Hidden-representation penalties are deliberately absent: during
     fine-tuning the hidden H_l are not part of the reconstruction chain, so
@@ -294,11 +300,7 @@ def finetune_objective(spec, x, stack):
     :func:`objective`.
     """
     _check_conformance(spec, x, stack)
-    val = 0.5 * frobenius_sq(x - reconstruct(spec, stack))
-    L = spec.depth
-    for l in range(1, L + 1):
-        val = add_layer_penalty(val, spec, l, w=stack.w[l - 1])
-    return add_layer_penalty(val, spec, L, h=stack.h[L - 1])
+    return chain_objective(spec, x, stack.w, stack.h[-1])
 
 
 def _check_conformance(spec, x, stack):

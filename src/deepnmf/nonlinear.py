@@ -6,13 +6,17 @@ through the activation before it feeds the next layer (projection mode
 ``all`` additionally projects the final representation after its last
 solve).
 
-Fine-tuning cannot use fixed 1/LC steps because no Lipschitz constant is
-available for the unrolled nonlinear reconstruction, so the final
-representation and every basis factor above the first are updated by
-projected gradient descent with Armijo backtracking; hidden representations
-are refreshed from the inverse-activation chain, and the first basis factor
-keeps its convex block and is still solved by the accelerated method, to the
-same stop rule as the linear path (relative tolerance or iteration cap).
+Fine-tuning decreases the same objective as the linear path,
+:func:`deepnmf.models.chain_objective` on the chain unrolled through the
+inverse activation (:func:`deepnmf.models.unroll`), in the same outer loop
+(:func:`deepnmf.train._sweeps`). It cannot use fixed 1/LC steps because no
+Lipschitz constant is available for the unrolled nonlinear reconstruction,
+so the final representation and every basis factor above the first are
+updated by projected gradient descent with Armijo backtracking. The first
+basis factor keeps its convex block, a fit of the data against the chain's
+first representation, and is still solved by the accelerated method, to
+the same stop rule as the linear path (relative tolerance or iteration
+cap). The stored hidden representations are the chain's, clipped at zero.
 """
 
 import numpy as np
@@ -20,9 +24,9 @@ import numpy as np
 from .activations import get_activation
 from .apg import apg_solve
 from .errors import InvalidInputError
-from .linalg import as_matrix, check_nonneg, frobenius_sq
-from .models import add_layer_penalty, pretrain_problem, _check_conformance
-from .train import TrainConfig, TrainReport, _noise_floor, _rel_change
+from .linalg import as_matrix, check_nonneg
+from .models import _check_conformance, chain_objective, pretrain_problem, unroll
+from .train import TrainConfig, _sweeps
 # Nothing here calls pretrain; perfbench/tracing.py patches nonlinear.pretrain.
 from .train import pretrain
 
@@ -31,35 +35,9 @@ MAX_HALVINGS = 50
 _STEP_CAP = 1e12
 
 
-def _forward_chain(spec, w, h_last):
-    """Unroll the reconstruction from the top.
-
-    Returns (pre, fresh) where ``pre[i]`` is the pre-activation product of
-    layer i+1 (0-based) and ``fresh[i]`` the consistent representation of
-    layer i+1; ``fresh[i] = g_inv(pre[i+1])`` below the top. ``pre[0]`` is
-    the model's reconstruction of the data.
-    """
-    act = get_activation(spec.activation)
-    L = len(w)
-    pre = [None] * L
-    fresh = [None] * L
-    fresh[L - 1] = h_last
-    pre[L - 1] = w[L - 1] @ h_last
-    for i in range(L - 2, -1, -1):
-        fresh[i] = act.inverse(pre[i + 1])
-        pre[i] = w[i] @ fresh[i]
-    return pre, fresh
-
-
-def nonlinear_objective(spec, x, w, h_last):
-    """Data misfit of the unrolled reconstruction plus the penalties that the
-    nonlinear sweep actually optimizes (basis penalties and the
-    final-representation penalty)."""
-    pre, _ = _forward_chain(spec, w, h_last)
-    val = 0.5 * frobenius_sq(x - pre[0])
-    for l, w_l in enumerate(w, start=1):
-        val = add_layer_penalty(val, spec, l, w=w_l)
-    return add_layer_penalty(val, spec, len(w), h=h_last)
+# The fine-tune objective under its nonlinear-path name: the nonlinear sweep
+# calls it through this module, where perfbench/tracing.py counts the calls.
+nonlinear_objective = chain_objective
 
 
 def _backward_chain(spec, x, w, pre, fresh):
@@ -89,7 +67,7 @@ def representation_gradient(spec, x, stack):
     """
     x = as_matrix(x, "x")
     _check_conformance(spec, x, stack)
-    pre, fresh = _forward_chain(spec, stack.w, stack.h[-1])
+    pre, fresh = unroll(spec, stack.w, stack.h[-1])
     up, _ = _backward_chain(spec, x, stack.w, pre, fresh)
     g = up[-1]
     colsum, ridge = spec.h_weights(spec.depth)
@@ -108,7 +86,7 @@ def basis_gradient(spec, x, stack, layer):
             f"basis gradients cover layers 2..{spec.depth}, got {layer}")
     x = as_matrix(x, "x")
     _check_conformance(spec, x, stack)
-    pre, fresh = _forward_chain(spec, stack.w, stack.h[-1])
+    pre, fresh = unroll(spec, stack.w, stack.h[-1])
     _, elem = _backward_chain(spec, x, stack.w, pre, fresh)
     g = elem[layer - 1] @ fresh[layer - 1].T
     mu = spec.w_weight(layer)
@@ -142,12 +120,13 @@ def nonlinear_finetune(spec, x, stack, cfg=TrainConfig()):
 
     Each sweep: one backtracked projected-gradient step on the final
     representation, one on every basis factor above the first (bottom-up),
-    a refresh of the hidden representations from the inverse-activation
-    chain, then an accelerated solve of the first basis factor's convex
-    block, stopped by ``cfg.inner_stop``. Accepted steps never increase the
-    objective; a block whose backtracking stalls ends the run with the
-    ``stalled`` flag set. Each step starts from the objective the previous
-    one returned, so no step re-evaluates it at its starting point.
+    a refresh of the hidden representations from the unrolled chain, then
+    an accelerated solve of the first basis factor's convex block, stopped
+    by ``cfg.inner_stop``. Accepted steps never increase the objective; a
+    block whose backtracking stalls ends the run with the ``stalled`` flag
+    set. Each step starts from the objective the previous one returned, so
+    no step re-evaluates it at its starting point. Stops as
+    :func:`deepnmf.train._sweeps` describes.
     """
     if spec.activation == "linear":
         raise InvalidInputError("nonlinear_finetune requires a nonlinear activation")
@@ -155,25 +134,20 @@ def nonlinear_finetune(spec, x, stack, cfg=TrainConfig()):
     check_nonneg(x, "x")
     stack = stack.copy()
     L = spec.depth
-
     steps = {"h": 1.0}
     steps.update({("w", l): 1.0 for l in range(2, L + 1)})
-    floor = _noise_floor(x)
     obj = nonlinear_objective(spec, x, stack.w, stack.h[-1])
-    trace = [obj]
-    stalled = False
-    sweeps = 0
-    for _ in range(cfg.max_sweeps):
+
+    def sweep():
+        nonlocal obj
         g = representation_gradient(spec, x, stack)
         new_h, obj, used = _armijo_step(
             stack.h[-1], obj, g,
-            lambda v: nonlinear_objective(spec, x, stack.w, v),
-            steps["h"])
+            lambda v: nonlinear_objective(spec, x, stack.w, v), steps["h"])
         if used is None:
-            stalled = True
-            break
+            return None
         steps["h"] = min(2.0 * used, _STEP_CAP)
-        stack.set_h(L, new_h)
+        stack.h[-1] = new_h
 
         for l in range(2, L + 1):
             g = basis_gradient(spec, x, stack, l)
@@ -186,28 +160,21 @@ def nonlinear_finetune(spec, x, stack, cfg=TrainConfig()):
             new_w, obj, used = _armijo_step(stack.w[l - 1], obj, g, f_of,
                                             steps[("w", l)])
             if used is None:
-                stalled = True
-                break
+                return None
             steps[("w", l)] = min(2.0 * used, _STEP_CAP)
-            stack.set_w(l, new_w)
-        if stalled:
-            break
+            stack.w[l - 1] = new_w
 
-        # The max(., 0) only engages for activations whose inverse can go
-        # negative (softplus below log 2); root and identity are unaffected.
-        _, fresh = _forward_chain(spec, stack.w, stack.h[-1])
+        # W_1's block fits the chain's own first representation, which the
+        # objective reconstructs through. The stored hidden factors are that
+        # chain clipped at zero; the clip engages only where the inverse
+        # goes negative (sigmoid below 1/2, softplus below log 2).
+        _, fresh = unroll(spec, stack.w, stack.h[-1])
         for l in range(1, L):
-            stack.set_h(l, np.maximum(fresh[l - 1], 0.0))
+            stack.h[l - 1] = np.maximum(fresh[l - 1], 0.0)
 
-        problem = pretrain_problem(spec, 1, "w", x, stack.w[0], stack.h[0])
-        stack.set_w(1, apg_solve(stack.w[0], problem, cfg.inner_stop))
-
+        problem = pretrain_problem(spec, 1, "w", x, stack.w[0], fresh[0])
+        stack.w[0] = apg_solve(stack.w[0], problem, cfg.inner_stop)
         obj = nonlinear_objective(spec, x, stack.w, stack.h[-1])
-        sweeps += 1
-        trace.append(obj)
-        if _rel_change(trace[-2], obj) < cfg.rel_obj_tol or obj <= floor:
-            break
+        return obj
 
-    report = TrainReport(objective_trace=trace, final_objective=trace[-1],
-                         sweeps_used=sweeps, stalled=stalled)
-    return stack, report
+    return stack, _sweeps(x, cfg, obj, sweep)

@@ -10,6 +10,10 @@ when the projected-gradient norm falls below ``inner_stop.grad_tol`` times
 its starting value or at ``inner_stop.max_iters`` iterations, and most
 fine-tune solves stop at that cap. Every block solve is monotone, so the
 recorded objective trace never increases.
+
+Both fine-tuning paths, :func:`finetune` and
+:func:`deepnmf.nonlinear.nonlinear_finetune`, decrease
+:func:`deepnmf.models.chain_objective` in one outer loop, :func:`_sweeps`.
 """
 
 import math
@@ -127,32 +131,24 @@ def pretrain(spec, x, cfg=TrainConfig(), full_output=False):
     return stack
 
 
-def finetune(spec, x, stack, cfg=TrainConfig()):
-    """Whole-system sweeps over the pretrained stack (linear models).
+def _sweeps(x, cfg, obj0, sweep):
+    """The outer fine-tuning loop shared by both paths.
 
-    Each sweep visits layers bottom-up, updating W_l then H_l with block
-    solves that stop at ``cfg.inner_stop`` (its relative tolerance or, for
-    most fine-tune blocks, its iteration cap); the basis-product cache is
-    refreshed as soon as a basis factor changes, so every subproblem sees
-    current factors. Stops when the
-    relative objective change drops below ``rel_obj_tol`` or at
-    ``max_sweeps``.
+    ``obj0`` is the objective of the starting factors; ``sweep()`` updates
+    the factors once and returns the new objective, or None when a step
+    could not make progress, which ends the run with ``stalled`` set and
+    leaves that incomplete sweep out of ``sweeps_used``. Stops when the
+    relative change drops below ``cfg.rel_obj_tol``, the objective reaches
+    the noise floor of ``x``, or at ``cfg.max_sweeps``.
     """
-    x = as_matrix(x, "x")
-    check_nonneg(x, "x")
-    stack = stack.copy()
     floor = _noise_floor(x)
-    obj0 = finetune_objective(spec, x, stack)
     trace = [obj0]
-    sweeps = 0
+    stalled = False
     for _ in range(cfg.max_sweeps):
-        for layer in range(1, spec.depth + 1):
-            wp = finetune_problem(spec, layer, "w", x, stack)
-            stack.set_w(layer, apg_solve(stack.w[layer - 1], wp, cfg.inner_stop))
-            hp = finetune_problem(spec, layer, "h", x, stack)
-            stack.set_h(layer, apg_solve(stack.h[layer - 1], hp, cfg.inner_stop))
-        cur = finetune_objective(spec, x, stack)
-        sweeps += 1
+        cur = sweep()
+        if cur is None:
+            stalled = True
+            break
         trace.append(cur)
         if cur > trace[-2] * (1.0 + 1e-10) + floor:
             raise InternalError(
@@ -160,9 +156,32 @@ def finetune(spec, x, stack, cfg=TrainConfig()):
                 "Lipschitz constant is wrong")
         if _rel_change(trace[-2], cur) < cfg.rel_obj_tol or cur <= floor:
             break
-    report = TrainReport(objective_trace=trace, final_objective=trace[-1],
-                         sweeps_used=sweeps)
-    return stack, report
+    return TrainReport(objective_trace=trace, final_objective=trace[-1],
+                       sweeps_used=len(trace) - 1, stalled=stalled)
+
+
+def finetune(spec, x, stack, cfg=TrainConfig()):
+    """Whole-system sweeps over the pretrained stack (linear models).
+
+    Each sweep visits layers bottom-up, updating W_l then H_l with block
+    solves that stop at ``cfg.inner_stop`` (its relative tolerance or, for
+    most fine-tune blocks, its iteration cap); every subproblem is built
+    from the current factors. A linear sweep never stalls. Stops as
+    :func:`_sweeps` describes.
+    """
+    x = as_matrix(x, "x")
+    check_nonneg(x, "x")
+    stack = stack.copy()
+
+    def sweep():
+        for layer in range(1, spec.depth + 1):
+            wp = finetune_problem(spec, layer, "w", x, stack)
+            stack.w[layer - 1] = apg_solve(stack.w[layer - 1], wp, cfg.inner_stop)
+            hp = finetune_problem(spec, layer, "h", x, stack)
+            stack.h[layer - 1] = apg_solve(stack.h[layer - 1], hp, cfg.inner_stop)
+        return finetune_objective(spec, x, stack)
+
+    return stack, _sweeps(x, cfg, finetune_objective(spec, x, stack), sweep)
 
 
 def fit(spec, x, cfg=TrainConfig()):

@@ -167,10 +167,9 @@ def nmi_oracle(labels_a, labels_b, log=math.log):
     return num / den
 
 
-def er_oracle(labels_a, labels_b, literal_root=True):
+def er_oracle(labels_a, labels_b):
     """Pairwise co-membership disagreement: the Frobenius norm of the
-    co-membership difference, with the literal outer root unless
-    ``literal_root`` is False."""
+    co-membership difference, with the literal outer root."""
     labels_a = list(labels_a)
     labels_b = list(labels_b)
     n = len(labels_a)
@@ -180,8 +179,7 @@ def er_oracle(labels_a, labels_b, literal_root=True):
             za = 1.0 if labels_a[i] == labels_a[j] else 0.0
             zb = 1.0 if labels_b[i] == labels_b[j] else 0.0
             sq += (zb - za) ** 2
-    frob = math.sqrt(sq)
-    return math.sqrt(frob) if literal_root else frob
+    return math.sqrt(math.sqrt(sq))
 
 
 def np_oracle(labels_a, labels_b):

@@ -306,7 +306,7 @@ def test_criterion_10_reductions():
 
     # Identity-activation chain gradients collapse onto the linear ones.
     stack = random_stack(rng, 6, (4, 3), 8)
-    stack.set_h(1, stack.w[1] @ stack.h[1])
+    stack.h[0] = stack.w[1] @ stack.h[1]
     xx = rng.uniform(0.1, 1.0, size=(6, 8))
     nl = make_spec("sdnmf_rl2", (4, 3), mu=0.2, lam=0.3,
                    activation="identity", projection_mode="hidden")
@@ -333,9 +333,9 @@ def test_criterion_11_determinism_across_runs_and_threads(tmp_path, monkeypatch)
                               rel_obj_tol=1e-7),
             eval=EvalConfig(kmeans_restarts=2, model_reps=2, kmeans_reps=2,
                             seed=42),
-            data={"kind": "planted_linear", "rows": "12", "cols": "30",
-                  "layer_sizes": "4,2", "classes": "2", "noise": "0.01",
-                  "seed": "8"},
+            data={"kind": "planted_linear", "rows": 12, "cols": 30,
+                  "layer_sizes": (4, 2), "classes": 2, "noise": 0.01,
+                  "seed": 8},
             output_dir=str(tmp_path / f"out{run}"),
             sweep=SweepAxes(mu=(0.0, 0.1)),
         )

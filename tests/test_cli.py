@@ -102,6 +102,16 @@ class TestExitCodes:
         assert code == EXIT_DATA
         assert str(cfg) in err and "model." in err
 
+    @pytest.mark.parametrize("line", ["data.rows = abc", "data.layer_sizes = 6,x",
+                                      "data.noise = lots", "data.seed = 1.5"])
+    def test_malformed_data_key_is_data_error(self, capsys, tmp_path, line):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("data.kind = planted_linear\nmodel.layer_sizes = 4,2\n"
+                       f"{line}\n")
+        code, _, err = run(capsys, "sweep", "--config", str(cfg))
+        assert code == EXIT_DATA
+        assert str(cfg) in err and line.split(" =")[0] in err
+
     @pytest.mark.parametrize("flags", [("--layers", "4,x"),
                                        ("--layers", "4", "--mu", "abc"),
                                        ("--layers", "4", "--lambda", "1,,2")])

@@ -16,9 +16,9 @@ def tiny_config(tmp_path, **overrides):
         model=make_spec("sdnmf_l", (4, 2), mu=0.1),
         train=FAST_TRAIN,
         eval=EvalConfig(kmeans_restarts=2, model_reps=2, kmeans_reps=2, seed=5),
-        data={"kind": "planted_linear", "rows": "10", "cols": "24",
-              "layer_sizes": "4,2", "classes": "2", "noise": "0.01",
-              "seed": "3"},
+        data={"kind": "planted_linear", "rows": 10, "cols": 24,
+              "layer_sizes": (4, 2), "classes": 2, "noise": 0.01,
+              "seed": 3},
         output_dir=str(tmp_path / "out"),
     )
     kwargs.update(overrides)

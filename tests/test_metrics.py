@@ -97,10 +97,6 @@ class TestErrorRate:
     def test_worked_example(self):
         assert error_rate(OBT, REF) == pytest.approx(ER_EXPECTED, rel=1e-12)
 
-    def test_literal_root_knob(self):
-        assert error_rate(OBT, REF, literal_root=False) == pytest.approx(
-            math.sqrt(6.0), rel=1e-12)
-
     def test_relabeling_invariance(self):
         relabeled = Partition(1 - OBT.labels, 2)
         assert error_rate(relabeled, REF) == error_rate(OBT, REF)
@@ -108,8 +104,7 @@ class TestErrorRate:
     def test_symmetric(self):
         assert error_rate(OBT, REF) == error_rate(REF, OBT)
 
-    @pytest.mark.parametrize("literal_root", [True, False])
-    def test_equals_oracle_exactly(self, rng, literal_root):
+    def test_equals_oracle_exactly(self, rng):
         pairs = [([1, 1, 2, 2], [1, 2, 2, 2])]
         for n in range(1, 7):
             parts = canonical_partitions(n, 3)
@@ -118,9 +113,8 @@ class TestErrorRate:
             pairs.append((rng.integers(0, 4, size=60).tolist(),
                           rng.integers(0, 6, size=60).tolist()))
         for la, lb in pairs:
-            assert error_rate(from_labels(la), from_labels(lb),
-                              literal_root=literal_root) == er_oracle(
-                la, lb, literal_root=literal_root)
+            assert error_rate(from_labels(la), from_labels(lb)) == er_oracle(
+                la, lb)
 
     def test_memory_does_not_grow_with_sample_pairs(self, rng):
         n = 20_000

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from deepnmf import (FactorStack, InternalError, InvalidInputError, VARIANTS,
+from deepnmf import (FactorStack, InvalidInputError, VARIANTS,
                      finetune_objective, finetune_problem, make_spec,
                      objective, pretrain_problem, reconstruct, reconstruct_h)
-from deepnmf.models import ModelSpec
+from deepnmf.models import ModelSpec, chain_objective, unroll
 
 from _oracles import central_diff
 
@@ -202,7 +202,7 @@ class TestFinetuneProblems:
 
             def full(w_val, _layer=layer):
                 probe = stack.copy()
-                probe.set_w(_layer, w_val)
+                probe.w[_layer - 1] = w_val
                 return finetune_objective(spec, x, probe)
 
             fd = central_diff(full, stack.w[layer - 1])
@@ -226,20 +226,27 @@ class TestFinetuneProblems:
                 rhs = problem.lipschitz * np.linalg.norm(a - b)
                 assert lhs <= rhs * (1 + 1e-9)
 
-    def test_stale_basis_cache_raises(self, rng):
+    def test_nonconforming_stack_rejected(self, rng):
         spec = make_spec("dnmf", (4, 2))
         stack = random_stack(rng, 6, (4, 2), 8)
         x = rng.uniform(0.1, 1.0, size=(6, 8))
-        stack.basis_product(2)
-        stack.w[0] = rng.uniform(0.1, 1.0, size=(6, 5))  # bypasses set_w
-        with pytest.raises((InternalError, InvalidInputError)):
-            finetune_problem(spec, 2, "h", x, stack)
+        stack.w[0] = rng.uniform(0.1, 1.0, size=(6, 5))
+        for role in ("w", "h"):
+            with pytest.raises(InvalidInputError, match="spec size 4"):
+                finetune_problem(spec, 2, role, x, stack)
+        with pytest.raises(InvalidInputError, match="spec size 4"):
+            finetune_objective(spec, x, stack)
 
-    def test_basis_cache_matches_recomputation(self, rng):
+    def test_basis_product_multiplies_left_to_right(self, rng):
         stack = random_stack(rng, 6, (4, 3, 2), 8)
-        prod = stack.basis_product(3)
-        direct = stack.w[0] @ stack.w[1] @ stack.w[2]
-        assert (np.linalg.norm(prod - direct) / np.linalg.norm(direct)) <= 1e-12
+        assert stack.basis_product(0) is None
+        assert stack.basis_product(1) is stack.w[0]
+        np.testing.assert_array_equal(stack.basis_product(3),
+                                      (stack.w[0] @ stack.w[1]) @ stack.w[2])
+        # Factors are plain list entries: a product sees an assignment at once.
+        stack.w[1] = rng.uniform(0.1, 1.0, size=(4, 3))
+        np.testing.assert_array_equal(stack.basis_product(2),
+                                      stack.w[0] @ stack.w[1])
 
 
 class TestReconstruction:
@@ -255,6 +262,34 @@ class TestReconstruction:
         np.testing.assert_allclose(reconstruct(spec, stack),
                                    stack.w[0] @ stack.w[1] @ stack.w[2] @ stack.h[2],
                                    atol=1e-14)
+
+    @pytest.mark.parametrize("activation", ["linear", "root", "tanh"])
+    def test_reconstruct_h_is_the_full_chain(self, rng, activation):
+        spec = make_spec("dnmf", (4, 3, 2), activation=activation)
+        stack = random_stack(rng, 6, (4, 3, 2), 5)
+        pre, fresh = unroll(spec, stack.w, stack.h[-1])
+        for layer in (1, 2, 3):
+            np.testing.assert_array_equal(reconstruct_h(spec, stack, layer),
+                                          fresh[layer - 1])
+        np.testing.assert_array_equal(reconstruct(spec, stack), pre[0])
+        # Stopping at a layer forms no product below it.
+        pre2, fresh2 = unroll(spec, stack.w, stack.h[-1], stop=2)
+        assert pre2[:2] == [None, None] and fresh2[0] is None
+
+    def test_identity_chain_equals_linear_chain(self, rng):
+        sizes = (4, 3, 2)
+        stack = random_stack(rng, 6, sizes, 5)
+        x = rng.uniform(0.1, 1.0, size=(6, 5))
+        lin = make_spec("sdnmf_rl2", sizes, mu=0.2, lam=0.3)
+        ident = make_spec("sdnmf_rl2", sizes, mu=0.2, lam=0.3,
+                          activation="identity", projection_mode="hidden")
+        for a, b in zip(unroll(lin, stack.w, stack.h[-1]),
+                        unroll(ident, stack.w, stack.h[-1])):
+            for ma, mb in zip(a, b):
+                np.testing.assert_array_equal(ma, mb)
+        assert (chain_objective(lin, x, stack.w, stack.h[-1])
+                == chain_objective(ident, x, stack.w, stack.h[-1])
+                == finetune_objective(lin, x, stack))
 
     def test_nonlinear_reconstruction_applies_inverse(self, rng):
         spec = make_spec("dnmf", (4, 3), activation="root")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from deepnmf import (FactorStack, InvalidInputError, StopRule, TrainConfig,
-                     apply_activation, basis_gradient, finetune, finetune_problem,
+                     apply_activation, basis_gradient, finetune, finetune_problem, fit,
                      get_activation, make_spec, nonlinear_finetune,
                      nonlinear_objective, pretrain,
                      representation_gradient, synth_generate)
@@ -110,7 +110,7 @@ class TestGradients:
         sizes = (4, 3)
         stack = random_stack(rng, 6, sizes, 8)
         # Make the stored hidden representation consistent with the chain.
-        stack.set_h(1, stack.w[1] @ stack.h[1])
+        stack.h[0] = stack.w[1] @ stack.h[1]
         x = rng.uniform(0.1, 1.0, size=(6, 8))
         nl = make_spec("sdnmf_rl2", sizes, mu=0.2, lam=0.3,
                        activation="identity", projection_mode="hidden")
@@ -196,6 +196,21 @@ class TestNonlinearFinetune:
         trace = np.asarray(report.objective_trace)
         assert trace[-1] <= trace[0]
         assert np.all(trace[1:] <= trace[:-1] * (1 + 1e-10) + 1e-12)
+
+    def test_clipped_hidden_representation_keeps_descent(self):
+        # At this data scale the chain's first representation g_inv(W_2 H_2)
+        # is partly negative, so the stored H_1 is clipped; W_1's block must
+        # fit the unclipped chain the objective reconstructs through, or the
+        # trace rises (2.7048 -> 2.9115 at sweep 1).
+        bundle = synth_generate("planted_linear", 0, rows=30, cols=80,
+                                layer_sizes=(10, 5), classes=4, noise=0.05)
+        spec = make_spec("sdnmf_l", (10, 5), mu=0.05, activation="softplus",
+                         projection_mode="hidden")
+        _, report = fit(spec, bundle.x * 0.05,
+                        TrainConfig(StopRule(100, 1e-4), max_sweeps=30))
+        trace = report.objective_trace
+        assert not report.stalled and report.sweeps_used >= 2
+        assert all(b <= a for a, b in zip(trace, trace[1:]))
 
     def test_factors_stay_nonneg(self, rng):
         x = rng.uniform(0.1, 1.0, size=(8, 15))

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from deepnmf import (ApgProblem, InvalidInputError, StopRule, TrainConfig,
-                     VARIANTS, apg_solve, finetune,
+from deepnmf import (ApgProblem, InternalError, InvalidInputError, StopRule,
+                     TrainConfig, VARIANTS, apg_solve, finetune,
                      finetune_objective, fit, make_spec, nnsvd_init, pretrain)
+from deepnmf.train import _sweeps
 
 PEN = {
     "dnmf": {},
@@ -163,10 +164,28 @@ class TestFinetune:
         for variant in VARIANTS:
             spec = make_spec(variant, (4, 2), **PEN[variant])
             stack, _ = fit(spec, x, FAST)
-            assert stack.max_entry() <= 1e6 * max(x.max(), 1.0)
+            assert max(m.max() for m in stack.w + stack.h) <= 1e6 * max(x.max(), 1.0)
 
     def test_report_carries_pretrain_objectives(self, rng):
         x = rng.uniform(0.0, 1.0, size=(8, 12))
         _, report = fit(make_spec("dnmf", (3, 2)), x, FAST)
         assert len(report.per_layer_pretrain_objectives) == 2
         assert all(np.isfinite(v) for v in report.per_layer_pretrain_objectives)
+
+
+class TestSweepLoop:
+    X = np.ones((3, 4))
+
+    def test_rising_sweep_raises(self):
+        values = iter([0.9, 1.2])
+        with pytest.raises(InternalError, match="rose from 0.9 to 1.2"):
+            _sweeps(self.X, TrainConfig(max_sweeps=5), 1.0, lambda: next(values))
+
+    def test_stalled_sweep_counts_only_complete_sweeps(self):
+        values = iter([0.9, 0.5, None])
+        report = _sweeps(self.X, TrainConfig(max_sweeps=5), 1.0,
+                         lambda: next(values))
+        assert report.stalled
+        assert report.sweeps_used == 2
+        assert report.objective_trace == [1.0, 0.9, 0.5]
+        assert report.final_objective == 0.5
