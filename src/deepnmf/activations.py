@@ -95,10 +95,3 @@ def get_activation(tag):
         raise InvalidInputError(
             f"unknown activation {tag!r}; choose from {sorted(ACTIVATIONS)}"
         ) from None
-
-
-def apply_activation(act, h):
-    """Elementwise forward map; preserves shape and nonnegativity."""
-    if isinstance(act, str):
-        act = get_activation(act)
-    return act.g(np.asarray(h, dtype=np.float64))

@@ -75,12 +75,6 @@ class ApgProblem:
                      + self.const)
 
 
-def projected_grad_norm(v, g):
-    """KKT residual: Frobenius norm of the gradient restricted to entries
-    that are either negative or sit at a strictly positive variable."""
-    return kernels.kkt_norm(v, g)
-
-
 def _check_initial(initial, problem):
     initial = np.ascontiguousarray(initial, dtype=np.float64)
     if initial.shape != problem.lin.shape:

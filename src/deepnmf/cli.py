@@ -15,7 +15,8 @@ import numpy as np
 
 from .apg import StopRule
 from .dataio import (load_bundle, load_factors, load_labels, parse_sizes,
-                     parse_weights, save_bundle, save_factors, save_labels)
+                     parse_weights, positive_int, save_bundle, save_factors,
+                     save_labels)
 from .errors import DataFormatError, InvalidInputError, NumericalError
 from .experiment import _derived_seed, parse_config, run_experiment
 from .metrics import error_rate, kmeans, naive_precision, nmi
@@ -74,10 +75,10 @@ def _build_parser():
     p.add_argument("--factors", required=True)
     p.add_argument("--labels", default=None,
                    help="label file (default: labels.csv inside --factors)")
-    p.add_argument("--k", type=int, default=None)
+    p.add_argument("--k", type=positive_int, default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--restarts", type=int, default=5)
-    p.add_argument("--reps", type=int, default=5)
+    p.add_argument("--restarts", type=positive_int, default=5)
+    p.add_argument("--reps", type=positive_int, default=5)
 
     p = sub.add_parser("sweep", help="run an experiment config file")
     p.add_argument("--config", required=True)
@@ -85,7 +86,7 @@ def _build_parser():
     p = sub.add_parser("inspect", help="factor stats and feature drill-down")
     p.add_argument("--factors", required=True)
     p.add_argument("--class", dest="class_id", type=int, default=None)
-    p.add_argument("--top", type=int, default=5)
+    p.add_argument("--top", type=positive_int, default=5)
     return parser
 
 
@@ -214,10 +215,7 @@ def cli_main(argv=None):
         return EXIT_USAGE
     try:
         return _COMMANDS[args.command](args)
-    except (DataFormatError, FileNotFoundError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except InvalidInputError as exc:
+    except (DataFormatError, InvalidInputError, FileNotFoundError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except NumericalError as exc:

@@ -204,6 +204,14 @@ def parse_sizes(raw):
     return tuple(int(v) for v in raw.split(","))
 
 
+def positive_int(raw):
+    """A count that must be a positive integer; ValueError otherwise."""
+    value = int(raw)
+    if value < 1:
+        raise ValueError(f"must be a positive integer, got {value}")
+    return value
+
+
 def parse_weights(raw):
     """Comma-separated penalty weights: one number as a float (broadcast
     over the layers by :func:`deepnmf.models.make_spec`), several as a

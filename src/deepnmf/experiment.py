@@ -27,7 +27,7 @@ import numpy as np
 
 from .apg import StopRule
 from .dataio import (load_bundle, parse_entry, parse_sizes, parse_weights,
-                     read_flat_config, save_factors)
+                     positive_int, read_flat_config, save_factors)
 from .errors import DataFormatError, InvalidInputError
 from .metrics import error_rate, kmeans, naive_precision, nmi
 from .models import ModelSpec, make_spec
@@ -40,11 +40,11 @@ RECORD_FIELDS = (
     "final_objective", "sweeps_used", "wall_ms", "error",
 )
 _STAT_NAMES = ("mean", "std", "min", "max")
-# Parsers of the typed ``data.*`` config keys; the others stay strings.
-_DATA_PARSERS = {"rows": int, "cols": int, "classes": int, "seed": int,
-                 "layer_sizes": parse_sizes, "noise": float, "separation": float}
-_SYNTH_KEYS = ("rows", "cols", "classes", "layer_sizes", "noise", "separation",
-               "activation")
+# The ``data.*`` config keys and their parsers. Besides ``path``, ``kind``
+# and ``seed``, each is a keyword argument of synth_generate.
+_DATA_KEYS = {"path": str, "kind": str, "seed": int, "rows": int, "cols": int,
+              "classes": int, "layer_sizes": parse_sizes, "noise": float,
+              "separation": float, "activation": str}
 
 
 @dataclass(frozen=True)
@@ -97,6 +97,12 @@ def draw_layer_structures(seed, draws, depth, last_size, lo=50, hi=600, p=0.02):
     """
     if depth < 1:
         raise InvalidInputError(f"depth must be >= 1, got {depth}")
+    if draws < 0:
+        raise InvalidInputError(f"draws must be >= 0, got {draws}")
+    if lo > hi:
+        raise InvalidInputError(f"need lo <= hi, got lo={lo}, hi={hi}")
+    if not 0 < p <= 1:
+        raise InvalidInputError(f"p must be in (0, 1], got {p}")
     rng = np.random.default_rng([abs(int(seed)), 0x57EB])
     out = []
     for _ in range(draws):
@@ -114,7 +120,8 @@ def resolve_bundle(data):
     kind = data.get("kind")
     if not kind:
         raise InvalidInputError("config needs either data.path or data.kind")
-    kwargs = {key: data[key] for key in _SYNTH_KEYS if key in data}
+    kwargs = {key: value for key, value in data.items()
+              if key not in ("path", "kind", "seed")}
     return synth_generate(kind, data.get("seed", 0), **kwargs)
 
 
@@ -296,6 +303,15 @@ def _split_list(raw):
     return [part.strip() for part in raw.split(";") if part.strip()]
 
 
+def _structure_args(raw):
+    """The integer counts draws,depth,last[,lo,hi] and the optional float p
+    of a ``sweep.structure`` value; ValueError when malformed."""
+    parts = raw.split(",")
+    if not 3 <= len(parts) <= 6:
+        raise ValueError("needs draws,depth,last[,lo,hi,p]")
+    return [int(e) for e in parts[:5]] + [float(e) for e in parts[5:]]
+
+
 def parse_config(path):
     """Build an ExperimentConfig from a flat dotted-key config file."""
     raw = read_flat_config(path)
@@ -306,10 +322,9 @@ def parse_config(path):
             return value
         return parse_entry(path, key, value, parse)
 
-    data = {}
-    for key in [k for k in raw if k.startswith("data.")]:
-        name = key[len("data."):]
-        data[name] = pop(key, parse=_DATA_PARSERS.get(name))
+    # An unknown data key stays in ``raw`` and is reported below.
+    data = {name: pop(f"data.{name}", parse=parse)
+            for name, parse in _DATA_KEYS.items() if f"data.{name}" in raw}
 
     layer_sizes = pop("model.layer_sizes", parse=parse_sizes)
     if layer_sizes is None:
@@ -328,26 +343,20 @@ def parse_config(path):
         rel_obj_tol=pop("train.rel_obj_tol", 1e-6, float),
     )
     eval_cfg = EvalConfig(
-        kmeans_restarts=pop("eval.kmeans_restarts", 5, int),
-        model_reps=pop("eval.model_reps", 3, int),
-        kmeans_reps=pop("eval.kmeans_reps", 5, int),
+        kmeans_restarts=pop("eval.kmeans_restarts", 5, positive_int),
+        model_reps=pop("eval.model_reps", 3, positive_int),
+        kmeans_reps=pop("eval.kmeans_reps", 5, positive_int),
         seed=pop("eval.seed", 0, int),
-        k=pop("eval.k", parse=lambda v: int(v) if v else None),
+        k=pop("eval.k", parse=lambda v: positive_int(v) if v else None),
     )
 
     sweep_kwargs = {"cap": pop("sweep.cap", 512, int)}
-    parts = pop("sweep.structure",
-                parse=lambda v: [float(e) for e in v.split(",")] if v else None)
-    if parts:
-        if len(parts) < 3:
-            raise DataFormatError(
-                f"{path}: sweep.structure needs draws,depth,last[,lo,hi,p]")
-        draws, depth, last = (int(parts[0]), int(parts[1]), int(parts[2]))
-        lo = int(parts[3]) if len(parts) > 3 else 50
-        hi = int(parts[4]) if len(parts) > 4 else 600
-        p = float(parts[5]) if len(parts) > 5 else 0.02
-        sweep_kwargs["layer_sizes"] = tuple(
-            draw_layer_structures(eval_cfg.seed, draws, depth, last, lo, hi, p))
+    # draw_layer_structures raises InvalidInputError, a ValueError, so
+    # parse_entry reports an out-of-range draw count, lo/hi or p too.
+    structure = pop("sweep.structure", parse=lambda v: tuple(
+        draw_layer_structures(eval_cfg.seed, *_structure_args(v))) if v else None)
+    if structure is not None:
+        sweep_kwargs["layer_sizes"] = structure
         if raw.get("sweep.layer_sizes"):
             raise DataFormatError(
                 f"{path}: give sweep.layer_sizes or sweep.structure, not both")

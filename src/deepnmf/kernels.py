@@ -33,6 +33,14 @@ DIVERGED = 2
 NONFINITE = 3
 
 
+def roundoff_slack(const):
+    """Absolute change of a block objective that carries the constant
+    ``const`` (half the squared norm of its fit target) and is still
+    roundoff: the objective is a difference of terms of that size, so
+    values this close together are indistinguishable."""
+    return 2.5e-14 * (1.0 + abs(const))
+
+
 def _contiguous_or_none(m):
     """Operator factor as a C-contiguous array; None (an identity) stays."""
     return None if m is None else np.ascontiguousarray(m)
@@ -143,7 +151,7 @@ def apg_quad_solve(v0, left, right, lin, colsum_w, ridge, obj_const,
     f0 = 0.5 * (_inner(v0, g) + _inner(v0, lin)) + obj_const
     # Objectives this close to zero are roundoff of the constant term; the
     # divergence test must not fire on their noise.
-    div_floor = 2.5e-14 * (1.0 + abs(obj_const))
+    div_floor = roundoff_slack(obj_const)
     if r0 == 0.0:
         return v0.copy(), 0, CONVERGED, 0.0, f0
 

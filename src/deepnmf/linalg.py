@@ -33,12 +33,6 @@ def check_nonneg(m, name="matrix"):
     return m
 
 
-def project_nonneg(m):
-    """Entrywise projection onto the nonnegative orthant: max(m, 0)."""
-    m = as_matrix(m)
-    return np.maximum(m, 0.0)
-
-
 def frobenius_sq(m):
     """Sum of squared entries."""
     r = np.asarray(m, dtype=np.float64).ravel()

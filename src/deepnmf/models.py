@@ -207,16 +207,16 @@ class FactorStack:
         return FactorStack([m.copy() for m in self.w], [m.copy() for m in self.h])
 
 
-def unroll(spec, w, h_last, stop=0):
+def unroll(activation, w, h_last, stop=0):
     """Unroll the chain from H_L down to 1-based layer ``stop`` (0: down to
-    the data).
+    the data), through the inverse of the ``activation`` tag.
 
     Returns (pre, fresh): ``fresh[i]`` is layer i+1's representation, H_L at
-    the top and g_inv(pre[i+1]) below it (pre[i+1] itself when linear), and
-    ``pre[i] = w[i] @ fresh[i]``, so ``pre[0]`` reconstructs the data.
+    the top and g_inv(pre[i+1]) below it (pre[i+1] itself for ``linear``),
+    and ``pre[i] = w[i] @ fresh[i]``, so ``pre[0]`` reconstructs the data.
     Entries below ``stop`` stay None and are never computed.
     """
-    act = None if spec.activation == "linear" else get_activation(spec.activation)
+    act = None if activation == "linear" else get_activation(activation)
     L = len(w)
     pre = [None] * L
     fresh = [None] * L
@@ -234,12 +234,13 @@ def reconstruct_h(spec, stack, layer):
     L = stack.depth
     if not 1 <= layer <= L:
         raise InvalidInputError(f"layer {layer} out of range 1..{L}")
-    return unroll(spec, stack.w, stack.h[L - 1], stop=layer)[1][layer - 1]
+    return unroll(spec.activation, stack.w, stack.h[L - 1],
+                  stop=layer)[1][layer - 1]
 
 
 def reconstruct(spec, stack):
     """Model reconstruction of the data matrix from the stack."""
-    return unroll(spec, stack.w, stack.h[-1])[0][0]
+    return unroll(spec.activation, stack.w, stack.h[-1])[0][0]
 
 
 def _colsum_sq(m):
@@ -282,7 +283,7 @@ def chain_objective(spec, x, w, h_last):
     """Misfit of the chain unrolled from basis factors ``w`` and ``h_last``,
     plus every basis penalty and the final-representation penalty: the
     objective both fine-tuning paths decrease."""
-    val = 0.5 * frobenius_sq(x - unroll(spec, w, h_last)[0][0])
+    val = 0.5 * frobenius_sq(x - unroll(spec.activation, w, h_last)[0][0])
     for l, w_l in enumerate(w, start=1):
         val = add_layer_penalty(val, spec, l, w=w_l)
     return add_layer_penalty(val, spec, len(w), h=h_last)

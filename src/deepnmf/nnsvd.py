@@ -6,17 +6,10 @@ up to sign and is used as-is; every later triplet is split into its positive
 and negated-negative parts and the dominant pair is kept.
 """
 
-from typing import NamedTuple
-
 import numpy as np
 
 from .errors import InvalidInputError
 from .linalg import as_matrix, check_nonneg
-
-
-class InitPair(NamedTuple):
-    w: np.ndarray  # m x k
-    h: np.ndarray  # k x n
 
 
 def nnsvd_init(x, k):
@@ -34,7 +27,8 @@ def nnsvd_init(x, k):
         k: target rank, 1 <= k <= min(m, n).
 
     Returns:
-        InitPair(w, h) with w >= 0, h >= 0, bit-reproducible for fixed input.
+        (w, h), m x k and k x n, with w >= 0, h >= 0, bit-reproducible for
+        fixed input.
     """
     x = as_matrix(x, "x")
     check_nonneg(x, "x")
@@ -84,4 +78,4 @@ def nnsvd_init(x, k):
             w[:, j] = fill
             h[j, :] = fill
 
-    return InitPair(w, h)
+    return w, h

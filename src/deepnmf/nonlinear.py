@@ -16,7 +16,8 @@ updated by projected gradient descent with Armijo backtracking. The first
 basis factor keeps its convex block, a fit of the data against the chain's
 first representation, and is still solved by the accelerated method, to
 the same stop rule as the linear path (relative tolerance or iteration
-cap). The stored hidden representations are the chain's, clipped at zero.
+cap). No step reads the stored hidden representations, so they are set
+once, after the last sweep: the final chain's, clipped at zero.
 """
 
 import numpy as np
@@ -40,7 +41,7 @@ _STEP_CAP = 1e12
 nonlinear_objective = chain_objective
 
 
-def _backward_chain(spec, x, w, pre, fresh):
+def _backward_chain(spec, x, w, pre):
     """Residual chain: returns (per-layer upstream gradients, per-layer
     elementwise factors). ``up[i]`` is the objective gradient with respect to
     layer (i+1)'s representation slot before penalties."""
@@ -67,8 +68,8 @@ def representation_gradient(spec, x, stack):
     """
     x = as_matrix(x, "x")
     _check_conformance(spec, x, stack)
-    pre, fresh = unroll(spec, stack.w, stack.h[-1])
-    up, _ = _backward_chain(spec, x, stack.w, pre, fresh)
+    pre, _ = unroll(spec.activation, stack.w, stack.h[-1])
+    up, _ = _backward_chain(spec, x, stack.w, pre)
     g = up[-1]
     colsum, ridge = spec.h_weights(spec.depth)
     if colsum:
@@ -86,8 +87,8 @@ def basis_gradient(spec, x, stack, layer):
             f"basis gradients cover layers 2..{spec.depth}, got {layer}")
     x = as_matrix(x, "x")
     _check_conformance(spec, x, stack)
-    pre, fresh = unroll(spec, stack.w, stack.h[-1])
-    _, elem = _backward_chain(spec, x, stack.w, pre, fresh)
+    pre, fresh = unroll(spec.activation, stack.w, stack.h[-1])
+    _, elem = _backward_chain(spec, x, stack.w, pre)
     g = elem[layer - 1] @ fresh[layer - 1].T
     mu = spec.w_weight(layer)
     if mu:
@@ -120,13 +121,13 @@ def nonlinear_finetune(spec, x, stack, cfg=TrainConfig()):
 
     Each sweep: one backtracked projected-gradient step on the final
     representation, one on every basis factor above the first (bottom-up),
-    a refresh of the hidden representations from the unrolled chain, then
-    an accelerated solve of the first basis factor's convex block, stopped
-    by ``cfg.inner_stop``. Accepted steps never increase the objective; a
-    block whose backtracking stalls ends the run with the ``stalled`` flag
-    set. Each step starts from the objective the previous one returned, so
-    no step re-evaluates it at its starting point. Stops as
-    :func:`deepnmf.train._sweeps` describes.
+    then an accelerated solve of the first basis factor's convex block,
+    stopped by ``cfg.inner_stop``. Accepted steps never increase the
+    objective; a block whose backtracking stalls ends the run with the
+    ``stalled`` flag set. Each step starts from the objective the previous
+    one returned, so no step re-evaluates it at its starting point. Stops
+    as :func:`deepnmf.train._sweeps` describes. The hidden representations
+    are then set from the final chain, also after a stall.
     """
     if spec.activation == "linear":
         raise InvalidInputError("nonlinear_finetune requires a nonlinear activation")
@@ -165,16 +166,17 @@ def nonlinear_finetune(spec, x, stack, cfg=TrainConfig()):
             stack.w[l - 1] = new_w
 
         # W_1's block fits the chain's own first representation, which the
-        # objective reconstructs through. The stored hidden factors are that
-        # chain clipped at zero; the clip engages only where the inverse
-        # goes negative (sigmoid below 1/2, softplus below log 2).
-        _, fresh = unroll(spec, stack.w, stack.h[-1])
-        for l in range(1, L):
-            stack.h[l - 1] = np.maximum(fresh[l - 1], 0.0)
-
+        # objective reconstructs through, unclipped.
+        fresh = unroll(spec.activation, stack.w, stack.h[-1], stop=1)[1]
         problem = pretrain_problem(spec, 1, "w", x, stack.w[0], fresh[0])
         stack.w[0] = apg_solve(stack.w[0], problem, cfg.inner_stop)
         obj = nonlinear_objective(spec, x, stack.w, stack.h[-1])
         return obj
 
-    return stack, _sweeps(x, cfg, obj, sweep)
+    report = _sweeps(x, cfg, obj, sweep)
+    # The stored hidden factors are the final chain clipped at zero; the clip
+    # engages only where the inverse goes negative (sigmoid below 1/2,
+    # softplus below log 2). The chain does not involve W_1.
+    fresh = unroll(spec.activation, stack.w, stack.h[-1], stop=1)[1]
+    stack.h[:-1] = [np.maximum(f, 0.0) for f in fresh[:-1]]
+    return stack, report

@@ -9,6 +9,9 @@ Three kinds, all deterministic for a fixed seed:
   the inverse activation between layers.
 * ``blobs`` - Gaussian clusters around well-separated nonnegative centers,
   clipped to the nonnegative orthant.
+
+Both planted kinds form their noise-free data with the model's own chain,
+:func:`deepnmf.models.unroll`.
 """
 
 import numpy as np
@@ -17,6 +20,7 @@ from .activations import get_activation
 from .dataio import DatasetBundle
 from .errors import InvalidInputError
 from .metrics import Partition
+from .models import unroll
 
 KINDS = ("planted_linear", "planted_nonlinear", "blobs")
 
@@ -83,16 +87,9 @@ def synth_generate(kind, seed, *, rows=30, cols=100, layer_sizes=(10, 5),
         raise InvalidInputError(
             f"layer sizes {layer_sizes} do not fit under {rows} rows")
     ws, h_last, labels = _planted_factors(rng, rows, layer_sizes, classes, cols)
-
-    if kind == "planted_linear":
-        x = h_last
-        for w in reversed(ws):
-            x = w @ x
-    else:
-        act = get_activation(activation)
-        x = ws[-1] @ h_last
-        for w in reversed(ws[:-1]):
-            x = w @ act.inverse(x)
+    # get_activation rejects "linear" for the nonlinear kind.
+    tag = "linear" if kind == "planted_linear" else get_activation(activation).tag
+    x = unroll(tag, ws, h_last)[0][0]
     if noise > 0:
         x = x + np.abs(rng.normal(0.0, noise, size=x.shape))
     return DatasetBundle(x=np.maximum(x, 0.0), labels=Partition(labels, classes),

@@ -11,17 +11,20 @@ its starting value or at ``inner_stop.max_iters`` iterations, and most
 fine-tune solves stop at that cap. Every block solve is monotone, so the
 recorded objective trace never increases.
 
-Both fine-tuning paths, :func:`finetune` and
-:func:`deepnmf.nonlinear.nonlinear_finetune`, decrease
-:func:`deepnmf.models.chain_objective` in one outer loop, :func:`_sweeps`.
+Every training phase alternates in one outer loop, :func:`_sweeps`: each
+pretraining layer on :func:`layer_objective`, and both fine-tuning paths,
+:func:`finetune` and :func:`deepnmf.nonlinear.nonlinear_finetune`, on
+:func:`deepnmf.models.chain_objective`. Its trace starts at the objective
+of the starting factors, and it treats a rise beyond roundoff as an
+internal error.
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .activations import get_activation
+from . import kernels
 from .apg import StopRule, apg_solve
 from .errors import InternalError, InvalidInputError
 from .linalg import as_matrix, check_nonneg, frobenius_sq
@@ -70,7 +73,7 @@ def _rel_change(prev, cur):
 def _noise_floor(x):
     """Absolute objective level indistinguishable from float64 roundoff of a
     squared-error sum over ``x``-sized data; values below it count as zero
-    for stopping and monotonicity purposes."""
+    for stopping."""
     scale = np.finfo(np.float64).eps * max(1.0, float(np.abs(x).max()))
     return 100.0 * x.size * scale * scale
 
@@ -83,23 +86,22 @@ def layer_objective(spec, layer, h_prev, w, h):
 
 
 def _pretrain_layer(spec, layer, h_input, cfg):
-    """NNSVD seed plus alternating block solves (to ``cfg.inner_stop``) for
-    one layer."""
+    """NNSVD seed plus H-then-W block solves (to ``cfg.inner_stop``) for one
+    layer, alternated by :func:`_sweeps`. Returns (w, h, trace); the trace
+    starts at the seed's objective."""
     w, h = nnsvd_init(h_input, spec.layer_sizes[layer - 1])
-    floor = _noise_floor(h_input)
-    trace = []
-    prev = math.inf
-    for _ in range(cfg.max_sweeps):
+
+    def sweep():
+        nonlocal w, h
         hp = pretrain_problem(spec, layer, "h", h_input, w, h)
         h = apg_solve(h, hp, cfg.inner_stop)
         wp = pretrain_problem(spec, layer, "w", h_input, w, h)
         w = apg_solve(w, wp, cfg.inner_stop)
-        cur = layer_objective(spec, layer, h_input, w, h)
-        trace.append(cur)
-        if _rel_change(prev, cur) < cfg.rel_obj_tol or cur <= floor:
-            break
-        prev = cur
-    return w, h, trace
+        return layer_objective(spec, layer, h_input, w, h)
+
+    report = _sweeps(h_input, cfg, layer_objective(spec, layer, h_input, w, h),
+                     sweep)
+    return w, h, report.objective_trace
 
 
 def pretrain(spec, x, cfg=TrainConfig(), full_output=False):
@@ -110,7 +112,8 @@ def pretrain(spec, x, cfg=TrainConfig(), full_output=False):
     stack keeps the solved factor), and projection mode ``all`` also passes
     the final representation through it.
 
-    With ``full_output=True`` also returns the per-layer objective traces.
+    With ``full_output=True`` also returns the per-layer objective traces;
+    each starts at the layer objective of its NNSVD seed.
     """
     x = as_matrix(x, "x")
     check_nonneg(x, "x")
@@ -132,7 +135,7 @@ def pretrain(spec, x, cfg=TrainConfig(), full_output=False):
 
 
 def _sweeps(x, cfg, obj0, sweep):
-    """The outer fine-tuning loop shared by both paths.
+    """The outer loop of every training phase, fitting ``x``.
 
     ``obj0`` is the objective of the starting factors; ``sweep()`` updates
     the factors once and returns the new objective, or None when a step
@@ -140,8 +143,14 @@ def _sweeps(x, cfg, obj0, sweep):
     leaves that incomplete sweep out of ``sweeps_used``. Stops when the
     relative change drops below ``cfg.rel_obj_tol``, the objective reaches
     the noise floor of ``x``, or at ``cfg.max_sweeps``.
+
+    A rise counts as an error only beyond the roundoff of the block
+    objectives that the solves decrease: each carries the constant
+    0.5*||x||^2, so its monotonicity holds up to
+    :func:`deepnmf.kernels.roundoff_slack` of that constant.
     """
     floor = _noise_floor(x)
+    slack = kernels.roundoff_slack(0.5 * frobenius_sq(x))
     trace = [obj0]
     stalled = False
     for _ in range(cfg.max_sweeps):
@@ -150,7 +159,7 @@ def _sweeps(x, cfg, obj0, sweep):
             stalled = True
             break
         trace.append(cur)
-        if cur > trace[-2] * (1.0 + 1e-10) + floor:
+        if cur > trace[-2] * (1.0 + 1e-10) + slack:
             raise InternalError(
                 f"objective rose from {trace[-2]} to {cur}; a gradient or "
                 "Lipschitz constant is wrong")
@@ -197,6 +206,5 @@ def fit(spec, x, cfg=TrainConfig()):
         from .nonlinear import nonlinear_finetune
 
         stack, report = nonlinear_finetune(spec, x, stack, cfg)
-    report.per_layer_pretrain_objectives = [t[-1] if t else math.nan
-                                            for t in layer_traces]
+    report.per_layer_pretrain_objectives = [t[-1] for t in layer_traces]
     return stack, report

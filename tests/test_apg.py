@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from deepnmf import (ApgProblem, InvalidInputError, NumericalError, StopRule,
-                     apg_solve, kernels, projected_grad_norm)
+                     apg_solve, kernels)
 
 from _oracles import plain_pg_quad, quad_objective, two_application_apg
 
@@ -69,7 +69,7 @@ class TestApgSolve:
         assert info["rel_residual"] <= 1e-6
         # KKT at the tolerance scale: interior entries have near-zero
         # gradient, boundary entries need nonnegative gradient.
-        bound = 1e-6 * projected_grad_norm(h0, problem.grad(h0))
+        bound = 1e-6 * kernels.kkt_norm(h0, problem.grad(h0))
         g = problem.grad(out)
         assert np.all(np.abs(g[out > 0]) <= bound + 1e-12)
         assert np.all(g[out == 0] >= -bound - 1e-12)
@@ -187,4 +187,4 @@ def test_projected_grad_norm_masks_boundary():
     g = np.array([[5.0, 1.0], [-2.0, -3.0]])
     # Entry (0,0): at zero with positive gradient -> masked out.
     expected = np.sqrt(1.0 + 4.0 + 9.0)
-    assert projected_grad_norm(v, g) == pytest.approx(expected, rel=1e-12)
+    assert kernels.kkt_norm(v, g) == pytest.approx(expected, rel=1e-12)

@@ -103,7 +103,8 @@ class TestExitCodes:
         assert str(cfg) in err and "model." in err
 
     @pytest.mark.parametrize("line", ["data.rows = abc", "data.layer_sizes = 6,x",
-                                      "data.noise = lots", "data.seed = 1.5"])
+                                      "data.noise = lots", "data.seed = 1.5",
+                                      "data.rowz = 7"])
     def test_malformed_data_key_is_data_error(self, capsys, tmp_path, line):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("data.kind = planted_linear\nmodel.layer_sizes = 4,2\n"
@@ -111,6 +112,26 @@ class TestExitCodes:
         code, _, err = run(capsys, "sweep", "--config", str(cfg))
         assert code == EXIT_DATA
         assert str(cfg) in err and line.split(" =")[0] in err
+
+    @pytest.mark.parametrize("line", ["eval.k = 0", "sweep.structure = nan,2,4"])
+    def test_out_of_range_config_value_is_data_error(self, capsys, tmp_path,
+                                                     line):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"data.kind = blobs\nmodel.layer_sizes = 4,2\n{line}\n")
+        code, _, err = run(capsys, "sweep", "--config", str(cfg))
+        assert code == EXIT_DATA
+        assert str(cfg) in err and line.split(" =")[0] in err
+
+    @pytest.mark.parametrize("argv", [
+        ("evaluate", "--factors", "run", "--reps", "0"),
+        ("evaluate", "--factors", "run", "--restarts", "0"),
+        ("evaluate", "--factors", "run", "--k", "0"),
+        ("evaluate", "--factors", "run", "--k", "-2"),
+        ("inspect", "--factors", "run", "--class", "0", "--top", "0")])
+    def test_zero_count_is_usage_error(self, capsys, argv):
+        code, _, err = run(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert "positive" in err and "usage" in err
 
     @pytest.mark.parametrize("flags", [("--layers", "4,x"),
                                        ("--layers", "4", "--mu", "abc"),

@@ -159,6 +159,48 @@ class TestConfigFile:
         with pytest.raises(DataFormatError, match="not found"):
             parse_config(tmp_path / "absent.cfg")
 
+    def test_unknown_data_key_rejected(self, tmp_path):
+        path = tmp_path / "exp.cfg"
+        path.write_text("data.kind = blobs\ndata.rowz = 7\n"
+                        "model.layer_sizes = 4,2\n")
+        with pytest.raises(DataFormatError, match="data.rowz") as err:
+            parse_config(path)
+        assert str(path) in str(err.value)
+
+    def test_every_data_key_parses(self, tmp_path):
+        path = tmp_path / "exp.cfg"
+        path.write_text("data.kind = planted_nonlinear\ndata.rows = 12\n"
+                        "data.cols = 20\ndata.classes = 2\ndata.seed = 4\n"
+                        "data.layer_sizes = 4,2\ndata.noise = 0.5\n"
+                        "data.separation = 3\ndata.activation = tanh\n"
+                        "model.layer_sizes = 4,2\n")
+        assert parse_config(path).data == {
+            "kind": "planted_nonlinear", "rows": 12, "cols": 20, "classes": 2,
+            "seed": 4, "layer_sizes": (4, 2), "noise": 0.5, "separation": 3.0,
+            "activation": "tanh"}
+
+    @pytest.mark.parametrize("value", [
+        "nan,2,4", "1.5,2,4", "4,3", "2,2,4,50,600,0.1,9", "-1,2,4",
+        "2,2,4,600,50", "2,2,4,50,600,2", "2,2,4,50,600,inf",
+        "2,2,4,50,600,0", "2,2,4,50,600,nan"])
+    def test_malformed_structure_rejected(self, tmp_path, value):
+        path = tmp_path / "exp.cfg"
+        path.write_text(f"data.kind = blobs\nmodel.layer_sizes = 4,2\n"
+                        f"sweep.structure = {value}\n")
+        with pytest.raises(DataFormatError, match="sweep.structure") as err:
+            parse_config(path)
+        assert str(path) in str(err.value)
+
+    @pytest.mark.parametrize("key", ["k", "model_reps", "kmeans_reps",
+                                     "kmeans_restarts"])
+    @pytest.mark.parametrize("value", ["0", "-3", "2.5"])
+    def test_eval_counts_must_be_positive(self, tmp_path, key, value):
+        path = tmp_path / "exp.cfg"
+        path.write_text(f"data.kind = blobs\nmodel.layer_sizes = 4,2\n"
+                        f"eval.{key} = {value}\n")
+        with pytest.raises(DataFormatError, match=f"eval.{key} = "):
+            parse_config(path)
+
     def test_structure_draw_axis(self, tmp_path):
         path = tmp_path / "exp.cfg"
         path.write_text(
@@ -184,6 +226,15 @@ class TestStructureDraws:
             assert all(50 <= k <= 600 for k in sizes[:-1])
         assert draws == draw_layer_structures(seed=3, draws=20, depth=3,
                                               last_size=40, lo=50, hi=600, p=0.02)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"draws": -1}, {"lo": 60, "hi": 50}, {"p": 0.0}, {"p": 1.5},
+        {"p": float("nan")}, {"depth": 0}])
+    def test_rejects_out_of_range_arguments(self, kwargs):
+        args = dict(seed=0, draws=2, depth=2, last_size=4)
+        args.update(kwargs)
+        with pytest.raises(InvalidInputError):
+            draw_layer_structures(**args)
 
 
 def test_worker_count_env(monkeypatch):

@@ -1,44 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
-from deepnmf import (InvalidInputError, frobenius_sq, project_nonneg,
-                     spectral_norm, sym_spectral_norm)
-
-finite_matrices = arrays(
-    np.float64, st.tuples(st.integers(1, 6), st.integers(1, 6)),
-    elements=st.floats(-1e6, 1e6, allow_nan=False))
-
-
-class TestProjectNonneg:
-    def test_mixed_signs(self):
-        out = project_nonneg([[1, -2], [0, 3]])
-        np.testing.assert_array_equal(out, [[1, 0], [0, 3]])
-
-    def test_zero_fixed_point(self):
-        out = project_nonneg(np.zeros((2, 2)))
-        np.testing.assert_array_equal(out, np.zeros((2, 2)))
-
-    def test_matches_elementwise_scan(self, rng):
-        m = rng.standard_normal((5, 5))
-        out = project_nonneg(m)
-        for i in range(5):
-            for j in range(5):
-                assert out[i, j] == max(m[i, j], 0.0)
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(InvalidInputError):
-            project_nonneg([[1.0, np.nan]])
-        with pytest.raises(InvalidInputError):
-            project_nonneg([[np.inf, 1.0]])
-
-    @given(finite_matrices)
-    @settings(deadline=None)
-    def test_idempotent(self, m):
-        once = project_nonneg(m)
-        np.testing.assert_array_equal(project_nonneg(once), once)
+from deepnmf import (InvalidInputError, frobenius_sq, spectral_norm,
+                     sym_spectral_norm)
 
 
 class TestSpectralNorm:

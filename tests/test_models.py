@@ -267,13 +267,13 @@ class TestReconstruction:
     def test_reconstruct_h_is_the_full_chain(self, rng, activation):
         spec = make_spec("dnmf", (4, 3, 2), activation=activation)
         stack = random_stack(rng, 6, (4, 3, 2), 5)
-        pre, fresh = unroll(spec, stack.w, stack.h[-1])
+        pre, fresh = unroll(activation, stack.w, stack.h[-1])
         for layer in (1, 2, 3):
             np.testing.assert_array_equal(reconstruct_h(spec, stack, layer),
                                           fresh[layer - 1])
         np.testing.assert_array_equal(reconstruct(spec, stack), pre[0])
         # Stopping at a layer forms no product below it.
-        pre2, fresh2 = unroll(spec, stack.w, stack.h[-1], stop=2)
+        pre2, fresh2 = unroll(activation, stack.w, stack.h[-1], stop=2)
         assert pre2[:2] == [None, None] and fresh2[0] is None
 
     def test_identity_chain_equals_linear_chain(self, rng):
@@ -283,8 +283,8 @@ class TestReconstruction:
         lin = make_spec("sdnmf_rl2", sizes, mu=0.2, lam=0.3)
         ident = make_spec("sdnmf_rl2", sizes, mu=0.2, lam=0.3,
                           activation="identity", projection_mode="hidden")
-        for a, b in zip(unroll(lin, stack.w, stack.h[-1]),
-                        unroll(ident, stack.w, stack.h[-1])):
+        for a, b in zip(unroll("linear", stack.w, stack.h[-1]),
+                        unroll("identity", stack.w, stack.h[-1])):
             for ma, mb in zip(a, b):
                 np.testing.assert_array_equal(ma, mb)
         assert (chain_objective(lin, x, stack.w, stack.h[-1])

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from deepnmf import (FactorStack, InvalidInputError, StopRule, TrainConfig,
-                     apply_activation, basis_gradient, finetune, finetune_problem, fit,
+                     basis_gradient, finetune, finetune_problem, fit,
                      get_activation, make_spec, nonlinear_finetune,
                      nonlinear_objective, pretrain,
                      representation_gradient, synth_generate)
+from deepnmf import nonlinear
+from deepnmf.models import unroll
 
 from _oracles import central_diff
 
@@ -21,11 +23,11 @@ def random_stack(rng, m, sizes, n, lo=0.1, hi=1.0):
 
 class TestActivations:
     def test_root_values(self):
-        out = apply_activation("root", np.array([[4.0, 9.0]]))
+        out = get_activation("root").g(np.array([[4.0, 9.0]]))
         np.testing.assert_allclose(out, [[2.0, 3.0]])
 
     def test_root_zero_fixed_point(self):
-        out = apply_activation("root", np.zeros((2, 3)))
+        out = get_activation("root").g(np.zeros((2, 3)))
         np.testing.assert_array_equal(out, np.zeros((2, 3)))
 
     @pytest.mark.parametrize("tag,xs", [
@@ -49,7 +51,7 @@ class TestActivations:
     def test_forward_preserves_nonnegativity(self, rng):
         h = rng.uniform(0.0, 5.0, size=(4, 4))
         for tag in ("root", "tanh", "sigmoid", "softplus", "identity"):
-            assert apply_activation(tag, h).min() >= 0.0
+            assert get_activation(tag).g(h).min() >= 0.0
 
     def test_unknown_tag(self):
         with pytest.raises(InvalidInputError):
@@ -211,6 +213,29 @@ class TestNonlinearFinetune:
         trace = report.objective_trace
         assert not report.stalled and report.sweeps_used >= 2
         assert all(b <= a for a, b in zip(trace, trace[1:]))
+
+    def test_stalled_run_stores_its_final_chain(self, rng, monkeypatch):
+        # With no halvings allowed the first step stalls; the hidden factors
+        # returned must still be the final chain's, not pretraining's.
+        monkeypatch.setattr(nonlinear, "MAX_HALVINGS", 0)
+        x = rng.uniform(0.1, 1.0, size=(9, 15))
+        spec = make_spec("dnmf", (6, 4, 2), activation="root")
+        stack = pretrain(spec, x, FAST)
+        tuned, report = nonlinear_finetune(spec, x, stack, FAST)
+        assert report.stalled and report.sweeps_used == 0
+        _, fresh = unroll(spec.activation, tuned.w, tuned.h[-1])
+        for l in range(spec.depth - 1):
+            np.testing.assert_array_equal(tuned.h[l], np.maximum(fresh[l], 0.0))
+            assert not np.array_equal(tuned.h[l], stack.h[l])
+
+    def test_complete_run_stores_its_final_chain(self, rng):
+        x = rng.uniform(0.1, 1.0, size=(9, 15))
+        spec = make_spec("sdnmf_l", (6, 4, 2), mu=0.05, activation="softplus")
+        tuned, report = nonlinear_finetune(spec, x, pretrain(spec, x, FAST), FAST)
+        assert not report.stalled
+        _, fresh = unroll(spec.activation, tuned.w, tuned.h[-1])
+        for l in range(spec.depth - 1):
+            np.testing.assert_array_equal(tuned.h[l], np.maximum(fresh[l], 0.0))
 
     def test_factors_stay_nonneg(self, rng):
         x = rng.uniform(0.1, 1.0, size=(8, 15))

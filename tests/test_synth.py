@@ -3,6 +3,8 @@ import pytest
 
 from deepnmf import (InvalidInputError, StopRule, TrainConfig, fit, kmeans,
                      make_spec, nmi, synth_generate)
+from deepnmf.models import unroll
+from deepnmf.synth import _planted_factors
 
 
 def test_planted_linear_is_fittable():
@@ -49,6 +51,19 @@ def test_nonlinear_kind_uses_inverse_projection():
     assert not np.allclose(lin.x, non.x)
 
 
+@pytest.mark.parametrize("kind,activation", [("planted_linear", "linear"),
+                                             ("planted_nonlinear", "root"),
+                                             ("planted_nonlinear", "tanh")])
+def test_planted_data_is_the_model_chain(kind, activation):
+    bundle = synth_generate(kind, seed=6, rows=12, cols=30, layer_sizes=(6, 4, 3),
+                            classes=3, activation=activation)
+    ws, h_last, labels = _planted_factors(np.random.default_rng(6), 12,
+                                          (6, 4, 3), 3, 30)
+    expected = np.maximum(unroll(activation, ws, h_last)[0][0], 0.0)
+    np.testing.assert_array_equal(bundle.x, expected)
+    np.testing.assert_array_equal(bundle.labels.labels, labels)
+
+
 def test_invalid_params_rejected():
     with pytest.raises(InvalidInputError):
         synth_generate("nope", seed=0)
@@ -61,3 +76,5 @@ def test_invalid_params_rejected():
                        classes=2)
     with pytest.raises(InvalidInputError):
         synth_generate("planted_linear", seed=0, layer_sizes=(10, 2), classes=4)
+    with pytest.raises(InvalidInputError):
+        synth_generate("planted_nonlinear", seed=0, activation="linear")

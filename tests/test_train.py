@@ -4,7 +4,9 @@ import pytest
 from deepnmf import (ApgProblem, InternalError, InvalidInputError, StopRule,
                      TrainConfig, VARIANTS, apg_solve, finetune,
                      finetune_objective, fit, make_spec, nnsvd_init, pretrain)
-from deepnmf.train import _sweeps
+from deepnmf.activations import get_activation
+from deepnmf.kernels import roundoff_slack
+from deepnmf.train import _sweeps, layer_objective
 
 PEN = {
     "dnmf": {},
@@ -54,6 +56,18 @@ class TestPretrain:
         assert len(traces) == 2
         for trace in traces:
             assert trace_is_monotone(trace)
+
+    @pytest.mark.parametrize("activation", ["linear", "root"])
+    def test_traces_start_at_the_seed(self, rng, activation):
+        x = rng.uniform(0.0, 1.0, size=(8, 14))
+        spec = make_spec("sdnmf_l", (4, 2), mu=0.1, activation=activation)
+        stack, traces = pretrain(spec, x, FAST, full_output=True)
+        h1 = stack.h[0]
+        inputs = [x, h1 if activation == "linear" else get_activation(activation).g(h1)]
+        for layer, (h_input, trace) in enumerate(zip(inputs, traces), start=1):
+            w, h = nnsvd_init(h_input, spec.layer_sizes[layer - 1])
+            assert trace[0] == layer_objective(spec, layer, h_input, w, h)
+            assert len(trace) >= 2 and trace[-1] < trace[0]
 
     def test_factors_feasible(self, rng):
         x = rng.uniform(0.0, 1.0, size=(7, 12))
@@ -180,6 +194,19 @@ class TestSweepLoop:
         values = iter([0.9, 1.2])
         with pytest.raises(InternalError, match="rose from 0.9 to 1.2"):
             _sweeps(self.X, TrainConfig(max_sweeps=5), 1.0, lambda: next(values))
+
+    def test_rise_within_roundoff_of_the_data_scale_passes(self):
+        # The block objectives carry 0.5*||X||^2 = 6, so a rise far above
+        # the objective's own relative tolerance is still roundoff.
+        slack = roundoff_slack(6.0)
+        values = iter([1e-15 + 0.5 * slack, 1e-15 + 0.5 * slack])
+        report = _sweeps(self.X, TrainConfig(max_sweeps=5), 1e-15,
+                         lambda: next(values))
+        assert report.sweeps_used == 2
+        values = iter([1e-15 + 2.0 * slack])
+        with pytest.raises(InternalError, match="rose"):
+            _sweeps(self.X, TrainConfig(max_sweeps=5), 1e-15,
+                    lambda: next(values))
 
     def test_stalled_sweep_counts_only_complete_sweeps(self):
         values = iter([0.9, 0.5, None])
