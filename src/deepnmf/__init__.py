@@ -15,8 +15,7 @@ from .errors import (DataFormatError, DeepNmfError, InternalError,
                      InvalidInputError, NumericalError)
 from .experiment import (EvalConfig, ExperimentConfig, SweepAxes,
                          draw_layer_structures, parse_config, run_experiment)
-from .linalg import (as_matrix, check_nonneg, frobenius_sq, spectral_norm,
-                     sym_spectral_norm)
+from .linalg import as_matrix, check_nonneg, frobenius_sq, sym_spectral_norm
 from .metrics import (Partition, confusion_matrix, error_rate, from_labels,
                       kmeans, naive_precision, nmi)
 from .models import (FactorStack, ModelSpec, VARIANTS, finetune_objective,

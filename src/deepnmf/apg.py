@@ -33,8 +33,9 @@ class StopRule:
     def __post_init__(self):
         if self.max_iters < 1:
             raise InvalidInputError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.grad_tol <= 0:
-            raise InvalidInputError(f"grad_tol must be > 0, got {self.grad_tol}")
+        if not 0 < self.grad_tol < np.inf:
+            raise InvalidInputError(
+                f"grad_tol must be finite and > 0, got {self.grad_tol}")
 
 
 @dataclass(frozen=True)

@@ -15,11 +15,10 @@ import numpy as np
 
 from .apg import StopRule
 from .dataio import (load_bundle, load_factors, load_labels, parse_sizes,
-                     parse_weights, positive_int, save_bundle, save_factors,
-                     save_labels)
+                     parse_weights, positive_float, positive_int, save_bundle,
+                     save_factors, save_labels)
 from .errors import DataFormatError, InvalidInputError, NumericalError
-from .experiment import _derived_seed, parse_config, run_experiment
-from .metrics import error_rate, kmeans, naive_precision, nmi
+from .experiment import EvalConfig, parse_config, run_experiment, score_partitions
 from .models import make_spec
 from .synth import KINDS, synth_generate
 from .train import TrainConfig, fit
@@ -65,10 +64,10 @@ def _build_parser():
     p.add_argument("--lambda", dest="lam", type=parse_weights, default=None)
     p.add_argument("--activation", default="linear")
     p.add_argument("--projection", default=None)
-    p.add_argument("--sweeps", type=int, default=200)
-    p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--inner-iters", type=int, default=500)
-    p.add_argument("--inner-tol", type=float, default=1e-4)
+    p.add_argument("--sweeps", type=positive_int, default=TrainConfig.max_sweeps)
+    p.add_argument("--tol", type=positive_float, default=TrainConfig.rel_obj_tol)
+    p.add_argument("--inner-iters", type=positive_int, default=StopRule.max_iters)
+    p.add_argument("--inner-tol", type=positive_float, default=StopRule.grad_tol)
     p.add_argument("--out", default=None, help="factor directory (default: run_<data stem>)")
 
     p = sub.add_parser("evaluate", help="cluster saved factors and score them")
@@ -76,9 +75,10 @@ def _build_parser():
     p.add_argument("--labels", default=None,
                    help="label file (default: labels.csv inside --factors)")
     p.add_argument("--k", type=positive_int, default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--restarts", type=positive_int, default=5)
-    p.add_argument("--reps", type=positive_int, default=5)
+    p.add_argument("--seed", type=int, default=EvalConfig.seed)
+    p.add_argument("--restarts", type=positive_int,
+                   default=EvalConfig.kmeans_restarts)
+    p.add_argument("--reps", type=positive_int, default=EvalConfig.kmeans_reps)
 
     p = sub.add_parser("sweep", help="run an experiment config file")
     p.add_argument("--config", required=True)
@@ -129,15 +129,10 @@ def _cmd_evaluate(args):
     spec, stack, _ = load_factors(args.factors)
     label_path = args.labels or Path(args.factors) / "labels.csv"
     labels = load_labels(label_path)
-    k = args.k or labels.n_clusters
-    scores = {"nmi": [], "er": [], "np": []}
-    for rep in range(args.reps):
-        part = kmeans(stack.h[-1], k, restarts=args.restarts,
-                      seed=_derived_seed(args.seed, rep))
-        scores["nmi"].append(nmi(part, labels))
-        scores["er"].append(error_rate(part, labels))
-        scores["np"].append(naive_precision(part, labels))
-    for name, vals in scores.items():
+    scores = score_partitions(stack.h[-1], labels, args.k or labels.n_clusters,
+                              args.reps, args.restarts, args.seed)
+    for name in ("nmi", "er", "np"):
+        vals = [s[name] for s in scores]
         print(f"{name}: mean {np.mean(vals):.6f} std {np.std(vals):.6f} "
               f"min {np.min(vals):.6f} max {np.max(vals):.6f}")
     return EXIT_OK

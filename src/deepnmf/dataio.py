@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DataFormatError, InvalidInputError
 from .metrics import Partition, from_labels
-from .models import FactorStack, ModelSpec
+from .models import FactorStack, make_spec
 
 MAGIC = b"SDNMF1"
 _HEADER = len(MAGIC) + 8  # magic + two uint32 dims
@@ -212,12 +212,27 @@ def positive_int(raw):
     return value
 
 
+def positive_float(raw):
+    """A tolerance that must be a finite number > 0; ValueError otherwise."""
+    value = float(raw)
+    if not 0 < value < np.inf:
+        raise ValueError(f"must be a finite number > 0, got {value}")
+    return value
+
+
+def parse_bool(raw):
+    """true/false, yes/no or 1/0, in any case, as a bool; ValueError otherwise."""
+    value = {"true": True, "yes": True, "1": True,
+             "false": False, "no": False, "0": False}.get(raw.lower())
+    if value is None:
+        raise ValueError("must be true/false, yes/no or 1/0")
+    return value
+
+
 def parse_weights(raw):
-    """Comma-separated penalty weights: one number as a float (broadcast
-    over the layers by :func:`deepnmf.models.make_spec`), several as a
-    tuple; None stays None. ValueError when an entry is not a number."""
-    if raw is None:
-        return None
+    """Comma-separated penalty weights: one number as a float (placed on
+    the factors the variant penalizes by :func:`deepnmf.models.make_spec`),
+    several as a tuple. ValueError when an entry is not a number."""
     parts = [float(v) for v in raw.split(",")]
     return parts[0] if len(parts) == 1 else tuple(parts)
 
@@ -266,14 +281,10 @@ def load_factors(factors_dir):
         return parse_entry(meta_path, key, meta[key], parse)
 
     sizes = entry("layer_sizes", parse_sizes)
-    spec = ModelSpec(
-        variant=entry("variant"),
-        layer_sizes=sizes,
-        mu=np.atleast_1d(entry("mu", parse_weights)),
-        lam=np.atleast_1d(entry("lambda", parse_weights)),
-        activation=meta.get("activation", "linear"),
-        projection_mode=meta.get("projection_mode", "none"),
-    )
+    spec = make_spec(entry("variant"), sizes, mu=entry("mu", parse_weights),
+                     lam=entry("lambda", parse_weights),
+                     activation=meta.get("activation", "linear"),
+                     projection_mode=meta.get("projection_mode", "none"))
     ws, hs = [], []
     for i in range(1, len(sizes) + 1):
         ws.append(load_matrix(factors_dir / f"W{i}.bin", require_nonneg=True))

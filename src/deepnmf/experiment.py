@@ -2,9 +2,11 @@
 
 A config file is flat ``key = value`` text with dotted keys (see the README
 for the full key list). One experiment is a cross-product of sweep axes over
-a base model; every (sweep point, model repetition) trains a model, clusters
-the final representation several times, and scores each partition against
-the bundle's labels. Results land in ``records.csv`` (one row per k-means
+a base model, each point built by :func:`deepnmf.models.make_spec` from
+the base's settings and the point's values. Every (sweep point, model
+repetition) trains a model, and :func:`score_partitions` clusters the final
+representation several times and scores each partition against the
+bundle's labels. Results land in ``records.csv`` (one row per k-means
 repetition, with wall time), ``summary.csv`` (per-point aggregates, no
 timing, byte-reproducible for a fixed seed), and ``summary.json``.
 
@@ -21,16 +23,18 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import product
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
 
 from .apg import StopRule
-from .dataio import (load_bundle, parse_entry, parse_sizes, parse_weights,
-                     positive_int, read_flat_config, save_factors)
+from .dataio import (load_bundle, parse_bool, parse_entry, parse_sizes,
+                     parse_weights, positive_float, positive_int,
+                     read_flat_config, save_factors)
 from .errors import DataFormatError, InvalidInputError
 from .metrics import error_rate, kmeans, naive_precision, nmi
-from .models import ModelSpec, make_spec
+from .models import ModelSpec, make_spec, penalized_factors
 from .synth import synth_generate
 from .train import TrainConfig, fit
 
@@ -141,51 +145,61 @@ def sweep_points(cfg):
 
 
 def _spec_for_point(base, overrides):
-    if not overrides:
-        return base
+    """The base model with one sweep point's overrides. A point of another
+    depth takes, for each weight it does not set, the one weight the base
+    puts on every factor its variant penalizes, and fails when those differ.
+    """
     layer_sizes = overrides.get("layer_sizes", base.layer_sizes)
     activation = overrides.get("activation", base.activation)
     projection = overrides.get("projection_mode")
-    if projection is None:
-        same_act = activation == base.activation
-        projection = base.projection_mode if same_act else None
-    return make_spec(base.variant, layer_sizes,
-                     mu=overrides.get("mu", base.mu if len(base.mu) == len(layer_sizes) else None),
-                     lam=overrides.get("lam", base.lam if len(base.lam) == len(layer_sizes) else None),
-                     activation=activation, projection_mode=projection)
+    if projection is None and activation == base.activation:
+        projection = base.projection_mode
+    masks = dict(zip(("mu", "lam"), penalized_factors(base.variant, base.depth)))
+    weights = {name: overrides.get(name, getattr(base, name)) for name in masks}
+    for name, on in masks.items():
+        if name in overrides or len(layer_sizes) == base.depth:
+            continue
+        single = {v for v, a in zip(weights[name], on) if a}
+        if len(single) > 1:
+            raise InvalidInputError(
+                f"base {name} {weights[name]} differs across layers; a point "
+                f"of depth {len(layer_sizes)} has no single weight to inherit")
+        weights[name] = single.pop() if single else None
+    return make_spec(base.variant, layer_sizes, activation=activation,
+                     projection_mode=projection, **weights)
 
 
 def _point_meta(base, overrides, spec):
-    """Displayable config fields for one sweep point; falls back to the raw
-    override values when the spec itself could not be built."""
-    if not isinstance(spec, Exception):
-        return {
-            "variant": spec.variant,
-            "layer_sizes": "x".join(str(k) for k in spec.layer_sizes),
-            "mu": ",".join(repr(v) for v in spec.mu),
-            "lambda": ",".join(repr(v) for v in spec.lam),
-            "activation": spec.activation,
-            "projection_mode": spec.projection_mode,
-        }
-
-    def show(name, default):
-        value = overrides.get(name, default)
-        if isinstance(value, tuple):
-            return "x".join(str(v) for v in value)
-        return str(value)
-
+    """Displayable config fields for one sweep point: its spec's, or for a
+    point whose spec could not be built, the base's with its overrides."""
+    if isinstance(spec, Exception):
+        spec = SimpleNamespace(**{**vars(base), **overrides})
     return {
-        "variant": base.variant,
-        "layer_sizes": show("layer_sizes", base.layer_sizes),
-        "mu": show("mu", ",".join(repr(v) for v in base.mu)),
-        "lambda": show("lam", ",".join(repr(v) for v in base.lam)),
-        "activation": show("activation", base.activation),
-        "projection_mode": show("projection_mode", base.projection_mode),
+        "variant": spec.variant,
+        "layer_sizes": "x".join(str(k) for k in spec.layer_sizes),
+        "mu": ",".join(repr(float(v)) for v in np.atleast_1d(spec.mu)),
+        "lambda": ",".join(repr(float(v)) for v in np.atleast_1d(spec.lam)),
+        "activation": spec.activation,
+        "projection_mode": spec.projection_mode,
     }
 
 
 def _derived_seed(*parts):
     return int(np.random.SeedSequence([abs(int(p)) for p in parts]).generate_state(1)[0])
+
+
+def score_partitions(h, labels, k, reps, restarts, *seed):
+    """Cluster the columns of ``h`` into ``k`` groups ``reps`` times and
+    score each partition against ``labels``. Run ``rep`` seeds k-means from
+    the parts ``seed`` followed by ``rep``. Returns one dict of ``nmi``,
+    ``er`` and ``np`` per run, empty when ``labels`` is None."""
+    scores = []
+    for rep in range(reps):
+        part = kmeans(h, k, restarts=restarts, seed=_derived_seed(*seed, rep))
+        scores.append({} if labels is None else {
+            "nmi": nmi(part, labels), "er": error_rate(part, labels),
+            "np": naive_precision(part, labels)})
+    return scores
 
 
 def _run_unit(cfg, bundle, spec, meta, point_idx, rep):
@@ -199,17 +213,14 @@ def _run_unit(cfg, bundle, spec, meta, point_idx, rep):
         wall_ms = (time.perf_counter() - t0) * 1000.0
         k = cfg.eval.k or (bundle.labels.n_clusters if bundle.labels
                            else spec.layer_sizes[-1])
-        rows = []
-        for krep in range(cfg.eval.kmeans_reps):
-            part = kmeans(stack.h[-1], k, restarts=cfg.eval.kmeans_restarts,
-                          seed=_derived_seed(cfg.eval.seed, point_idx, rep, krep))
-            row = dict(base, kmeans_rep=krep, final_objective=report.final_objective,
-                       sweeps_used=report.sweeps_used, wall_ms=wall_ms, error="")
-            if bundle.labels is not None:
-                row["nmi"] = nmi(part, bundle.labels)
-                row["er"] = error_rate(part, bundle.labels)
-                row["np"] = naive_precision(part, bundle.labels)
-            rows.append(row)
+        scores = score_partitions(stack.h[-1], bundle.labels, k,
+                                  cfg.eval.kmeans_reps,
+                                  cfg.eval.kmeans_restarts, cfg.eval.seed,
+                                  point_idx, rep)
+        rows = [dict(base, kmeans_rep=krep, final_objective=report.final_objective,
+                     sweeps_used=report.sweeps_used, wall_ms=wall_ms, error="",
+                     **row_scores)
+                for krep, row_scores in enumerate(scores)]
         if cfg.dump_factors:
             save_factors(Path(cfg.output_dir) / "factors" / f"p{point_idx}_r{rep}",
                          spec, stack)
@@ -272,19 +283,12 @@ def run_experiment(cfg):
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    tasks = [(idx, rep) for idx in range(len(points))
-             for rep in range(cfg.eval.model_reps)]
-    results = {}
     with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        futures = {(idx, rep): pool.submit(_run_unit, cfg, bundle, specs[idx],
-                                           points_meta[idx], idx, rep)
-                   for idx, rep in tasks}
-        for key, fut in futures.items():
-            results[key] = fut.result()
-
-    rows = []
-    for idx, rep in sorted(results):
-        rows.extend(results[(idx, rep)])
+        futures = [pool.submit(_run_unit, cfg, bundle, specs[idx],
+                               points_meta[idx], idx, rep)
+                   for idx in range(len(points))
+                   for rep in range(cfg.eval.model_reps)]
+        rows = [row for fut in futures for row in fut.result()]
     _write_csv(outdir / "records.csv", RECORD_FIELDS, rows)
 
     summary = _summarize(points_meta, rows)
@@ -317,10 +321,10 @@ def parse_config(path):
     raw = read_flat_config(path)
 
     def pop(key, default=None, parse=None):
-        value = raw.pop(key, default)
-        if parse is None or value is None:
-            return value
-        return parse_entry(path, key, value, parse)
+        if key not in raw:
+            return default
+        value = raw.pop(key)
+        return value if parse is None else parse_entry(path, key, value, parse)
 
     # An unknown data key stays in ``raw`` and is reported below.
     data = {name: pop(f"data.{name}", parse=parse)
@@ -337,20 +341,23 @@ def parse_config(path):
                       projection_mode=pop("model.projection_mode"))
 
     train_cfg = TrainConfig(
-        inner_stop=StopRule(max_iters=pop("train.inner_iters", 500, int),
-                            grad_tol=pop("train.inner_tol", 1e-4, float)),
-        max_sweeps=pop("train.max_sweeps", 200, int),
-        rel_obj_tol=pop("train.rel_obj_tol", 1e-6, float),
+        inner_stop=StopRule(
+            max_iters=pop("train.inner_iters", StopRule.max_iters, positive_int),
+            grad_tol=pop("train.inner_tol", StopRule.grad_tol, positive_float)),
+        max_sweeps=pop("train.max_sweeps", TrainConfig.max_sweeps, positive_int),
+        rel_obj_tol=pop("train.rel_obj_tol", TrainConfig.rel_obj_tol,
+                        positive_float),
     )
     eval_cfg = EvalConfig(
-        kmeans_restarts=pop("eval.kmeans_restarts", 5, positive_int),
-        model_reps=pop("eval.model_reps", 3, positive_int),
-        kmeans_reps=pop("eval.kmeans_reps", 5, positive_int),
-        seed=pop("eval.seed", 0, int),
+        kmeans_restarts=pop("eval.kmeans_restarts", EvalConfig.kmeans_restarts,
+                            positive_int),
+        model_reps=pop("eval.model_reps", EvalConfig.model_reps, positive_int),
+        kmeans_reps=pop("eval.kmeans_reps", EvalConfig.kmeans_reps, positive_int),
+        seed=pop("eval.seed", EvalConfig.seed, int),
         k=pop("eval.k", parse=lambda v: positive_int(v) if v else None),
     )
 
-    sweep_kwargs = {"cap": pop("sweep.cap", 512, int)}
+    sweep_kwargs = {"cap": pop("sweep.cap", SweepAxes.cap, positive_int)}
     # draw_layer_structures raises InvalidInputError, a ValueError, so
     # parse_entry reports an out-of-range draw count, lo/hi or p too.
     structure = pop("sweep.structure", parse=lambda v: tuple(
@@ -371,7 +378,7 @@ def parse_config(path):
             sweep_kwargs[name] = value
 
     output_dir = pop("output_dir", "results")
-    dump = str(pop("dump_factors", "false")).lower() in ("1", "true", "yes")
+    dump = pop("dump_factors", ExperimentConfig.dump_factors, parse_bool)
     if raw:
         raise DataFormatError(f"{path}: unknown config keys {sorted(raw)}")
     return ExperimentConfig(model=model, train=train_cfg, eval=eval_cfg,

@@ -54,9 +54,3 @@ def sym_spectral_norm(gram):
     if not np.any(gram):
         return 0.0
     return float(max(np.linalg.eigvalsh(gram)[-1], 0.0))
-
-
-def spectral_norm(m):
-    """Largest singular value of ``m``, from the top eigenvalue of m.T @ m."""
-    m = as_matrix(m)
-    return float(np.sqrt(sym_spectral_norm(m.T @ m)))

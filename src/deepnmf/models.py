@@ -1,7 +1,8 @@
 """Model variants and their block subproblems.
 
 Five variants of the deep factorization X ~ W_1 ... W_L H_L are supported,
-differing only in which factors carry a sparsity penalty:
+differing only in which factors carry a sparsity penalty. :data:`PENALTIES`
+defines that, and a nonzero weight on any other factor is rejected:
 
 * ``dnmf``      - no penalties.
 * ``sdnmf_l``   - squared column L1 penalty on every basis factor W_l,
@@ -42,11 +43,34 @@ from .apg import ApgProblem
 from .errors import InvalidInputError
 from .linalg import as_matrix, check_nonneg, frobenius_sq, sym_spectral_norm
 
-VARIANTS = ("dnmf", "sdnmf_l", "sdnmf_r", "sdnmf_rl1", "sdnmf_rl2")
+# What each variant penalizes: whether every basis factor W_l carries the
+# squared column-L1 weight mu_l; which representations carry the weight
+# lambda_l ("all" H_l, "last" for H_L only, or "none"); and whether that
+# representation penalty is the squared column L1 ("colsum") or the squared
+# Frobenius ("ridge") norm.
+PENALTIES = {
+    "dnmf": (False, "none", None),
+    "sdnmf_l": (True, "none", None),
+    "sdnmf_r": (False, "all", "colsum"),
+    "sdnmf_rl1": (True, "last", "colsum"),
+    "sdnmf_rl2": (True, "last", "ridge"),
+}
+VARIANTS = tuple(PENALTIES)
 PROJECTION_MODES = ("none", "hidden", "all")
 
-_W_PENALIZED = {"sdnmf_l", "sdnmf_rl1", "sdnmf_rl2"}
 _LC_FLOOR = 1e-12
+
+
+def penalized_factors(variant, depth):
+    """Per-layer flags (W_1..W_L, H_1..H_L) of the factors ``variant``
+    penalizes in a model of ``depth`` layers, read from :data:`PENALTIES`."""
+    if variant not in PENALTIES:
+        raise InvalidInputError(
+            f"unknown variant {variant!r}; choose from {VARIANTS}")
+    every_w, h_layers, _ = PENALTIES[variant]
+    return ((every_w,) * depth,
+            tuple(h_layers == "all" or (h_layers == "last" and l == depth)
+                  for l in range(1, depth + 1)))
 
 
 @dataclass(frozen=True)
@@ -69,10 +93,8 @@ class ModelSpec:
         object.__setattr__(self, "layer_sizes", tuple(int(k) for k in self.layer_sizes))
         object.__setattr__(self, "mu", tuple(float(v) for v in self.mu))
         object.__setattr__(self, "lam", tuple(float(v) for v in self.lam))
-        if self.variant not in VARIANTS:
-            raise InvalidInputError(
-                f"unknown variant {self.variant!r}; choose from {VARIANTS}")
         L = len(self.layer_sizes)
+        w_on, h_on = penalized_factors(self.variant, L)
         if L == 0:
             raise InvalidInputError("layer_sizes must be nonempty")
         if any(k < 1 for k in self.layer_sizes):
@@ -86,15 +108,13 @@ class ModelSpec:
                 f"mu and lam must each have {L} entries, got {len(self.mu)} and {len(self.lam)}")
         if any(v < 0 for v in self.mu) or any(v < 0 for v in self.lam):
             raise InvalidInputError("penalty weights must be >= 0")
-        if self.variant == "dnmf" and (any(self.mu) or any(self.lam)):
-            raise InvalidInputError("dnmf takes no penalties; use another variant")
-        if self.variant == "sdnmf_l" and any(self.lam):
-            raise InvalidInputError("sdnmf_l penalizes only W factors; lam must be 0")
-        if self.variant == "sdnmf_r" and any(self.mu):
-            raise InvalidInputError("sdnmf_r penalizes only H factors; mu must be 0")
-        if self.variant in ("sdnmf_rl1", "sdnmf_rl2") and any(self.lam[:-1]):
-            raise InvalidInputError(
-                f"{self.variant} applies its H penalty to the last layer only")
+        for name, factor, weights, on in (("mu", "W", self.mu, w_on),
+                                          ("lam", "H", self.lam, h_on)):
+            for l, (v, penalized) in enumerate(zip(weights, on), start=1):
+                if v and not penalized:
+                    raise InvalidInputError(
+                        f"{self.variant} does not penalize {factor}_{l}; "
+                        f"{name} must be 0 there, got {v}")
         if self.activation == "linear":
             if self.projection_mode != "none":
                 raise InvalidInputError(
@@ -114,56 +134,42 @@ class ModelSpec:
 
     def w_weight(self, layer):
         """Basis-penalty weight for 1-based ``layer`` (0 when the variant has none)."""
-        return self.mu[layer - 1] if self.variant in _W_PENALIZED else 0.0
+        return self.mu[layer - 1]
 
     def h_weights(self, layer):
         """(colsum, ridge) weights of the representation penalty at 1-based
-        ``layer``: the squared column L1 form, the Frobenius form, or both 0.
-        """
+        ``layer``: the variant's form carries lambda, the other is 0."""
         w = self.lam[layer - 1]
-        if self.variant in ("sdnmf_r", "sdnmf_rl1"):
-            return w, 0.0
-        if self.variant == "sdnmf_rl2":
-            return 0.0, w
-        return 0.0, 0.0
+        return (0.0, w) if PENALTIES[self.variant][2] == "ridge" else (w, 0.0)
 
 
 def make_spec(variant, layer_sizes, mu=None, lam=None, activation="linear",
               projection_mode=None):
     """Build a ModelSpec with variant-appropriate defaults.
 
-    Scalars broadcast over layers; omitted weights default to 0.1 on the
-    factors the variant penalizes (a toy-scale placeholder meant to be swept)
+    A scalar weight lands on every factor the variant penalizes and 0 on the
+    others; a nonzero scalar for a role the variant leaves unpenalized is
+    rejected like a nonzero list entry there. Omitted weights default to
+    0.1 on the penalized factors (a toy-scale placeholder meant to be swept)
     and to 0 elsewhere.
     """
     variant = str(variant).lower()
-    if variant not in VARIANTS:
-        raise InvalidInputError(f"unknown variant {variant!r}; choose from {VARIANTS}")
     layer_sizes = tuple(int(k) for k in layer_sizes)
-    L = len(layer_sizes)
 
-    def broadcast(value, active):
+    def broadcast(value, on):
         if value is None:
-            value = 0.1
-        if np.isscalar(value):
-            return tuple(float(value) if a else 0.0 for a in active)
-        vals = tuple(float(v) for v in value)
-        if len(vals) != L:
-            raise InvalidInputError(f"expected {L} weights, got {len(vals)}")
-        return vals
+            return tuple(0.1 if a else 0.0 for a in on)
+        if not np.isscalar(value):
+            return value
+        # With no penalized factor to land on, the scalar stays on every
+        # layer, where ModelSpec rejects it unless it is 0.
+        return tuple(float(value) if a or not any(on) else 0.0 for a in on)
 
-    w_active = [variant in _W_PENALIZED] * L
-    if variant in ("sdnmf_rl1", "sdnmf_rl2"):
-        h_active = [False] * (L - 1) + [True]
-    elif variant == "sdnmf_r":
-        h_active = [True] * L
-    else:
-        h_active = [False] * L
-
+    w_on, h_on = penalized_factors(variant, len(layer_sizes))
     if projection_mode is None:
         projection_mode = "none" if activation == "linear" else "hidden"
-    return ModelSpec(variant, layer_sizes, broadcast(mu, w_active),
-                     broadcast(lam, h_active), activation, projection_mode)
+    return ModelSpec(variant, layer_sizes, broadcast(mu, w_on),
+                     broadcast(lam, h_on), activation, projection_mode)
 
 
 class FactorStack:

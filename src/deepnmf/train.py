@@ -51,8 +51,9 @@ class TrainConfig:
     def __post_init__(self):
         if self.max_sweeps < 1:
             raise InvalidInputError(f"max_sweeps must be >= 1, got {self.max_sweeps}")
-        if self.rel_obj_tol <= 0:
-            raise InvalidInputError(f"rel_obj_tol must be > 0, got {self.rel_obj_tol}")
+        if not 0 < self.rel_obj_tol < np.inf:
+            raise InvalidInputError(
+                f"rel_obj_tol must be finite and > 0, got {self.rel_obj_tol}")
 
 
 @dataclass

@@ -176,6 +176,11 @@ class TestValidation:
         with pytest.raises(InvalidInputError):
             StopRule(grad_tol=0.0)
 
+    @pytest.mark.parametrize("tol", [np.nan, np.inf])
+    def test_stop_rule_rejects_non_finite_tol(self, tol):
+        with pytest.raises(InvalidInputError, match="finite"):
+            StopRule(grad_tol=tol)
+
     def test_problem_lipschitz(self):
         for bad in (0.0, np.inf):
             with pytest.raises(InvalidInputError):

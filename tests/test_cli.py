@@ -113,7 +113,10 @@ class TestExitCodes:
         assert code == EXIT_DATA
         assert str(cfg) in err and line.split(" =")[0] in err
 
-    @pytest.mark.parametrize("line", ["eval.k = 0", "sweep.structure = nan,2,4"])
+    @pytest.mark.parametrize("line", ["eval.k = 0", "sweep.structure = nan,2,4",
+                                      "train.max_sweeps = 0",
+                                      "train.inner_tol = nan", "sweep.cap = 0",
+                                      "dump_factors = flase"])
     def test_out_of_range_config_value_is_data_error(self, capsys, tmp_path,
                                                      line):
         cfg = tmp_path / "bad.cfg"
@@ -127,7 +130,11 @@ class TestExitCodes:
         ("evaluate", "--factors", "run", "--restarts", "0"),
         ("evaluate", "--factors", "run", "--k", "0"),
         ("evaluate", "--factors", "run", "--k", "-2"),
-        ("inspect", "--factors", "run", "--class", "0", "--top", "0")])
+        ("inspect", "--factors", "run", "--class", "0", "--top", "0"),
+        ("train", "--data", "d.bin", "--layers", "4", "--sweeps", "0"),
+        ("train", "--data", "d.bin", "--layers", "4", "--inner-iters", "0"),
+        ("train", "--data", "d.bin", "--layers", "4", "--tol", "0"),
+        ("train", "--data", "d.bin", "--layers", "4", "--inner-tol", "nan")])
     def test_zero_count_is_usage_error(self, capsys, argv):
         code, _, err = run(capsys, *argv)
         assert code == EXIT_USAGE
@@ -140,6 +147,16 @@ class TestExitCodes:
         code, _, err = run(capsys, "train", "--data", "d.bin", *flags)
         assert code == EXIT_USAGE
         assert "usage" in err
+
+    def test_weight_the_variant_does_not_take_is_data_error(self, capsys,
+                                                              tmp_path):
+        data = tmp_path / "d.bin"
+        run(capsys, "synth", "--kind", "blobs", "--rows", "6", "--cols", "12",
+            "--classes", "2", "--out", str(data))
+        code, _, err = run(capsys, "train", "--data", str(data), "--layers",
+                           "4,2", "--variant", "dnmf", "--mu", "0.5")
+        assert code == EXIT_DATA
+        assert "dnmf does not penalize W_1" in err
 
     @pytest.mark.parametrize("command", ["evaluate", "inspect"])
     def test_factor_meta_without_variant_is_data_error(self, capsys, tmp_path,

@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from deepnmf import (DataFormatError, DatasetBundle, Partition, load_bundle,
-                     load_factors, load_labels, load_matrix, make_spec,
-                     save_bundle, save_factors, save_labels, save_matrix)
+from deepnmf import (VARIANTS, DataFormatError, DatasetBundle, Partition,
+                     load_bundle, load_factors, load_labels, load_matrix,
+                     make_spec, save_bundle, save_factors, save_labels,
+                     save_matrix)
 from deepnmf.dataio import MAGIC
 from deepnmf.models import FactorStack
 
@@ -136,6 +137,18 @@ class TestFactorDirs:
         assert meta["note"] == "x"
         for a, b in zip(stack.w + stack.h, stack2.w + stack2.h):
             np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("sizes", [(3,), (4, 3, 2)])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_every_variant_spec_round_trips(self, tmp_path, rng, variant,
+                                            sizes):
+        spec = make_spec(variant, sizes)
+        dims = (6,) + sizes
+        stack = FactorStack(
+            [rng.uniform(0.0, 1.0, size=(a, b)) for a, b in zip(dims, dims[1:])],
+            [rng.uniform(0.0, 1.0, size=(k, 5)) for k in sizes])
+        save_factors(tmp_path / "run", spec, stack)
+        assert load_factors(tmp_path / "run")[0] == spec
 
     def test_missing_meta_rejected(self, tmp_path):
         (tmp_path / "run").mkdir()

@@ -5,7 +5,7 @@ from deepnmf import (DataFormatError, EvalConfig, ExperimentConfig,
                      InvalidInputError, StopRule, SweepAxes, TrainConfig,
                      draw_layer_structures, load_factors, make_spec,
                      parse_config, run_experiment)
-from deepnmf.experiment import sweep_points, worker_count
+from deepnmf.experiment import _spec_for_point, sweep_points, worker_count
 
 FAST_TRAIN = TrainConfig(inner_stop=StopRule(100, 1e-4), max_sweeps=10,
                          rel_obj_tol=1e-6)
@@ -98,6 +98,41 @@ class TestRunExperiment:
         bad = [r for r in rows if r["error"]]
         assert {r["error"] for r in bad} == {"InvalidInputError"}
         assert all(r["point"] == 1 for r in bad)
+
+    def test_point_of_another_depth_inherits_base_weight(self, tmp_path):
+        cfg = tiny_config(
+            tmp_path, model=make_spec("sdnmf_l", (4, 2), mu=0.5),
+            eval=EvalConfig(kmeans_restarts=2, model_reps=1, kmeans_reps=1, seed=5),
+            sweep=SweepAxes(layer_sizes=((4, 2), (4, 3, 2))))
+        rows, _ = run_experiment(cfg)
+        assert [(r["mu"], r["error"]) for r in rows] == [
+            ("0.5,0.5", ""), ("0.5,0.5,0.5", "")]
+
+    def test_base_h_weight_lands_on_last_layer_at_another_depth(self):
+        base = make_spec("sdnmf_rl1", (4, 2), mu=0.2, lam=0.3)
+        spec = _spec_for_point(base, {"layer_sizes": (6, 4, 2)})
+        assert spec.mu == (0.2, 0.2, 0.2)
+        assert spec.lam == (0.0, 0.0, 0.3)
+
+    def test_overridden_weight_is_not_inherited(self):
+        base = make_spec("sdnmf_l", (4, 2), mu=(0.1, 0.2))
+        spec = _spec_for_point(base, {"layer_sizes": (6, 4, 2), "mu": 0.3})
+        assert spec.mu == (0.3, 0.3, 0.3)
+
+    def test_differing_base_weights_fail_a_point_of_another_depth(self, tmp_path):
+        cfg = tiny_config(
+            tmp_path, model=make_spec("sdnmf_l", (4, 2), mu=(0.1, 0.2)),
+            sweep=SweepAxes(layer_sizes=((4, 3, 2),)))
+        rows, _ = run_experiment(cfg)
+        assert {(r["error"], r["mu"]) for r in rows} == {
+            ("InvalidInputError", "0.1,0.2")}
+
+    def test_failed_point_shows_swept_weights_like_built_ones(self, tmp_path):
+        cfg = tiny_config(tmp_path, sweep=SweepAxes(
+            mu=((0.1, 0.2),), layer_sizes=((4, 3, 2),)))
+        rows, summary = run_experiment(cfg)
+        assert rows[0]["error"] == "InvalidInputError"
+        assert summary[0]["mu"] == "0.1,0.2"
 
     def test_byte_identical_reruns_and_thread_counts(self, tmp_path, monkeypatch):
         import csv as csvmod

@@ -24,6 +24,44 @@ def random_stack(rng, m, sizes, n, lo=0.05, hi=1.0):
     return FactorStack(ws, hs)
 
 
+# The README's variant table: whether every W_l carries mu, and which H_l
+# carry lambda.
+README_TABLE = {
+    "dnmf": (False, "none"),
+    "sdnmf_l": (True, "none"),
+    "sdnmf_r": (False, "all"),
+    "sdnmf_rl1": (True, "last"),
+    "sdnmf_rl2": (True, "last"),
+}
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_weights_accepted_on_exactly_the_penalized_factors(variant, depth):
+    every_w, h_layers = README_TABLE[variant]
+    sizes = tuple(range(depth + 1, 1, -1))
+    mu = [0.1 if every_w else 0.0] * depth
+    lam = [0.1 if h_layers == "all" or (h_layers == "last" and l == depth)
+           else 0.0 for l in range(1, depth + 1)]
+    spec = ModelSpec(variant, sizes, mu, lam)
+    assert spec.mu == tuple(mu) and spec.lam == tuple(lam)
+    for weights in (mu, lam):
+        for l in range(depth):
+            if weights[l]:
+                continue
+            weights[l] = 0.1
+            with pytest.raises(InvalidInputError):
+                ModelSpec(variant, sizes, mu, lam)
+            weights[l] = 0.0
+
+
+@pytest.mark.parametrize("variant, kwargs", [
+    ("dnmf", {"mu": 0.5}), ("sdnmf_l", {"lam": 0.3}), ("sdnmf_r", {"mu": 0.2})])
+def test_scalar_weight_on_unpenalized_role_rejected(variant, kwargs):
+    with pytest.raises(InvalidInputError, match="does not penalize"):
+        make_spec(variant, (4, 2), **kwargs)
+
+
 class TestModelSpec:
     def test_variant_penalty_consistency(self):
         with pytest.raises(InvalidInputError):

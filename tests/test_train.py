@@ -187,6 +187,12 @@ class TestFinetune:
         assert all(np.isfinite(v) for v in report.per_layer_pretrain_objectives)
 
 
+@pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0])
+def test_train_config_rejects_non_finite_or_zero_tol(tol):
+    with pytest.raises(InvalidInputError, match="rel_obj_tol"):
+        TrainConfig(rel_obj_tol=tol)
+
+
 class TestSweepLoop:
     X = np.ones((3, 4))
 
