@@ -7,9 +7,12 @@ derivative of ``g_inv`` needed by the chain-rule gradients. ``g`` maps
 nonnegative inputs to nonnegative outputs so factors stay feasible.
 
 ``root`` is the supported default; tanh/sigmoid/softplus are provided for
-completeness and clamp their inverse inputs away from the domain boundary.
-``identity`` exists so the nonlinear code path can be checked against the
-linear one.
+completeness and clamp their inverse inputs into [``inv_lo``, ``inv_hi``],
+away from the domain boundary (root clamps negative inputs to 0). The
+clamped inverse is constant outside that interval, so its derivative is 0
+there, and the gradients through a chain that leaves the interval stay
+exact. ``identity`` exists so the nonlinear code path can be checked
+against the linear one.
 """
 
 from dataclasses import dataclass
@@ -41,7 +44,11 @@ class Activation:
         return self.g_inv(self.clamp(y))
 
     def inverse_deriv(self, y):
-        return self.g_inv_deriv(self.clamp(y))
+        """Derivative of :meth:`inverse`: 0 where the clamp holds ``y``
+        strictly outside [inv_lo, inv_hi], since the clamped inverse is
+        constant there."""
+        outside = (y < self.inv_lo) | (y > self.inv_hi)
+        return np.where(outside, 0.0, self.g_inv_deriv(self.clamp(y)))
 
 
 def _root_g(x):

@@ -14,12 +14,12 @@ from pathlib import Path
 import numpy as np
 
 from .apg import StopRule
-from .dataio import (load_bundle, load_factors, load_labels, parse_sizes,
-                     parse_weights, positive_float, positive_int, save_bundle,
-                     save_factors, save_labels)
+from .dataio import (load_bundle, load_factors, load_labels, nonneg_float,
+                     parse_sizes, parse_weights, positive_float, positive_int,
+                     save_bundle, save_factors, save_labels)
 from .errors import DataFormatError, InvalidInputError, NumericalError
 from .experiment import EvalConfig, parse_config, run_experiment, score_partitions
-from .models import make_spec
+from .models import ACTIVATION_TAGS, PROJECTION_MODES, VARIANTS, make_spec
 from .synth import KINDS, synth_generate
 from .train import TrainConfig, fit
 
@@ -46,24 +46,24 @@ def _build_parser():
     p.add_argument("--kind", choices=KINDS, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.add_argument("--rows", type=int, default=30)
-    p.add_argument("--cols", type=int, default=100)
+    p.add_argument("--rows", type=positive_int, default=30)
+    p.add_argument("--cols", type=positive_int, default=100)
     p.add_argument("--sizes", type=parse_sizes, default=(10, 5),
                    help="planted layer sizes, comma-separated")
-    p.add_argument("--classes", type=int, default=5)
-    p.add_argument("--noise", type=float, default=0.0)
+    p.add_argument("--classes", type=positive_int, default=5)
+    p.add_argument("--noise", type=nonneg_float, default=0.0)
     p.add_argument("--activation", default="root")
-    p.add_argument("--separation", type=float, default=10.0)
+    p.add_argument("--separation", type=nonneg_float, default=10.0)
 
     p = sub.add_parser("train", help="fit one model and write its factors")
     p.add_argument("--data", required=True)
     p.add_argument("--layers", type=parse_sizes, required=True,
                    help="layer sizes, comma-separated")
-    p.add_argument("--variant", default="dnmf")
+    p.add_argument("--variant", type=str.lower, choices=VARIANTS, default="dnmf")
     p.add_argument("--mu", type=parse_weights, default=None)
     p.add_argument("--lambda", dest="lam", type=parse_weights, default=None)
-    p.add_argument("--activation", default="linear")
-    p.add_argument("--projection", default=None)
+    p.add_argument("--activation", choices=ACTIVATION_TAGS, default="linear")
+    p.add_argument("--projection", choices=PROJECTION_MODES, default=None)
     p.add_argument("--sweeps", type=positive_int, default=TrainConfig.max_sweeps)
     p.add_argument("--tol", type=positive_float, default=TrainConfig.rel_obj_tol)
     p.add_argument("--inner-iters", type=positive_int, default=StopRule.max_iters)

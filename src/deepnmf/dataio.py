@@ -153,6 +153,8 @@ class DatasetBundle:
         if self.labels is not None and len(self.labels) != self.x.shape[1]:
             raise InvalidInputError(
                 f"{len(self.labels)} labels for {self.x.shape[1]} samples")
+        if not np.all(np.isfinite(self.x)):
+            raise InvalidInputError("bundle matrix must be finite")
         if self.x.min() < 0:
             raise InvalidInputError("bundle matrix must be nonnegative")
 
@@ -220,6 +222,26 @@ def positive_float(raw):
     return value
 
 
+def nonneg_float(raw):
+    """A scale or weight that must be a finite number >= 0; ValueError
+    otherwise."""
+    value = float(raw)
+    if not 0 <= value < np.inf:
+        raise ValueError(f"must be a finite number >= 0, got {value}")
+    return value
+
+
+def one_of(options, convert=str):
+    """A parser of names: ``convert(raw)`` when it is one of ``options``,
+    ValueError otherwise."""
+    def parse(raw):
+        value = convert(raw)
+        if value not in options:
+            raise ValueError(f"must be one of {', '.join(options)}")
+        return value
+    return parse
+
+
 def parse_bool(raw):
     """true/false, yes/no or 1/0, in any case, as a bool; ValueError otherwise."""
     value = {"true": True, "yes": True, "1": True,
@@ -232,8 +254,9 @@ def parse_bool(raw):
 def parse_weights(raw):
     """Comma-separated penalty weights: one number as a float (placed on
     the factors the variant penalizes by :func:`deepnmf.models.make_spec`),
-    several as a tuple. ValueError when an entry is not a number."""
-    parts = [float(v) for v in raw.split(",")]
+    several as a tuple. ValueError when an entry is not a finite number
+    >= 0."""
+    parts = [nonneg_float(v) for v in raw.split(",")]
     return parts[0] if len(parts) == 1 else tuple(parts)
 
 

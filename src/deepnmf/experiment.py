@@ -29,12 +29,13 @@ from typing import Optional
 import numpy as np
 
 from .apg import StopRule
-from .dataio import (load_bundle, parse_bool, parse_entry, parse_sizes,
-                     parse_weights, positive_float, positive_int,
-                     read_flat_config, save_factors)
+from .dataio import (load_bundle, nonneg_float, one_of, parse_bool,
+                     parse_entry, parse_sizes, parse_weights, positive_float,
+                     positive_int, read_flat_config, save_factors)
 from .errors import DataFormatError, InvalidInputError
 from .metrics import error_rate, kmeans, naive_precision, nmi
-from .models import ModelSpec, make_spec, penalized_factors
+from .models import (ACTIVATION_TAGS, PROJECTION_MODES, VARIANTS, ModelSpec,
+                     make_spec, penalized_factors)
 from .synth import synth_generate
 from .train import TrainConfig, fit
 
@@ -46,9 +47,10 @@ RECORD_FIELDS = (
 _STAT_NAMES = ("mean", "std", "min", "max")
 # The ``data.*`` config keys and their parsers. Besides ``path``, ``kind``
 # and ``seed``, each is a keyword argument of synth_generate.
-_DATA_KEYS = {"path": str, "kind": str, "seed": int, "rows": int, "cols": int,
-              "classes": int, "layer_sizes": parse_sizes, "noise": float,
-              "separation": float, "activation": str}
+_DATA_KEYS = {"path": str, "kind": str, "seed": int, "rows": positive_int,
+              "cols": positive_int, "classes": positive_int,
+              "layer_sizes": parse_sizes, "noise": nonneg_float,
+              "separation": nonneg_float, "activation": str}
 
 
 @dataclass(frozen=True)
@@ -334,11 +336,13 @@ def parse_config(path):
     if layer_sizes is None:
         raise DataFormatError(f"{path}: missing model.layer_sizes")
 
-    model = make_spec(pop("model.variant", "dnmf"), layer_sizes,
-                      mu=pop("model.mu", parse=parse_weights),
-                      lam=pop("model.lambda", parse=parse_weights),
-                      activation=pop("model.activation", "linear"),
-                      projection_mode=pop("model.projection_mode"))
+    model = make_spec(
+        pop("model.variant", "dnmf", one_of(VARIANTS, str.lower)), layer_sizes,
+        mu=pop("model.mu", parse=parse_weights),
+        lam=pop("model.lambda", parse=parse_weights),
+        activation=pop("model.activation", "linear", one_of(ACTIVATION_TAGS)),
+        projection_mode=pop("model.projection_mode",
+                            parse=one_of(PROJECTION_MODES)))
 
     train_cfg = TrainConfig(
         inner_stop=StopRule(

@@ -79,9 +79,8 @@ def confusion_matrix(c, c_star):
 def nmi(c, c_star):
     """Normalized mutual information in [0, 1], natural log, 0*log(0) = 0.
 
-    When both partitions are single-cluster the normalizer vanishes; the
-    score is then 1 when the partitions agree (they necessarily do) and 0
-    otherwise.
+    The normalizer vanishes only when both partitions are single-cluster;
+    such partitions agree, and the score is 1.
     """
     rows, cols, counts = _overlap_cells(c, c_star)
     n = len(c)
@@ -91,10 +90,7 @@ def nmi(c, c_star):
         counts * np.log(counts * n / (ref_sizes[rows] * sizes[cols]))))
     denom = sum(float(np.sum(m * np.log(m / n)))
                 for m in (ref_sizes[ref_sizes > 0], sizes[sizes > 0]))
-    if denom == 0.0:
-        return 1.0 if np.array_equal(
-            from_labels(c.labels).labels, from_labels(c_star.labels).labels) else 0.0
-    return numer / denom
+    return numer / denom if denom else 1.0
 
 
 def error_rate(c, c_star):

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .activations import get_activation
+from .activations import ACTIVATIONS, get_activation
 from .apg import ApgProblem
 from .errors import InvalidInputError
 from .linalg import as_matrix, check_nonneg, frobenius_sq, sym_spectral_norm
@@ -56,6 +56,8 @@ PENALTIES = {
     "sdnmf_rl2": (True, "last", "ridge"),
 }
 VARIANTS = tuple(PENALTIES)
+# A spec's activation: "linear" (none) or one of the activations.
+ACTIVATION_TAGS = ("linear",) + tuple(ACTIVATIONS)
 PROJECTION_MODES = ("none", "hidden", "all")
 
 _LC_FLOOR = 1e-12
@@ -106,8 +108,10 @@ class ModelSpec:
         if len(self.mu) != L or len(self.lam) != L:
             raise InvalidInputError(
                 f"mu and lam must each have {L} entries, got {len(self.mu)} and {len(self.lam)}")
-        if any(v < 0 for v in self.mu) or any(v < 0 for v in self.lam):
-            raise InvalidInputError("penalty weights must be >= 0")
+        if not all(0 <= v < np.inf for v in self.mu + self.lam):
+            raise InvalidInputError(
+                f"penalty weights must be finite and >= 0, got mu {self.mu} "
+                f"and lam {self.lam}")
         for name, factor, weights, on in (("mu", "W", self.mu, w_on),
                                           ("lam", "H", self.lam, h_on)):
             for l, (v, penalized) in enumerate(zip(weights, on), start=1):
@@ -115,18 +119,19 @@ class ModelSpec:
                     raise InvalidInputError(
                         f"{self.variant} does not penalize {factor}_{l}; "
                         f"{name} must be 0 there, got {v}")
+        if self.projection_mode not in PROJECTION_MODES:
+            raise InvalidInputError(
+                f"unknown projection_mode {self.projection_mode!r}; choose "
+                f"from {PROJECTION_MODES}")
         if self.activation == "linear":
             if self.projection_mode != "none":
                 raise InvalidInputError(
                     "projection_mode requires a nonlinear activation")
         else:
             get_activation(self.activation)
-            if self.projection_mode not in ("hidden", "all"):
+            if self.projection_mode == "none":
                 raise InvalidInputError(
                     "nonlinear activation requires projection_mode 'hidden' or 'all'")
-        if self.projection_mode not in PROJECTION_MODES:
-            raise InvalidInputError(
-                f"unknown projection_mode {self.projection_mode!r}")
 
     @property
     def depth(self):

@@ -12,12 +12,16 @@ inverse activation (:func:`deepnmf.models.unroll`), in the same outer loop
 (:func:`deepnmf.train._sweeps`). It cannot use fixed 1/LC steps because no
 Lipschitz constant is available for the unrolled nonlinear reconstruction,
 so the final representation and every basis factor above the first are
-updated by projected gradient descent with Armijo backtracking. The first
-basis factor keeps its convex block, a fit of the data against the chain's
-first representation, and is still solved by the accelerated method, to
-the same stop rule as the linear path (relative tolerance or iteration
-cap). No step reads the stored hidden representations, so they are set
-once, after the last sweep: the final chain's, clipped at zero.
+updated by projected gradient descent with Armijo backtracking. Their exact
+gradients share one back-propagation of the chain's misfit, which stops at
+the layer asked for; where the inverse activation's clamp holds a chain
+entry, its derivative is 0. Each block's backtracking starts from twice its
+last accepted step. The first basis factor keeps its convex block, a fit
+of the data against the chain's first representation, and is still solved
+by the accelerated method, to the same stop rule as the linear path
+(relative tolerance or iteration cap). No step reads the stored hidden
+representations, so they are set once, after the last sweep: the final
+chain's, clipped at zero.
 """
 
 import numpy as np
@@ -41,21 +45,24 @@ _STEP_CAP = 1e12
 nonlinear_objective = chain_objective
 
 
-def _backward_chain(spec, x, w, pre):
-    """Residual chain: returns (per-layer upstream gradients, per-layer
-    elementwise factors). ``up[i]`` is the objective gradient with respect to
-    layer (i+1)'s representation slot before penalties."""
+def _backprop(spec, x, stack, layer):
+    """The chain rule of the unrolled misfit, from the data down to 1-based
+    ``layer``, after checking the stack against ``spec`` and ``x``.
+
+    Returns (resid, fresh): ``resid`` is the misfit's gradient with respect
+    to ``pre[layer-1] = W_layer @ fresh[layer-1]`` of :func:`unroll`,
+    carried from ``pre[0] - x`` back through W_1 .. W_{layer-1} and the
+    derivative of the inverse activation; ``fresh`` is the chain's
+    representations. Nothing above ``layer`` is back-propagated.
+    """
+    x = as_matrix(x, "x")
+    _check_conformance(spec, x, stack)
     act = get_activation(spec.activation)
-    L = len(w)
-    up = [None] * L
-    elem = [None] * L
+    pre, fresh = unroll(spec.activation, stack.w, stack.h[-1])
     resid = pre[0] - x
-    elem[0] = resid
-    up[0] = w[0].T @ resid
-    for i in range(1, L):
-        elem[i] = up[i - 1] * act.inverse_deriv(pre[i])
-        up[i] = w[i].T @ elem[i]
-    return up, elem
+    for i in range(1, layer):
+        resid = (stack.w[i - 1].T @ resid) * act.inverse_deriv(pre[i])
+    return resid, fresh
 
 
 def representation_gradient(spec, x, stack):
@@ -66,11 +73,8 @@ def representation_gradient(spec, x, stack):
     factors, so the result is the exact gradient of
     :func:`nonlinear_objective` at the stack's basis factors and H_L.
     """
-    x = as_matrix(x, "x")
-    _check_conformance(spec, x, stack)
-    pre, _ = unroll(spec.activation, stack.w, stack.h[-1])
-    up, _ = _backward_chain(spec, x, stack.w, pre)
-    g = up[-1]
+    resid, _ = _backprop(spec, x, stack, spec.depth)
+    g = stack.w[-1].T @ resid
     colsum, ridge = spec.h_weights(spec.depth)
     if colsum:
         g = g + colsum * stack.h[-1].sum(axis=0)
@@ -85,35 +89,33 @@ def basis_gradient(spec, x, stack, layer):
     if layer < 2 or layer > spec.depth:
         raise InvalidInputError(
             f"basis gradients cover layers 2..{spec.depth}, got {layer}")
-    x = as_matrix(x, "x")
-    _check_conformance(spec, x, stack)
-    pre, fresh = unroll(spec.activation, stack.w, stack.h[-1])
-    _, elem = _backward_chain(spec, x, stack.w, pre)
-    g = elem[layer - 1] @ fresh[layer - 1].T
+    resid, fresh = _backprop(spec, x, stack, layer)
+    g = resid @ fresh[layer - 1].T
     mu = spec.w_weight(layer)
     if mu:
         g = g + mu * stack.w[layer - 1].sum(axis=0)
     return g
 
 
-def _armijo_step(value, f0, grad, f_of, step0):
+def _armijo_step(value, f0, grad, f_of, steps, block):
     """Projected gradient step with Armijo backtracking from ``value``, where
-    the objective is ``f0``.
+    the objective is ``f0``, starting from the block's step ``steps[block]``.
 
-    Returns (new_value, new_f, accepted_step) or (value, f0, None) when 50
-    halvings fail to produce sufficient decrease.
+    Returns (new_value, new_f) and doubles the block's step (up to a cap)
+    for the next sweep, or returns None when ``MAX_HALVINGS`` halvings fail
+    to produce sufficient decrease.
     """
-    step = step0
+    step = steps[block]
     for _ in range(MAX_HALVINGS):
         cand = np.maximum(value - step * grad, 0.0)
         diff = cand - value
-        if not diff.any():
-            return value, f0, step
-        f_cand = f_of(cand)
-        if f_cand <= f0 + ARMIJO_C * float(np.sum(grad * diff)):
-            return cand, f_cand, step
+        moved = diff.any()
+        f_cand = f_of(cand) if moved else f0
+        if not moved or f_cand <= f0 + ARMIJO_C * float(np.sum(grad * diff)):
+            steps[block] = min(2.0 * step, _STEP_CAP)
+            return (cand if moved else value), f_cand
         step *= 0.5
-    return value, f0, None
+    return None
 
 
 def nonlinear_finetune(spec, x, stack, cfg=TrainConfig()):
@@ -135,35 +137,27 @@ def nonlinear_finetune(spec, x, stack, cfg=TrainConfig()):
     check_nonneg(x, "x")
     stack = stack.copy()
     L = spec.depth
-    steps = {"h": 1.0}
-    steps.update({("w", l): 1.0 for l in range(2, L + 1)})
+    # Each block's next starting step: index 0 is H_L, index l-1 is W_l.
+    steps = [1.0] * L
     obj = nonlinear_objective(spec, x, stack.w, stack.h[-1])
 
     def sweep():
         nonlocal obj
-        g = representation_gradient(spec, x, stack)
-        new_h, obj, used = _armijo_step(
-            stack.h[-1], obj, g,
-            lambda v: nonlinear_objective(spec, x, stack.w, v), steps["h"])
-        if used is None:
+        out = _armijo_step(
+            stack.h[-1], obj, representation_gradient(spec, x, stack),
+            lambda v: nonlinear_objective(spec, x, stack.w, v), steps, 0)
+        if out is None:
             return None
-        steps["h"] = min(2.0 * used, _STEP_CAP)
-        stack.h[-1] = new_h
-
+        stack.h[-1], obj = out
         for l in range(2, L + 1):
-            g = basis_gradient(spec, x, stack, l)
-
-            def f_of(v, _l=l):
-                w_try = list(stack.w)
-                w_try[_l - 1] = v
-                return nonlinear_objective(spec, x, w_try, stack.h[-1])
-
-            new_w, obj, used = _armijo_step(stack.w[l - 1], obj, g, f_of,
-                                            steps[("w", l)])
-            if used is None:
+            w = stack.w
+            out = _armijo_step(
+                w[l - 1], obj, basis_gradient(spec, x, stack, l),
+                lambda v: nonlinear_objective(spec, x, w[:l - 1] + [v] + w[l:],
+                                              stack.h[-1]), steps, l - 1)
+            if out is None:
                 return None
-            steps[("w", l)] = min(2.0 * used, _STEP_CAP)
-            stack.w[l - 1] = new_w
+            stack.w[l - 1], obj = out
 
         # W_1's block fits the chain's own first representation, which the
         # objective reconstructs through, unclipped.

@@ -65,8 +65,10 @@ def synth_generate(kind, seed, *, rows=30, cols=100, layer_sizes=(10, 5),
         raise InvalidInputError(f"need positive dims, got {rows}x{cols}")
     if not 1 <= classes <= cols:
         raise InvalidInputError(f"classes must be in [1, {cols}], got {classes}")
-    if noise < 0:
-        raise InvalidInputError(f"noise must be >= 0, got {noise}")
+    for name, value in (("noise", noise), ("separation", separation)):
+        if not 0 <= value < np.inf:
+            raise InvalidInputError(
+                f"{name} must be a finite number >= 0, got {value}")
     rng = np.random.default_rng(abs(int(seed)))
 
     if kind == "blobs":

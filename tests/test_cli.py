@@ -116,7 +116,10 @@ class TestExitCodes:
     @pytest.mark.parametrize("line", ["eval.k = 0", "sweep.structure = nan,2,4",
                                       "train.max_sweeps = 0",
                                       "train.inner_tol = nan", "sweep.cap = 0",
-                                      "dump_factors = flase"])
+                                      "dump_factors = flase", "model.mu = nan",
+                                      "model.variant = bogus",
+                                      "sweep.mu = nan", "data.noise = nan",
+                                      "data.rows = 0"])
     def test_out_of_range_config_value_is_data_error(self, capsys, tmp_path,
                                                      line):
         cfg = tmp_path / "bad.cfg"
@@ -134,7 +137,8 @@ class TestExitCodes:
         ("train", "--data", "d.bin", "--layers", "4", "--sweeps", "0"),
         ("train", "--data", "d.bin", "--layers", "4", "--inner-iters", "0"),
         ("train", "--data", "d.bin", "--layers", "4", "--tol", "0"),
-        ("train", "--data", "d.bin", "--layers", "4", "--inner-tol", "nan")])
+        ("train", "--data", "d.bin", "--layers", "4", "--inner-tol", "nan"),
+        ("synth", "--kind", "blobs", "--out", "d.bin", "--rows", "0")])
     def test_zero_count_is_usage_error(self, capsys, argv):
         code, _, err = run(capsys, *argv)
         assert code == EXIT_USAGE
@@ -142,11 +146,26 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("flags", [("--layers", "4,x"),
                                        ("--layers", "4", "--mu", "abc"),
-                                       ("--layers", "4", "--lambda", "1,,2")])
+                                       ("--layers", "4", "--lambda", "1,,2"),
+                                       ("--layers", "4", "--mu", "nan"),
+                                       ("--layers", "4", "--variant", "bogus"),
+                                       ("--layers", "4", "--activation", "bogus"),
+                                       ("--layers", "4", "--projection", "bogus")])
     def test_malformed_train_flag_is_usage_error(self, capsys, flags):
+        # d.bin does not exist: the flag is rejected before any file is read.
         code, _, err = run(capsys, "train", "--data", "d.bin", *flags)
         assert code == EXIT_USAGE
         assert "usage" in err
+
+    @pytest.mark.parametrize("flags", [("--noise", "nan"), ("--noise", "inf"),
+                                       ("--noise", "-0.1"),
+                                       ("--kind", "blobs", "--separation", "nan")])
+    def test_non_finite_synth_scale_is_usage_error(self, capsys, tmp_path, flags):
+        out = tmp_path / "d.bin"
+        code, _, err = run(capsys, "synth", "--kind", "planted_linear", "--out",
+                           str(out), *flags)
+        assert code == EXIT_USAGE
+        assert "nonneg_float" in err and "usage" in err and not out.exists()
 
     def test_weight_the_variant_does_not_take_is_data_error(self, capsys,
                                                               tmp_path):

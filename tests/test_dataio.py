@@ -116,6 +116,14 @@ class TestLabelsAndBundles:
         save_bundle(tmp_path / "d.bin", DatasetBundle(x=x, labels=None, name="d"))
         assert load_bundle(tmp_path / "d.bin").labels is None
 
+    def test_non_finite_bundle_rejected(self, rng):
+        x = rng.uniform(0.0, 1.0, size=(4, 6))
+        x[1, 2] = np.nan
+        from deepnmf import InvalidInputError
+
+        with pytest.raises(InvalidInputError, match="finite"):
+            DatasetBundle(x=x, labels=None, name="d")
+
     def test_label_count_must_match(self, rng):
         x = rng.uniform(0.0, 1.0, size=(4, 6))
         from deepnmf import InvalidInputError

@@ -62,6 +62,13 @@ def test_scalar_weight_on_unpenalized_role_rejected(variant, kwargs):
         make_spec(variant, (4, 2), **kwargs)
 
 
+@pytest.mark.parametrize("kwargs", [{"mu": float("nan")}, {"mu": float("inf")},
+                                    {"lam": (0.0, float("nan"))}])
+def test_non_finite_weight_rejected(kwargs):
+    with pytest.raises(InvalidInputError, match="finite"):
+        make_spec("sdnmf_rl1", (4, 2), **kwargs)
+
+
 class TestModelSpec:
     def test_variant_penalty_consistency(self):
         with pytest.raises(InvalidInputError):
@@ -89,6 +96,8 @@ class TestModelSpec:
     def test_projection_requires_activation(self):
         with pytest.raises(InvalidInputError):
             make_spec("dnmf", (4,), projection_mode="hidden")
+        with pytest.raises(InvalidInputError, match="unknown projection_mode"):
+            make_spec("dnmf", (4,), projection_mode="bogus")
         spec = make_spec("dnmf", (4,), activation="root")
         assert spec.projection_mode == "hidden"
 

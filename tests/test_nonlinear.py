@@ -21,6 +21,37 @@ def random_stack(rng, m, sizes, n, lo=0.1, hi=1.0):
     return FactorStack(ws, hs)
 
 
+def chain_point(rng, tag, sizes, top, lo):
+    """(spec, x, stack) of an sdnmf_rl1 model whose every inverted chain
+    level W_l @ fresh_l (l >= 2) has largest entry ``top``: factors are
+    drawn from [lo, 1] and each W_l is rescaled from the top down."""
+    stack = random_stack(rng, 6, sizes, 7, lo=lo)
+    act = get_activation(tag)
+    fresh = stack.h[-1]
+    for i in range(len(sizes) - 1, 0, -1):
+        stack.w[i] *= top / (stack.w[i] @ fresh).max()
+        fresh = act.inverse(stack.w[i] @ fresh)
+    spec = make_spec("sdnmf_rl1", sizes, mu=0.2, lam=0.3, activation=tag,
+                     projection_mode="hidden")
+    return spec, rng.uniform(0.1, 1.0, size=(6, 7)), stack
+
+
+def assert_gradients_match_finite_differences(spec, x, stack):
+    """representation_gradient and basis_gradient at every layer 2..L
+    against central differences of the objective."""
+    def check(g, f, v):
+        fd = central_diff(f, v)
+        assert np.linalg.norm(g - fd) <= 1e-5 * np.linalg.norm(fd)
+
+    check(representation_gradient(spec, x, stack),
+          lambda v: nonlinear_objective(spec, x, stack.w, v), stack.h[-1])
+    w = stack.w
+    for l in range(2, spec.depth + 1):
+        check(basis_gradient(spec, x, stack, l),
+              lambda v: nonlinear_objective(spec, x, w[:l - 1] + [v] + w[l:],
+                                            stack.h[-1]), w[l - 1])
+
+
 class TestActivations:
     def test_root_values(self):
         out = get_activation("root").g(np.array([[4.0, 9.0]]))
@@ -126,26 +157,31 @@ class TestGradients:
         lin_w = finetune_problem(lin, 2, "w", x, stack).grad(stack.w[1])
         assert np.abs(g_w - lin_w).max() <= 1e-12 * max(1.0, np.abs(lin_w).max())
 
-    @pytest.mark.parametrize("tag", ["root", "softplus"])
+    @pytest.mark.parametrize("tag", ["root", "softplus", "identity", "tanh",
+                                     "sigmoid"])
     def test_matches_finite_differences(self, rng, tag):
-        sizes = (4, 3)
-        stack = random_stack(rng, 5, sizes, 6)
-        x = rng.uniform(0.1, 1.0, size=(5, 6))
-        spec = make_spec("sdnmf_rl1", sizes, mu=0.2, lam=0.3, activation=tag,
-                         projection_mode="hidden")
+        # Every inverted chain level stays inside the clamp interval, and for
+        # sigmoid and softplus above the point where the inverse turns
+        # negative, so the chain below stays inside too.
+        top = {"tanh": 0.95, "sigmoid": 0.95, "softplus": 3.0}.get(tag, 1.0)
+        act = get_activation(tag)
+        for sizes in ((4, 3), (5, 4, 3)):
+            spec, x, stack = chain_point(rng, tag, sizes, top, lo=0.9)
+            pre = unroll(tag, stack.w, stack.h[-1])[0][1:]
+            assert all(np.all((p > act.inv_lo + 1e-3) & (p < act.inv_hi - 1e-3))
+                       for p in pre)
+            assert_gradients_match_finite_differences(spec, x, stack)
 
-        g = representation_gradient(spec, x, stack)
-        fd = central_diff(lambda v: nonlinear_objective(spec, x, stack.w, v),
-                          stack.h[-1])
-        assert np.linalg.norm(g - fd) / np.linalg.norm(fd) <= 1e-5
-
-        g2 = basis_gradient(spec, x, stack, 2)
-
-        def f_w(v):
-            return nonlinear_objective(spec, x, [stack.w[0], v], stack.h[-1])
-
-        fd2 = central_diff(f_w, stack.w[1])
-        assert np.linalg.norm(g2 - fd2) / np.linalg.norm(fd2) <= 1e-5
+    @pytest.mark.parametrize("tag", ["tanh", "sigmoid"])
+    def test_matches_finite_differences_where_the_clamp_engages(self, rng, tag):
+        # Chain entries up to 1.7 leave [inv_lo, inv_hi]; there the clamped
+        # inverse is flat and its derivative is 0, not the boundary slope.
+        act = get_activation(tag)
+        for sizes in ((4, 3), (5, 4, 3)):
+            spec, x, stack = chain_point(rng, tag, sizes, 1.7, lo=0.1)
+            pre = unroll(tag, stack.w, stack.h[-1])[0][1:]
+            assert any(np.any(p > act.inv_hi) for p in pre)
+            assert_gradients_match_finite_differences(spec, x, stack)
 
     def test_zero_residual_gives_zero_data_gradient(self, rng):
         dims = (6, 4, 2)
@@ -213,6 +249,18 @@ class TestNonlinearFinetune:
         trace = report.objective_trace
         assert not report.stalled and report.sweeps_used >= 2
         assert all(b <= a for a, b in zip(trace, trace[1:]))
+
+    def test_deep_sigmoid_fit_does_not_stall(self):
+        # Its chain leaves sigmoid's clamp interval; with the boundary slope
+        # (about 1e7) as the derivative there, the first step stalled.
+        sizes = (12, 8, 6, 4)
+        bundle = synth_generate("planted_linear", 2, rows=40, cols=120,
+                                layer_sizes=sizes, classes=4, noise=0.05)
+        spec = make_spec("sdnmf_l", sizes, activation="sigmoid")
+        _, report = fit(spec, bundle.x, TrainConfig(StopRule(60), max_sweeps=8))
+        trace = report.objective_trace
+        assert not report.stalled and report.sweeps_used >= 1
+        assert trace[-1] < 0.1 * trace[0]
 
     def test_stalled_run_stores_its_final_chain(self, rng, monkeypatch):
         # With no halvings allowed the first step stalls; the hidden factors

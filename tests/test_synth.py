@@ -71,6 +71,10 @@ def test_invalid_params_rejected():
         synth_generate("blobs", seed=0, cols=4, classes=9)
     with pytest.raises(InvalidInputError):
         synth_generate("planted_linear", seed=0, noise=-1.0)
+    with pytest.raises(InvalidInputError, match="noise"):
+        synth_generate("planted_linear", seed=0, noise=float("nan"))
+    with pytest.raises(InvalidInputError, match="separation"):
+        synth_generate("blobs", seed=0, separation=float("nan"))
     with pytest.raises(InvalidInputError):
         synth_generate("planted_linear", seed=0, rows=5, layer_sizes=(8, 2),
                        classes=2)
