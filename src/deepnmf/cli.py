@@ -13,14 +13,16 @@ from pathlib import Path
 
 import numpy as np
 
+from .activations import ACTIVATIONS
 from .apg import StopRule
-from .dataio import (load_bundle, load_factors, load_labels, nonneg_float,
-                     parse_sizes, parse_weights, positive_float, positive_int,
-                     save_bundle, save_factors, save_labels)
+from .dataio import (load_bundle, load_factors, load_labels, parse_sizes,
+                     parse_weights, positive_float, positive_int, save_bundle,
+                     save_factors)
 from .errors import DataFormatError, InvalidInputError, NumericalError
-from .experiment import EvalConfig, parse_config, run_experiment, score_partitions
+from .experiment import (DATA_KEYS, EvalConfig, parse_config, resolve_bundle,
+                         run_experiment, score_partitions)
 from .models import ACTIVATION_TAGS, PROJECTION_MODES, VARIANTS, make_spec
-from .synth import KINDS, synth_generate
+from .synth import KINDS
 from .train import TrainConfig, fit
 
 EXIT_OK = 0
@@ -42,18 +44,16 @@ def _build_parser():
     parser = _Parser(prog="deepnmf", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("synth", help="generate a synthetic dataset bundle")
+    # An omitted synth flag takes synth_generate's default.
+    p = sub.add_parser("synth", help="generate a synthetic dataset bundle",
+                       argument_default=argparse.SUPPRESS)
     p.add_argument("--kind", choices=KINDS, required=True)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.add_argument("--rows", type=positive_int, default=30)
-    p.add_argument("--cols", type=positive_int, default=100)
-    p.add_argument("--sizes", type=parse_sizes, default=(10, 5),
+    for name in ("seed", "rows", "cols", "classes", "noise", "separation"):
+        p.add_argument(f"--{name}", type=DATA_KEYS[name])
+    p.add_argument("--sizes", dest="layer_sizes", type=DATA_KEYS["layer_sizes"],
                    help="planted layer sizes, comma-separated")
-    p.add_argument("--classes", type=positive_int, default=5)
-    p.add_argument("--noise", type=nonneg_float, default=0.0)
-    p.add_argument("--activation", default="root")
-    p.add_argument("--separation", type=nonneg_float, default=10.0)
+    p.add_argument("--activation", choices=ACTIVATIONS)
 
     p = sub.add_parser("train", help="fit one model and write its factors")
     p.add_argument("--data", required=True)
@@ -91,11 +91,8 @@ def _build_parser():
 
 
 def _cmd_synth(args):
-    bundle = synth_generate(
-        args.kind, args.seed, rows=args.rows, cols=args.cols,
-        layer_sizes=args.sizes,
-        classes=args.classes, noise=args.noise, activation=args.activation,
-        separation=args.separation)
+    bundle = resolve_bundle({name: value for name, value in vars(args).items()
+                             if name in DATA_KEYS})
     save_bundle(args.out, bundle)
     print(f"wrote {bundle.name}: {bundle.x.shape[0]}x{bundle.x.shape[1]} -> {args.out}")
     return EXIT_OK
@@ -118,9 +115,8 @@ def _cmd_train(args):
     save_factors(outdir, spec, stack,
                  extra={"final_objective": repr(report.final_objective),
                         "sweeps_used": report.sweeps_used,
-                        "data": args.data})
-    if bundle.labels is not None:
-        save_labels(Path(outdir) / "labels.csv", bundle.labels)
+                        "data": args.data},
+                 labels=bundle.labels)
     print(f"factors written to {outdir}")
     return EXIT_OK
 

@@ -10,7 +10,8 @@ A dataset bundle is a matrix file (columns are samples) with an optional
 ``<path>.labels`` sidecar holding one integer class id per line.
 
 A factor directory holds ``W1.bin .. WL.bin``, ``H1.bin .. HL.bin``, a flat
-``meta.cfg`` describing the model, and optionally the dataset's labels.
+``meta.cfg`` describing the model, and optionally the dataset's labels as
+``labels.csv``.
 """
 
 import struct
@@ -22,7 +23,8 @@ import numpy as np
 
 from .errors import DataFormatError, InvalidInputError
 from .metrics import Partition, from_labels
-from .models import FactorStack, make_spec
+from .models import (ACTIVATION_TAGS, PROJECTION_MODES, VARIANTS, FactorStack,
+                     make_spec)
 
 MAGIC = b"SDNMF1"
 _HEADER = len(MAGIC) + 8  # magic + two uint32 dims
@@ -182,11 +184,12 @@ def _write_flat_config(path, items):
 
 
 def read_flat_config(path):
-    """Parse ``key = value`` lines; '#' starts a comment, blanks are skipped."""
+    """Parse ``key = value`` lines; '#' starts a comment, blanks are skipped,
+    and a key given twice is a DataFormatError."""
     path = Path(path)
     if not path.exists():
         raise DataFormatError(f"{path}: file not found")
-    out = {}
+    out, first_line = {}, {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.split("#", 1)[0].strip()
@@ -195,8 +198,12 @@ def read_flat_config(path):
             if "=" not in line:
                 raise DataFormatError(
                     f"{path}: line {lineno} is not a 'key = value' pair: {line!r}")
-            key, value = line.split("=", 1)
-            out[key.strip()] = value.strip()
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key in first_line:
+                raise DataFormatError(f"{path}: {key} is given on line "
+                                      f"{first_line[key]} and again on line {lineno}")
+            first_line[key] = lineno
+            out[key] = value
     return out
 
 
@@ -269,8 +276,31 @@ def parse_entry(path, key, raw, parse):
         raise DataFormatError(f"{path}: {key} = {raw!r}: {exc}") from None
 
 
-def save_factors(outdir, spec, stack, extra=None):
-    """Dump a trained stack into a directory of BIN files plus meta.cfg."""
+# The model settings of ``model.*`` config keys and meta.cfg, and their parsers;
+# a ``sweep.<name>`` axis parses each of its values with the same one.
+MODEL_KEYS = {"variant": one_of(VARIANTS, str.lower), "layer_sizes": parse_sizes,
+              "mu": parse_weights, "lambda": parse_weights,
+              "activation": one_of(ACTIVATION_TAGS),
+              "projection_mode": one_of(PROJECTION_MODES)}
+
+
+def read_spec(path, raw, prefix="", required=("layer_sizes",)):
+    """The ModelSpec of the ``prefix + name`` entries of ``raw`` (read from
+    ``path``), each popped and parsed by ``MODEL_KEYS[name]``; absent ones
+    take make_spec's defaults (variant ``dnmf``)."""
+    for name in required:
+        if prefix + name not in raw:
+            raise DataFormatError(f"{path}: missing {prefix}{name}")
+    settings = {name: parse_entry(path, prefix + name, raw.pop(prefix + name), parse)
+                for name, parse in MODEL_KEYS.items() if prefix + name in raw}
+    settings["lam"] = settings.pop("lambda", None)
+    return make_spec(settings.pop("variant", "dnmf"), **settings)
+
+
+def save_factors(outdir, spec, stack, extra=None, labels=None):
+    """Dump a trained stack into a directory of BIN files plus meta.cfg,
+    with ``extra`` entries appended to meta.cfg and, when given, the
+    ``labels`` partition as labels.csv."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     for i, (w, h) in enumerate(zip(stack.w, stack.h), start=1):
@@ -285,8 +315,13 @@ def save_factors(outdir, spec, stack, extra=None):
         ("projection_mode", spec.projection_mode),
     ]
     for key, value in (extra or {}).items():
+        if key in dict(items):
+            raise InvalidInputError(f"extra meta.cfg key {key!r} would replace "
+                                    "the model's own entry")
         items.append((key, value))
     _write_flat_config(outdir / "meta.cfg", items)
+    if labels is not None:
+        save_labels(outdir / "labels.csv", labels)
     return outdir
 
 
@@ -297,19 +332,10 @@ def load_factors(factors_dir):
     if not meta_path.exists():
         raise DataFormatError(f"{factors_dir}: missing meta.cfg")
     meta = read_flat_config(meta_path)
-
-    def entry(key, parse=str):
-        if key not in meta:
-            raise DataFormatError(f"{meta_path}: missing {key}")
-        return parse_entry(meta_path, key, meta[key], parse)
-
-    sizes = entry("layer_sizes", parse_sizes)
-    spec = make_spec(entry("variant"), sizes, mu=entry("mu", parse_weights),
-                     lam=entry("lambda", parse_weights),
-                     activation=meta.get("activation", "linear"),
-                     projection_mode=meta.get("projection_mode", "none"))
+    spec = read_spec(meta_path, dict(meta),
+                     required=("variant", "layer_sizes", "mu", "lambda"))
     ws, hs = [], []
-    for i in range(1, len(sizes) + 1):
+    for i in range(1, spec.depth + 1):
         ws.append(load_matrix(factors_dir / f"W{i}.bin", require_nonneg=True))
         hs.append(load_matrix(factors_dir / f"H{i}.bin", require_nonneg=True))
     return spec, FactorStack(ws, hs), meta

@@ -28,15 +28,15 @@ from typing import Optional
 
 import numpy as np
 
+from .activations import ACTIVATIONS
 from .apg import StopRule
-from .dataio import (load_bundle, nonneg_float, one_of, parse_bool,
-                     parse_entry, parse_sizes, parse_weights, positive_float,
-                     positive_int, read_flat_config, save_factors)
+from .dataio import (MODEL_KEYS, load_bundle, nonneg_float, one_of, parse_bool,
+                     parse_entry, parse_sizes, positive_float, positive_int,
+                     read_flat_config, read_spec, save_factors)
 from .errors import DataFormatError, InvalidInputError
 from .metrics import error_rate, kmeans, naive_precision, nmi
-from .models import (ACTIVATION_TAGS, PROJECTION_MODES, VARIANTS, ModelSpec,
-                     make_spec, penalized_factors)
-from .synth import synth_generate
+from .models import ModelSpec, make_spec, penalized_factors
+from .synth import KINDS, synth_generate
 from .train import TrainConfig, fit
 
 RECORD_FIELDS = (
@@ -45,12 +45,12 @@ RECORD_FIELDS = (
     "final_objective", "sweeps_used", "wall_ms", "error",
 )
 _STAT_NAMES = ("mean", "std", "min", "max")
-# The ``data.*`` config keys and their parsers. Besides ``path``, ``kind``
-# and ``seed``, each is a keyword argument of synth_generate.
-_DATA_KEYS = {"path": str, "kind": str, "seed": int, "rows": positive_int,
-              "cols": positive_int, "classes": positive_int,
-              "layer_sizes": parse_sizes, "noise": nonneg_float,
-              "separation": nonneg_float, "activation": str}
+# The dataset settings of ``data.*`` config keys and ``synth`` flags, and their
+# parsers; all but ``path``, ``kind`` and ``seed`` are synth_generate keywords.
+DATA_KEYS = {"path": str, "kind": one_of(KINDS), "seed": int, "rows": positive_int,
+             "cols": positive_int, "classes": positive_int,
+             "layer_sizes": parse_sizes, "noise": nonneg_float,
+             "separation": nonneg_float, "activation": one_of(tuple(ACTIVATIONS))}
 
 
 @dataclass(frozen=True)
@@ -120,7 +120,7 @@ def draw_layer_structures(seed, draws, depth, last_size, lo=50, hi=600, p=0.02):
 
 def resolve_bundle(data):
     """Load or generate the dataset named by the ``data.*`` config keys
-    (values as :func:`parse_config` parses them)."""
+    (values as ``DATA_KEYS`` parses them)."""
     if data.get("path"):
         return load_bundle(data["path"])
     kind = data.get("kind")
@@ -225,7 +225,7 @@ def _run_unit(cfg, bundle, spec, meta, point_idx, rep):
                 for krep, row_scores in enumerate(scores)]
         if cfg.dump_factors:
             save_factors(Path(cfg.output_dir) / "factors" / f"p{point_idx}_r{rep}",
-                         spec, stack)
+                         spec, stack, labels=bundle.labels)
         return rows
     except Exception as exc:  # record the failure, keep sweeping
         wall_ms = (time.perf_counter() - t0) * 1000.0
@@ -330,19 +330,11 @@ def parse_config(path):
 
     # An unknown data key stays in ``raw`` and is reported below.
     data = {name: pop(f"data.{name}", parse=parse)
-            for name, parse in _DATA_KEYS.items() if f"data.{name}" in raw}
-
-    layer_sizes = pop("model.layer_sizes", parse=parse_sizes)
-    if layer_sizes is None:
-        raise DataFormatError(f"{path}: missing model.layer_sizes")
-
-    model = make_spec(
-        pop("model.variant", "dnmf", one_of(VARIANTS, str.lower)), layer_sizes,
-        mu=pop("model.mu", parse=parse_weights),
-        lam=pop("model.lambda", parse=parse_weights),
-        activation=pop("model.activation", "linear", one_of(ACTIVATION_TAGS)),
-        projection_mode=pop("model.projection_mode",
-                            parse=one_of(PROJECTION_MODES)))
+            for name, parse in DATA_KEYS.items() if f"data.{name}" in raw}
+    if "path" in data and len(data) > 1:
+        other = next(name for name in data if name != "path")
+        raise DataFormatError(f"{path}: give data.path or data.{other}, not both")
+    model = read_spec(path, raw, "model.")
 
     train_cfg = TrainConfig(
         inner_stop=StopRule(
@@ -371,15 +363,11 @@ def parse_config(path):
         if raw.get("sweep.layer_sizes"):
             raise DataFormatError(
                 f"{path}: give sweep.layer_sizes or sweep.structure, not both")
-    for key, name, parse in (("sweep.layer_sizes", "layer_sizes", parse_sizes),
-                             ("sweep.mu", "mu", parse_weights),
-                             ("sweep.lambda", "lam", parse_weights),
-                             ("sweep.activation", "activation", str),
-                             ("sweep.projection_mode", "projection_mode", str)):
-        value = pop(key, parse=lambda v, p=parse: tuple(
+    for name in ("layer_sizes", "mu", "lambda", "activation", "projection_mode"):
+        value = pop(f"sweep.{name}", parse=lambda v, p=MODEL_KEYS[name]: tuple(
             p(e) for e in _split_list(v)))
         if value is not None:
-            sweep_kwargs[name] = value
+            sweep_kwargs["lam" if name == "lambda" else name] = value
 
     output_dir = pop("output_dir", "results")
     dump = pop("dump_factors", ExperimentConfig.dump_factors, parse_bool)

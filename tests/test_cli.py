@@ -1,7 +1,8 @@
 import pytest
 
-from deepnmf import load_factors
+from deepnmf import load_factors, save_bundle, synth_generate
 from deepnmf.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, cli_main
+from deepnmf.synth import KINDS
 
 
 def run(capsys, *argv):
@@ -55,6 +56,17 @@ class TestSynthTrainFlow:
                            "4,2", "--sweeps", "5", "--inner-iters", "50")
         assert code == EXIT_OK
         assert (tmp_path / "run_d").is_dir()
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_synth_without_flags_writes_synth_generate_defaults(
+            self, tmp_path, capsys, kind):
+        code, _, _ = run(capsys, "synth", "--kind", kind, "--seed", "4",
+                         "--out", str(tmp_path / "cli.bin"))
+        assert code == EXIT_OK
+        save_bundle(tmp_path / "lib.bin", synth_generate(kind, 4))
+        for suffix in (".bin", ".bin.labels"):
+            assert ((tmp_path / f"cli{suffix}").read_bytes()
+                    == (tmp_path / f"lib{suffix}").read_bytes())
 
 
 class TestExitCodes:
@@ -119,7 +131,9 @@ class TestExitCodes:
                                       "dump_factors = flase", "model.mu = nan",
                                       "model.variant = bogus",
                                       "sweep.mu = nan", "data.noise = nan",
-                                      "data.rows = 0"])
+                                      "data.rows = 0",
+                                      "sweep.activation = bogus",
+                                      "sweep.projection_mode = wrong"])
     def test_out_of_range_config_value_is_data_error(self, capsys, tmp_path,
                                                      line):
         cfg = tmp_path / "bad.cfg"
@@ -127,6 +141,26 @@ class TestExitCodes:
         code, _, err = run(capsys, "sweep", "--config", str(cfg))
         assert code == EXIT_DATA
         assert str(cfg) in err and line.split(" =")[0] in err
+
+    # Each case sets its own data section: the fixture's data.kind would turn
+    # a second data.kind into a repeated key.
+    @pytest.mark.parametrize("lines, key", [
+        ("data.kind = bogus", "data.kind"),
+        ("data.kind = planted_nonlinear\ndata.activation = relu",
+         "data.activation"),
+        ("data.path = d.bin\ndata.kind = blobs", "data.kind"),
+        ("data.kind = blobs\nmodel.layer_sizes = 6,2", "model.layer_sizes")],
+        ids=["data.kind", "data.activation", "data.path+data.kind",
+             "repeated-key"])
+    def test_bad_or_conflicting_config_entry_is_data_error(self, capsys,
+                                                           tmp_path, lines,
+                                                           key):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"model.layer_sizes = 4,2\n{lines}\n"
+                       f"output_dir = {tmp_path / 'out'}\n")
+        code, _, err = run(capsys, "sweep", "--config", str(cfg))
+        assert code == EXIT_DATA
+        assert str(cfg) in err and key in err
 
     @pytest.mark.parametrize("argv", [
         ("evaluate", "--factors", "run", "--reps", "0"),
@@ -167,6 +201,15 @@ class TestExitCodes:
         assert code == EXIT_USAGE
         assert "nonneg_float" in err and "usage" in err and not out.exists()
 
+    @pytest.mark.parametrize("kind", ["planted_linear", "planted_nonlinear"])
+    def test_unknown_synth_activation_is_usage_error(self, capsys, tmp_path,
+                                                     kind):
+        out = tmp_path / "d.bin"
+        code, _, err = run(capsys, "synth", "--kind", kind, "--activation",
+                           "bogus", "--out", str(out))
+        assert code == EXIT_USAGE
+        assert "invalid choice" in err and not out.exists()
+
     def test_weight_the_variant_does_not_take_is_data_error(self, capsys,
                                                               tmp_path):
         data = tmp_path / "d.bin"
@@ -177,9 +220,14 @@ class TestExitCodes:
         assert code == EXIT_DATA
         assert "dnmf does not penalize W_1" in err
 
+    @pytest.mark.parametrize("key, value", [("variant", None),
+                                            ("variant", "bogus"),
+                                            ("activation", "relu"),
+                                            ("projection_mode", "x")])
     @pytest.mark.parametrize("command", ["evaluate", "inspect"])
-    def test_factor_meta_without_variant_is_data_error(self, capsys, tmp_path,
-                                                       rng, command):
+    def test_malformed_factor_meta_is_data_error(self, capsys, tmp_path, rng,
+                                                 command, key, value):
+        """A meta.cfg entry that is missing (value None) or malformed."""
         from deepnmf import make_spec, save_factors
         from deepnmf.models import FactorStack
 
@@ -189,10 +237,11 @@ class TestExitCodes:
                                FactorStack([w], [h]))
         meta = run_dir / "meta.cfg"
         meta.write_text("".join(line for line in meta.read_text().splitlines(True)
-                                if not line.startswith("variant")))
+                                if not line.startswith(key))
+                        + ("" if value is None else f"{key} = {value}\n"))
         code, _, err = run(capsys, command, "--factors", str(run_dir))
         assert code == EXIT_DATA
-        assert "meta.cfg" in err and "variant" in err
+        assert "meta.cfg" in err and key in err
 
 
 class TestSweepCommand:
@@ -211,8 +260,18 @@ class TestSweepCommand:
             "train.inner_iters = 80\n"
             "eval.model_reps = 1\n"
             "eval.kmeans_reps = 1\n"
+            "dump_factors = true\n"
             f"output_dir = {tmp_path / 'out'}\n")
         code, out, _ = run(capsys, "sweep", "--config", str(cfg))
         assert code == EXIT_OK
         assert (tmp_path / "out" / "summary.csv").exists()
         assert "1 sweep points" in out
+
+        # A dumped factor directory carries the labels it was trained on.
+        factors = str(tmp_path / "out" / "factors" / "p0_r0")
+        code, out, _ = run(capsys, "evaluate", "--factors", factors,
+                           "--reps", "1", "--restarts", "1")
+        assert code == EXIT_OK and "nmi: mean" in out
+        code, out, _ = run(capsys, "inspect", "--factors", factors,
+                           "--class", "0")
+        assert code == EXIT_OK and "class 0:" in out

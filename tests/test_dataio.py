@@ -10,7 +10,7 @@ from deepnmf import (VARIANTS, DataFormatError, DatasetBundle, Partition,
                      load_bundle, load_factors, load_labels, load_matrix,
                      make_spec, save_bundle, save_factors, save_labels,
                      save_matrix)
-from deepnmf.dataio import MAGIC
+from deepnmf.dataio import MAGIC, read_flat_config
 from deepnmf.models import FactorStack
 
 
@@ -157,6 +157,22 @@ class TestFactorDirs:
             [rng.uniform(0.0, 1.0, size=(k, 5)) for k in sizes])
         save_factors(tmp_path / "run", spec, stack)
         assert load_factors(tmp_path / "run")[0] == spec
+
+    def test_extra_key_may_not_replace_a_model_entry(self, tmp_path, rng):
+        from deepnmf import InvalidInputError
+
+        stack = FactorStack([rng.uniform(0.1, 1.0, size=(5, 3))],
+                            [rng.uniform(0.1, 1.0, size=(3, 8))])
+        with pytest.raises(InvalidInputError, match="'variant'"):
+            save_factors(tmp_path / "run", make_spec("dnmf", (3,)), stack,
+                         extra={"variant": "sdnmf_l"})
+
+    def test_repeated_key_names_both_lines(self, tmp_path):
+        path = tmp_path / "meta.cfg"
+        path.write_text("mu = 0.1\nvariant = dnmf\nmu = 0.2\n")
+        with pytest.raises(DataFormatError, match="mu is given on line 1 and "
+                                                  "again on line 3"):
+            read_flat_config(path)
 
     def test_missing_meta_rejected(self, tmp_path):
         (tmp_path / "run").mkdir()
