@@ -15,9 +15,9 @@ import numpy as np
 
 from .activations import ACTIVATIONS
 from .apg import StopRule
-from .dataio import (load_bundle, load_factors, load_labels, parse_sizes,
-                     parse_weights, positive_float, positive_int, save_bundle,
-                     save_factors)
+from .dataio import (LABELS_FILE, load_bundle, load_factor_labels,
+                     load_factors, parse_sizes, parse_weights, positive_float,
+                     positive_int, save_bundle, save_factors)
 from .errors import DataFormatError, InvalidInputError, NumericalError
 from .experiment import (DATA_KEYS, EvalConfig, parse_config, resolve_bundle,
                          run_experiment, score_partitions)
@@ -73,7 +73,7 @@ def _build_parser():
     p = sub.add_parser("evaluate", help="cluster saved factors and score them")
     p.add_argument("--factors", required=True)
     p.add_argument("--labels", default=None,
-                   help="label file (default: labels.csv inside --factors)")
+                   help=f"label file (default: {LABELS_FILE} inside --factors)")
     p.add_argument("--k", type=positive_int, default=None)
     p.add_argument("--seed", type=int, default=EvalConfig.seed)
     p.add_argument("--restarts", type=positive_int,
@@ -123,10 +123,9 @@ def _cmd_train(args):
 
 def _cmd_evaluate(args):
     spec, stack, _ = load_factors(args.factors)
-    label_path = args.labels or Path(args.factors) / "labels.csv"
-    labels = load_labels(label_path)
-    scores = score_partitions(stack.h[-1], labels, args.k or labels.n_clusters,
-                              args.reps, args.restarts, args.seed)
+    labels = load_factor_labels(args.factors, stack, args.labels)
+    scores = score_partitions(stack.h[-1], labels, args.k, args.reps,
+                              args.restarts, args.seed)
     for name in ("nmi", "er", "np"):
         vals = [s[name] for s in scores]
         print(f"{name}: mean {np.mean(vals):.6f} std {np.std(vals):.6f} "
@@ -161,12 +160,7 @@ def _cmd_inspect(args):
     if args.class_id is None:
         return EXIT_OK
 
-    label_path = Path(args.factors) / "labels.csv"
-    if not label_path.exists():
-        raise DataFormatError(
-            f"{args.factors}: no labels.csv stored; class drill-down needs the "
-            "training labels")
-    labels = load_labels(label_path)
+    labels = load_factor_labels(args.factors, stack)
     members = np.flatnonzero(labels.labels == args.class_id)
     if members.size == 0:
         raise InvalidInputError(f"class {args.class_id} has no samples")

@@ -24,10 +24,11 @@ import numpy as np
 from .errors import DataFormatError, InvalidInputError
 from .metrics import Partition, from_labels
 from .models import (ACTIVATION_TAGS, PROJECTION_MODES, VARIANTS, FactorStack,
-                     make_spec)
+                     _check_conformance, make_spec)
 
 MAGIC = b"SDNMF1"
 _HEADER = len(MAGIC) + 8  # magic + two uint32 dims
+LABELS_FILE = "labels.csv"  # a factor directory's training labels
 
 
 def _is_csv(path):
@@ -294,7 +295,10 @@ def read_spec(path, raw, prefix="", required=("layer_sizes",)):
     settings = {name: parse_entry(path, prefix + name, raw.pop(prefix + name), parse)
                 for name, parse in MODEL_KEYS.items() if prefix + name in raw}
     settings["lam"] = settings.pop("lambda", None)
-    return make_spec(settings.pop("variant", "dnmf"), **settings)
+    try:
+        return make_spec(settings.pop("variant", "dnmf"), **settings)
+    except InvalidInputError as exc:
+        raise DataFormatError(f"{path}: {exc}") from None
 
 
 def save_factors(outdir, spec, stack, extra=None, labels=None):
@@ -321,7 +325,7 @@ def save_factors(outdir, spec, stack, extra=None, labels=None):
         items.append((key, value))
     _write_flat_config(outdir / "meta.cfg", items)
     if labels is not None:
-        save_labels(outdir / "labels.csv", labels)
+        save_labels(outdir / LABELS_FILE, labels)
     return outdir
 
 
@@ -338,4 +342,26 @@ def load_factors(factors_dir):
     for i in range(1, spec.depth + 1):
         ws.append(load_matrix(factors_dir / f"W{i}.bin", require_nonneg=True))
         hs.append(load_matrix(factors_dir / f"H{i}.bin", require_nonneg=True))
-    return spec, FactorStack(ws, hs), meta
+    try:
+        stack = FactorStack(ws, hs)
+        _check_conformance(spec, None, stack)
+    except InvalidInputError as exc:
+        raise DataFormatError(f"{meta_path}: {exc}") from None
+    return spec, stack, meta
+
+
+def load_factor_labels(factors_dir, stack, path=None):
+    """The labels of a factor directory's samples, read from ``path`` or
+    else from the directory's stored labels; a DataFormatError unless there
+    is one label per column of H_L."""
+    if path is None:
+        path = Path(factors_dir) / LABELS_FILE
+        if not path.exists():
+            raise DataFormatError(
+                f"{factors_dir}: no {LABELS_FILE} stored; scoring and class "
+                "drill-down need the training labels")
+    labels = load_labels(path)
+    if len(labels) != stack.h[-1].shape[1]:
+        raise DataFormatError(f"{path}: {len(labels)} labels for "
+                              f"{stack.h[-1].shape[1]} samples")
+    return labels

@@ -89,9 +89,10 @@ def worker_count():
     """Worker pool size, capped by the DEEPNMF_THREADS environment variable."""
     raw = os.environ.get("DEEPNMF_THREADS", "1")
     try:
-        return max(1, int(raw))
+        return positive_int(raw)
     except ValueError:
-        raise InvalidInputError(f"DEEPNMF_THREADS must be an integer, got {raw!r}")
+        raise InvalidInputError(
+            f"DEEPNMF_THREADS = {raw!r}: must be a positive integer") from None
 
 
 def draw_layer_structures(seed, draws, depth, last_size, lo=50, hi=600, p=0.02):
@@ -191,17 +192,17 @@ def _derived_seed(*parts):
 
 
 def score_partitions(h, labels, k, reps, restarts, *seed):
-    """Cluster the columns of ``h`` into ``k`` groups ``reps`` times and
-    score each partition against ``labels``. Run ``rep`` seeds k-means from
-    the parts ``seed`` followed by ``rep``. Returns one dict of ``nmi``,
-    ``er`` and ``np`` per run, empty when ``labels`` is None."""
-    scores = []
-    for rep in range(reps):
-        part = kmeans(h, k, restarts=restarts, seed=_derived_seed(*seed, rep))
-        scores.append({} if labels is None else {
-            "nmi": nmi(part, labels), "er": error_rate(part, labels),
-            "np": naive_precision(part, labels)})
-    return scores
+    """Cluster the columns of ``h`` into ``k`` groups (None: the label
+    count) ``reps`` times and score each partition against ``labels``. Run
+    ``rep`` seeds k-means from the parts ``seed`` followed by ``rep``.
+    Returns one dict of ``nmi``, ``er`` and ``np`` per run; with ``labels``
+    None, ``reps`` empty dicts and no clustering."""
+    if labels is None:
+        return [{} for _ in range(reps)]
+    parts = [kmeans(h, k or labels.n_clusters, restarts=restarts,
+                    seed=_derived_seed(*seed, rep)) for rep in range(reps)]
+    return [{"nmi": nmi(part, labels), "er": error_rate(part, labels),
+             "np": naive_precision(part, labels)} for part in parts]
 
 
 def _run_unit(cfg, bundle, spec, meta, point_idx, rep):
@@ -213,9 +214,7 @@ def _run_unit(cfg, bundle, spec, meta, point_idx, rep):
     try:
         stack, report = fit(spec, bundle.x, cfg.train)
         wall_ms = (time.perf_counter() - t0) * 1000.0
-        k = cfg.eval.k or (bundle.labels.n_clusters if bundle.labels
-                           else spec.layer_sizes[-1])
-        scores = score_partitions(stack.h[-1], bundle.labels, k,
+        scores = score_partitions(stack.h[-1], bundle.labels, cfg.eval.k,
                                   cfg.eval.kmeans_reps,
                                   cfg.eval.kmeans_restarts, cfg.eval.seed,
                                   point_idx, rep)
@@ -253,7 +252,7 @@ def _summarize(points_meta, rows):
     summary = []
     for idx, meta in enumerate(points_meta):
         point_rows = [r for r in rows if r["point"] == idx and not r["error"]]
-        entry = dict(meta, point=idx, n_rows=len(point_rows),
+        entry = dict(point=idx, **meta, n_rows=len(point_rows),
                      n_errors=sum(1 for r in rows
                                   if r["point"] == idx and r["error"]))
         for metric in ("nmi", "er", "np", "final_objective", "sweeps_used"):
@@ -294,10 +293,7 @@ def run_experiment(cfg):
     _write_csv(outdir / "records.csv", RECORD_FIELDS, rows)
 
     summary = _summarize(points_meta, rows)
-    summary_fields = ["point"] + list(points_meta[0]) + ["n_rows", "n_errors"]
-    for metric in ("nmi", "er", "np", "final_objective", "sweeps_used"):
-        summary_fields += [f"{metric}_{s}" for s in _STAT_NAMES]
-    _write_csv(outdir / "summary.csv", summary_fields, summary)
+    _write_csv(outdir / "summary.csv", list(summary[0]), summary)
     with open(outdir / "summary.json", "w") as fh:
         json.dump({"name": bundle.name, "points": summary}, fh, indent=2,
                   sort_keys=True)
@@ -373,6 +369,8 @@ def parse_config(path):
     dump = pop("dump_factors", ExperimentConfig.dump_factors, parse_bool)
     if raw:
         raise DataFormatError(f"{path}: unknown config keys {sorted(raw)}")
+    if not (data.get("path") or data.get("kind")):
+        raise DataFormatError(f"{path}: config needs either data.path or data.kind")
     return ExperimentConfig(model=model, train=train_cfg, eval=eval_cfg,
                             data=data, output_dir=output_dir,
                             sweep=SweepAxes(**sweep_kwargs), dump_factors=dump)

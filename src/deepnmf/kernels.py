@@ -259,19 +259,28 @@ def sym_top_eig(gram, v0, rel_tol, max_iters):
     return lam, iters, status
 
 
+def sq_dists(points, centers):
+    """Squared distance of each row of ``points`` to ``centers`` (one row,
+    or one row per point): the one definition k-means uses. numpy sums each
+    row of the C-contiguous difference array in an order that depends only
+    on its length."""
+    diff = points - centers
+    diff *= diff
+    return np.sum(diff, axis=1)
+
+
 def _kmeans_assign_loop(points, centers):
     """Nearest-center assignment, one vectorized pass per center.
 
     The definition that :func:`kmeans_assign` reproduces bit for bit: the
-    squared distance is ``np.sum(diff * diff, axis=1)`` of the difference
-    array and the first center with the smallest one wins (strict ``<``).
+    distance is :func:`sq_dists` and the first center with the smallest one
+    wins (strict ``<``).
     """
     n = points.shape[0]
     best = np.full(n, np.inf)
     labels = np.zeros(n, dtype=np.int64)
     for c in range(centers.shape[0]):
-        diff = points - centers[c]
-        d2 = np.sum(diff * diff, axis=1)
+        d2 = sq_dists(points, centers[c])
         better = d2 < best
         labels = np.where(better, c, labels)
         best = np.where(better, d2, best)
@@ -287,10 +296,10 @@ _PSI_MAX = np.finfo(np.float64).max / 4
 def kmeans_assign(points, centers):
     """Nearest-center assignment: one GEMM screens, exact arithmetic settles.
 
-    Returns (labels, sq_dists) for float64 ``points`` (n, d) and ``centers``
-    (k, d), bit-identical to :func:`_kmeans_assign_loop`: ties break toward
-    the lowest center index, and a point whose distances are all NaN or
-    infinite gets label 0 and distance inf.
+    Returns (labels, squared distances) for float64 ``points`` (n, d) and
+    ``centers`` (k, d), bit-identical to :func:`_kmeans_assign_loop`: ties
+    break toward the lowest center index, and a point whose distances are
+    all NaN or infinite gets label 0 and distance inf.
 
     The screen is s_ic = |c|^2 - 2 p_i.c for all centers at once; |p_i|^2,
     the same for every center of a point, is left out. Bound its rounding
@@ -313,12 +322,11 @@ def kmeans_assign(points, centers):
     tiny term (the smallest normal number) covers underflow, which moves
     each of the 6d products involved by at most tiny, even when flushed to
     zero. So r is always within tau_i of the screened minimum, and a point
-    with exactly one center there takes it. Its distance is then taken from
-    ``np.sum(diff * diff, axis=1)`` on the gathered (n, d) difference array;
-    numpy reduces each row of a C-contiguous array in an order that depends
-    only on d, so the bits equal the loop's. Points with two or more
-    candidates, or with psi_i not finite or above max/4 (where a sum could
-    overflow), go through the loop, restricted to those rows.
+    with exactly one center there takes it. Its distance is then
+    :func:`sq_dists` against the gathered (n, d) centers, so the bits equal
+    the loop's. Points with two or more candidates, or with psi_i not finite
+    or above max/4 (where a sum could overflow), go through the loop,
+    restricted to those rows.
     """
     points = np.ascontiguousarray(points, dtype=np.float64)
     centers = np.ascontiguousarray(centers, dtype=np.float64)
@@ -338,11 +346,8 @@ def kmeans_assign(points, centers):
         # The index of the one candidate; meaningless on unsettled points,
         # which the loop overwrites.
         labels = np.arange(centers.shape[0], dtype=np.int64) @ cand
-        diff = points - centers.take(labels, axis=0, mode="clip")
-        diff *= diff
-        sq_dists = np.sum(diff, axis=1)
+        d2 = sq_dists(points, centers.take(labels, axis=0, mode="clip"))
     rest = np.flatnonzero(~settled)
     if rest.size:
-        labels[rest], sq_dists[rest] = _kmeans_assign_loop(points[rest],
-                                                           centers)
-    return labels, sq_dists
+        labels[rest], d2[rest] = _kmeans_assign_loop(points[rest], centers)
+    return labels, d2

@@ -129,7 +129,7 @@ def _kmeanspp_centers(points, k, rng):
     n = points.shape[0]
     centers = np.empty((k, points.shape[1]))
     centers[0] = points[rng.integers(n)]
-    d2 = np.sum((points - centers[0]) ** 2, axis=1)
+    d2 = kernels.sq_dists(points, centers[0])
     for c in range(1, k):
         total = d2.sum()
         if total > 0:
@@ -137,35 +137,31 @@ def _kmeanspp_centers(points, k, rng):
         else:
             idx = rng.integers(n)
         centers[c] = points[idx]
-        d2 = np.minimum(d2, np.sum((points - centers[c]) ** 2, axis=1))
+        d2 = np.minimum(d2, kernels.sq_dists(points, centers[c]))
     return centers
 
 
 def _lloyd(points, centers, max_iters):
+    """Lloyd's iterations from ``centers``, moved in place, until an
+    assignment repeats the previous one or ``max_iters`` (>= 1) are made.
+    Returns the last assignment's labels and wcss, to the centers it used."""
     k = centers.shape[0]
     labels = None
-    for _ in range(max_iters):
+    for it in range(1, max_iters + 1):
         new_labels, d2 = kernels.kmeans_assign(points, centers)
-        # Re-seed empty clusters at the points farthest from their centroid.
-        occupied = np.bincount(new_labels, minlength=k) > 0
-        if not occupied.all():
-            order = np.argsort(-d2)
-            taken = 0
+        if it == max_iters or (labels is not None
+                               and np.array_equal(new_labels, labels)):
+            break
+        empty = np.flatnonzero(np.bincount(new_labels, minlength=k) == 0)
+        if empty.size:
+            # Re-seed empty clusters at the points farthest from their
+            # centroid (every time, with fewer distinct points than k).
+            centers[empty] = points[np.argsort(-d2)[:empty.size]]
+        else:
+            labels = new_labels
             for c in range(k):
-                if not occupied[c]:
-                    centers[c] = points[order[taken]]
-                    taken += 1
-            continue
-        if labels is not None and np.array_equal(new_labels, labels):
-            # The centers have not moved since this assignment.
-            return labels, float(d2.sum())
-        labels = new_labels
-        for c in range(k):
-            centers[c] = points[labels == c].mean(axis=0)
-    last_labels, d2 = kernels.kmeans_assign(points, centers)
-    # Fewer distinct points than clusters re-seeds on every iteration; the
-    # last assignment, with empty clusters, is then the partition.
-    return (last_labels if labels is None else labels), float(d2.sum())
+                centers[c] = points[labels == c].mean(axis=0)
+    return new_labels, float(d2.sum())
 
 
 def kmeans(data, k, restarts=10, seed=0):
@@ -177,7 +173,8 @@ def kmeans(data, k, restarts=10, seed=0):
     :func:`deepnmf.kernels.kmeans_assign`: one matrix product screens all
     centers and only points within a rounding bound of a tie take the
     per-center loop, so labels and distances equal the loop's bit for bit.
-    A restart that converges reuses the distances of its last assignment.
+    A restart ends with an assignment that repeats the previous one, or
+    at ``KMEANS_MAX_ITERS`` assignments, and its wcss is that assignment's.
     With fewer distinct samples than ``k``, some clusters stay empty.
     """
     data = np.ascontiguousarray(data, dtype=np.float64)

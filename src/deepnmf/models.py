@@ -316,6 +316,8 @@ def finetune_objective(spec, x, stack):
 
 
 def _check_conformance(spec, x, stack):
+    """InvalidInputError unless ``stack`` has the depth and layer widths of
+    ``spec`` and, when ``x`` is not None, reconstructs a matrix of its shape."""
     if stack.depth != spec.depth:
         raise InvalidInputError(
             f"stack has {stack.depth} layers, spec expects {spec.depth}")
@@ -323,7 +325,7 @@ def _check_conformance(spec, x, stack):
         if stack.w[l - 1].shape[1] != k:
             raise InvalidInputError(
                 f"layer {l}: spec size {k} but stack w has {stack.w[l - 1].shape[1]} columns")
-    if x.shape != (stack.w[0].shape[0], stack.h[-1].shape[1]):
+    if x is not None and x.shape != (stack.w[0].shape[0], stack.h[-1].shape[1]):
         raise InvalidInputError(
             f"data shape {x.shape} does not match stack "
             f"({stack.w[0].shape[0]}, {stack.h[-1].shape[1]})")

@@ -149,9 +149,14 @@ class TestExitCodes:
         ("data.kind = planted_nonlinear\ndata.activation = relu",
          "data.activation"),
         ("data.path = d.bin\ndata.kind = blobs", "data.kind"),
-        ("data.kind = blobs\nmodel.layer_sizes = 6,2", "model.layer_sizes")],
+        ("data.kind = blobs\nmodel.layer_sizes = 6,2", "model.layer_sizes"),
+        ("data.kind = blobs\nmodel.variant = dnmf\nmodel.mu = 0.5",
+         "dnmf does not penalize W_1"),
+        ("data.kind = blobs\nmodel.mu = 0.1,0.2,0.3", "mu and lam"),
+        ("", "data.path or data.kind")],
         ids=["data.kind", "data.activation", "data.path+data.kind",
-             "repeated-key"])
+             "repeated-key", "unpenalized-weight", "weight-count",
+             "no-dataset"])
     def test_bad_or_conflicting_config_entry_is_data_error(self, capsys,
                                                            tmp_path, lines,
                                                            key):
@@ -242,6 +247,50 @@ class TestExitCodes:
         code, _, err = run(capsys, command, "--factors", str(run_dir))
         assert code == EXIT_DATA
         assert "meta.cfg" in err and key in err
+
+
+@pytest.fixture
+def train_dir(tmp_path, capsys):
+    """A 20x40 planted bundle trained at layers 6,3."""
+    data = tmp_path / "d.bin"
+    run(capsys, "synth", "--kind", "planted_linear", "--rows", "20", "--cols",
+        "40", "--sizes", "6,3", "--classes", "3", "--seed", "1", "--out",
+        str(data))
+    run(capsys, "train", "--data", str(data), "--layers", "6,3", "--sweeps",
+        "5", "--inner-iters", "50", "--out", str(tmp_path / "run"))
+    return tmp_path / "run"
+
+
+class TestFactorDirChecks:
+    @pytest.mark.parametrize("command", [("evaluate", "--reps", "1"),
+                                         ("inspect", "--class", "0")])
+    @pytest.mark.parametrize("edit", ["layer_sizes", "long", "short"])
+    def test_directory_disagreeing_with_itself_is_data_error(
+            self, capsys, train_dir, command, edit):
+        meta, labels = train_dir / "meta.cfg", train_dir / "labels.csv"
+        if edit == "layer_sizes":
+            meta.write_text(meta.read_text().replace("layer_sizes = 6,3",
+                                                     "layer_sizes = 5,3"))
+            named = str(meta)
+        else:
+            lines = labels.read_text().splitlines(True)
+            labels.write_text("".join(lines + lines[:5] if edit == "long"
+                                      else lines[:30]))
+            named = str(labels)
+        code, _, err = run(capsys, command[0], "--factors", str(train_dir),
+                           *command[1:])
+        assert code == EXIT_DATA
+        assert named in err
+
+    def test_evaluate_names_a_short_label_file(self, capsys, train_dir,
+                                               tmp_path):
+        short = tmp_path / "short.csv"
+        short.write_text("".join((train_dir / "labels.csv").read_text()
+                                 .splitlines(True)[:30]))
+        code, _, err = run(capsys, "evaluate", "--factors", str(train_dir),
+                           "--labels", str(short))
+        assert code == EXIT_DATA
+        assert f"{short}: 30 labels for 40 samples" in err
 
 
 class TestSweepCommand:

@@ -5,7 +5,9 @@ from deepnmf import (DataFormatError, EvalConfig, ExperimentConfig,
                      InvalidInputError, StopRule, SweepAxes, TrainConfig,
                      draw_layer_structures, load_factors, make_spec,
                      parse_config, run_experiment)
-from deepnmf.experiment import _spec_for_point, sweep_points, worker_count
+from deepnmf import experiment
+from deepnmf.experiment import (_spec_for_point, score_partitions, sweep_points,
+                                worker_count)
 
 FAST_TRAIN = TrainConfig(inner_stop=StopRule(100, 1e-4), max_sweeps=10,
                          rel_obj_tol=1e-6)
@@ -98,6 +100,19 @@ class TestRunExperiment:
         bad = [r for r in rows if r["error"]]
         assert {r["error"] for r in bad} == {"InvalidInputError"}
         assert all(r["point"] == 1 for r in bad)
+
+    def test_summary_header_with_a_failed_point(self, tmp_path):
+        # The first point cannot build its spec, so it has no scores.
+        cfg = tiny_config(tmp_path,
+                          sweep=SweepAxes(projection_mode=("hidden", "none")))
+        run_experiment(cfg)
+        header = (tmp_path / "out" / "summary.csv").read_text().splitlines()[0]
+        assert header.split(",") == [
+            "point", "variant", "layer_sizes", "mu", "lambda", "activation",
+            "projection_mode", "n_rows", "n_errors"] + [
+            f"{metric}_{stat}"
+            for metric in ("nmi", "er", "np", "final_objective", "sweeps_used")
+            for stat in ("mean", "std", "min", "max")]
 
     def test_point_of_another_depth_inherits_base_weight(self, tmp_path):
         cfg = tiny_config(
@@ -272,11 +287,20 @@ class TestStructureDraws:
             draw_layer_structures(**args)
 
 
+def test_unlabeled_scores_cluster_nothing(monkeypatch):
+    calls = []
+    monkeypatch.setattr(experiment, "kmeans",
+                        lambda *args, **kwargs: calls.append(args))
+    assert score_partitions(np.ones((3, 5)), None, 2, 4, 1, 0) == [{}] * 4
+    assert calls == []
+
+
 def test_worker_count_env(monkeypatch):
     monkeypatch.delenv("DEEPNMF_THREADS", raising=False)
     assert worker_count() == 1
     monkeypatch.setenv("DEEPNMF_THREADS", "4")
     assert worker_count() == 4
-    monkeypatch.setenv("DEEPNMF_THREADS", "zero")
-    with pytest.raises(InvalidInputError):
-        worker_count()
+    for raw in ("zero", "0", "-2"):
+        monkeypatch.setenv("DEEPNMF_THREADS", raw)
+        with pytest.raises(InvalidInputError, match="DEEPNMF_THREADS"):
+            worker_count()

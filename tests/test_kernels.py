@@ -30,6 +30,15 @@ def test_kmeans_assign_ties_go_to_lowest_center():
         d2, np.min(((points[:, None, :] - centers[None]) ** 2).sum(-1), axis=1))
 
 
+@pytest.mark.parametrize("n, d", [(1, 1), (37, 5), (300, 10), (64, 130)])
+def test_sq_dists_bits_equal_the_squared_difference_sum(n, d):
+    rng = np.random.default_rng(n * d)
+    points = rng.standard_normal((n, d))
+    for centers in (rng.standard_normal(d), rng.standard_normal((n, d))):
+        assert np.array_equal(kernels.sq_dists(points, centers),
+                              np.sum((points - centers) ** 2, axis=1))
+
+
 def _assert_assign_matches_oracle(points, centers):
     # Overflow to inf is part of what is compared at the largest scales.
     with np.errstate(over="ignore", invalid="ignore"):
