@@ -4,14 +4,17 @@ One block subproblem is a convex quadratic over a matrix block V >= 0, given
 as plain data (an :class:`ApgProblem`): the factors of its affine gradient
 plus a Lipschitz constant for that gradient, both assembled in one place,
 :mod:`deepnmf.models`. :func:`apg_solve` runs Nesterov's accelerated scheme
-with the fixed step 1/LC (no line search, no restarts) in the numpy kernel
-loop of :mod:`deepnmf.kernels`. The scheme's O(1/k^2) rate needs LC to be
+with the fixed step 1/LC (no line search) in the numpy kernel loop of
+:mod:`deepnmf.kernels`, with function-value restart (O'Donoghue & Candes
+2015): a momentum step that raises the block objective is discarded and
+the momentum starts over, so accepted iterates never rise. The descent of
+plain steps, like the un-restarted scheme's O(1/k^2) rate, needs LC to be
 at least the true Lipschitz constant, which is why the models compute it
 exactly (:func:`deepnmf.linalg.sym_spectral_norm`). The loop applies the
-quadratic operator once per iteration, to the new iterate, and derives the
-search-point gradient from the two latest iterate gradients (exact for an
-affine gradient); its block-sized arrays are buffers allocated once per
-call.
+quadratic operator once per iteration, to the candidate iterate, and
+derives the search-point gradient from the two latest iterate gradients
+(exact for an affine gradient); its block-sized arrays are buffers
+allocated once per call.
 """
 
 from dataclasses import dataclass
@@ -88,18 +91,22 @@ def _check_initial(initial, problem):
 
 
 def apg_solve(initial, problem, stop=StopRule(), full_output=False):
-    """Run the accelerated iteration until the projected-gradient residual
-    falls below ``stop.grad_tol`` times its value at ``initial`` or the
-    iteration cap is hit.
+    """Run the restarted accelerated iteration until the projected-gradient
+    residual falls below ``stop.grad_tol`` times its value at ``initial``
+    or the iteration cap is hit. The residual is tested on every 8th
+    accepted iterate, so a converged solve may stop up to 7 accepted
+    iterates past the first one that meets the tolerance.
 
-    The returned block never has a higher objective than ``initial``:
-    acceleration is not monotone, so the best iterate seen is kept as a
-    fallback. An objective rising past 10x the starting value aborts with
+    The returned block never has a higher objective than ``initial``: only
+    plain projected-gradient steps may rise, by roundoff, and if the last
+    accepted iterate ends above the start, the start is returned. An
+    objective rising past 10x the starting value aborts with
     NumericalError, which almost always means the supplied Lipschitz
     constant is too small.
 
-    With ``full_output=True`` also returns a dict with ``iters``,
-    ``converged``, ``rel_residual`` and ``objective`` entries.
+    With ``full_output=True`` also returns a dict with ``iters`` (operator
+    applications, discarded steps included), ``converged``,
+    ``rel_residual`` and ``objective`` entries, all of the returned block.
     """
     initial = _check_initial(initial, problem)
     v, iters, status, rel, f_val = kernels.apg_quad_solve(

@@ -123,6 +123,10 @@ def _cmd_train(args):
 
 def _cmd_evaluate(args):
     spec, stack, _ = load_factors(args.factors)
+    samples = stack.h[-1].shape[1]
+    if args.k is not None and args.k > samples:
+        raise InvalidInputError(
+            f"--k {args.k} exceeds the {samples} samples of {args.factors}")
     labels = load_factor_labels(args.factors, stack, args.labels)
     scores = score_partitions(stack.h[-1], labels, args.k, args.reps,
                               args.restarts, args.seed)

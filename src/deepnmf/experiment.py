@@ -273,6 +273,10 @@ def run_experiment(cfg):
     """Execute the full sweep; returns (records, summary) after writing
     records.csv, summary.csv and summary.json under ``cfg.output_dir``."""
     bundle = resolve_bundle(cfg.data)
+    samples = bundle.x.shape[1]
+    if bundle.labels is not None and cfg.eval.k and cfg.eval.k > samples:
+        raise InvalidInputError(
+            f"eval.k = {cfg.eval.k} exceeds the {samples} samples of the data")
     points = sweep_points(cfg)
     specs = []
     for overrides in points:

@@ -5,9 +5,10 @@ each have one implementation. ``left``/``right`` operator factors of None
 stand for identities.
 
 The solver loop applies the quadratic operator once per iteration, to the
-new iterate. Because the block gradient is affine, the gradient at the
-Nesterov search point is a combination of the two latest iterate gradients
-and is never evaluated on its own. Every block-sized array of the loop is a
+candidate iterate, and discards a momentum step that raises the objective.
+Because the block gradient is affine, the gradient at the Nesterov search
+point is a combination of the two latest iterate gradients and is never
+evaluated on its own. Every block-sized array of the loop is a
 buffer allocated once per call and written in place through ``out``
 arguments; nothing is shared between calls, so concurrent solves in threads
 stay independent. ``_quad_apply_into`` and ``_kkt_norm_into`` are the single
@@ -108,27 +109,31 @@ def kkt_norm(v, g):
 
 def apg_quad_solve(v0, left, right, lin, colsum_w, ridge, obj_const,
                    lipschitz, rel_tol, max_iters):
-    """Accelerated projected gradient on a nonneg-constrained quadratic block.
+    """Accelerated projected gradient on a nonneg-constrained quadratic
+    block, with function-value restart.
 
     Iterates x_{k+1} = P(y_k - grad(y_k)/LC) with the Nesterov extrapolation
     y_{k+1} = x_{k+1} + beta_k (x_{k+1} - x_k), beta_k = (a_k - 1)/a_{k+1},
     the momentum recursion a_{k+1} = (1 + sqrt(4 a_k^2 + 1))/2 from a_0 = 1
-    and y_0 = x_0 = ``v0``, stopping when the projected gradient norm at the
-    iterate falls below ``rel_tol`` times its value at ``v0``.
+    and y_0 = x_0 = ``v0``. A momentum step (beta > 0) whose block objective
+    is above the last accepted iterate's is discarded, and the recursion
+    restarts from that iterate at a = 1 (O'Donoghue & Candes 2015). Plain
+    steps are always accepted, so accepted iterates never raise the
+    objective beyond roundoff. Every 8th accepted iterate is tested for the
+    stop: a projected-gradient norm at most ``rel_tol`` times the one at
+    ``v0``.
 
     The gradient is affine, so the search point needs no operator application
     of its own: with g_k = grad(x_k) and u_k = x_k - g_k/LC, the step target
     y_k - grad(y_k)/LC equals u_k + beta_{k-1} (u_k - u_{k-1}). Each
-    iteration applies the operator once, to the new iterate, and the target
-    is built from the two latest exact iterate gradients, so no error
-    accumulates. Block-sized arrays are buffers allocated once per call and
-    written in place.
-
-    Because the accelerated iteration is not monotone, the best iterate seen
-    (by block objective) is tracked and returned if the final iterate is
-    worse, so the returned objective never exceeds the starting one.
+    iteration applies the operator once, to the candidate; a rejected one
+    costs nothing else. Block-sized arrays are buffers allocated once per
+    call and written in place.
 
     Returns (solution, iterations, status, relative_residual, objective).
+    The iterations count every operator application, rejected ones
+    included; the residual and status are those of the returned solution,
+    which is ``v0`` if roundoff left the accepted objective above it.
     """
     v0 = np.ascontiguousarray(v0)
     lin = np.ascontiguousarray(lin)
@@ -158,65 +163,60 @@ def apg_quad_solve(v0, left, right, lin, colsum_w, ridge, obj_const,
     step = 1.0 / lipschitz
     np.multiply(g, -step, u)
     np.add(u, v0, u)
-    u_prev[:, :] = u
-    best_v = v0.copy()
-    # The next iterate is written into ``spare``; the current one is ``cur``.
-    # An improving iterate becomes ``best_v`` by swapping buffers, not by
-    # copying, and the old best buffer becomes the spare.
-    spare = np.empty(shape)
-    cur = best_v
-    best_f = f0
+    # x, g and f_x are the accepted iterate, its gradient and objective; the
+    # candidate is built in y and g_y, and takes their place by a swap.
+    x = v0.copy()
+    y = np.empty(shape)
+    g_y = np.empty(shape)
+    f_x = f0
     alpha = 1.0
     beta = 0.0
+    accepted = 0
+    iters = 0
     status = MAXITER
     rel = 1.0
-    f_cur = f0
-    iters = 0
-    for k in range(max_iters):
-        # A non-finite entry of g = grad(x_k) makes f_cur non-finite, so this
-        # stands in for checking the search-point gradient.
-        if not np.isfinite(f_cur):
+    for iters in range(1, max_iters + 1):
+        if beta > 0.0:
+            np.subtract(u, u_prev, y)
+            np.multiply(y, beta, y)
+            np.add(y, u, y)
+            np.clip(y, 0.0, np.inf, y)
+        else:
+            np.clip(u, 0.0, np.inf, y)
+        _quad_apply_into(y, left, right, colsum_w, ridge, g_y, u_prev)
+        np.add(g_y, lin, g_y)
+        f_y = 0.5 * (_inner(y, g_y) + _inner(y, lin)) + obj_const
+        # A non-finite entry of g_y makes f_y non-finite.
+        if not np.isfinite(f_y):
             status = NONFINITE
             break
-        cur = spare
-        np.subtract(u, u_prev, cur)
-        np.multiply(cur, beta, cur)
-        np.add(cur, u, cur)
-        np.clip(cur, 0.0, np.inf, cur)
+        if f_y > 10.0 * max(f0, 0.0) + div_floor:
+            status = DIVERGED
+            break
+        if beta > 0.0 and f_y > f_x:
+            alpha, beta = 1.0, 0.0
+            continue
+        x, y, g, g_y, f_x = y, x, g_y, g, f_y
+        accepted += 1
         alpha_next = 0.5 * (1.0 + np.sqrt(4.0 * alpha * alpha + 1.0))
         beta = (alpha - 1.0) / alpha_next
         alpha = alpha_next
-        iters = k + 1
-
-        _quad_apply_into(cur, left, right, colsum_w, ridge, g, u_prev)
-        np.add(g, lin, g)
-        f_cur = 0.5 * (_inner(cur, g) + _inner(cur, lin)) + obj_const
-        if f_cur < best_f:
-            best_f = f_cur
-            spare = best_v
-            best_v = cur
-        if f_cur > 10.0 * max(f0, 0.0) + div_floor:
-            status = DIVERGED
-            break
-        rel = _kkt_norm_into(cur, g, mask, mask2, u_prev) / r0
-        if rel <= rel_tol:
-            status = CONVERGED
-            break
+        if accepted % 8 == 0:
+            rel = _kkt_norm_into(x, g, mask, mask2, u_prev) / r0
+            if rel <= rel_tol:
+                status = CONVERGED
+                break
         np.multiply(g, -step, u_prev)
-        np.add(u_prev, cur, u_prev)
+        np.add(u_prev, x, u_prev)
         u, u_prev = u_prev, u
 
-    # Acceleration is not monotone: fall back to the best iterate seen only
-    # when the final one ended up above the starting objective, and report
-    # the residual of whatever is actually returned.
-    if f_cur > f0:
-        _quad_apply_into(best_v, left, right, colsum_w, ridge, g, u_prev)
-        np.add(g, lin, g)
-        rel = _kkt_norm_into(best_v, g, mask, mask2, u_prev) / r0
-        if status == CONVERGED and rel > rel_tol:
-            status = MAXITER
-        return best_v, iters, status, rel, best_f
-    return cur, iters, status, rel, f_cur
+    if f_x > f0:
+        x, f_x, rel = v0.copy(), f0, 1.0
+    elif accepted % 8:
+        rel = _kkt_norm_into(x, g, mask, mask2, u_prev) / r0
+    if status in (CONVERGED, MAXITER):
+        status = CONVERGED if rel <= rel_tol else MAXITER
+    return x, iters, status, rel, f_x
 
 
 # Timed by the kernels.eig_us_per_iter.60x60 case of perfbench/worker.py.

@@ -6,10 +6,11 @@ until the layer objective stalls; a nonlinear model's activation maps each
 solved representation before it feeds the next layer. Fine-tuning then
 sweeps the whole system, layer by layer from the bottom, updating W_l and
 H_l on the block subproblems from :mod:`deepnmf.models`. A block solve is not exact: it stops
-when the projected-gradient norm falls below ``inner_stop.grad_tol`` times
-its starting value or at ``inner_stop.max_iters`` iterations, and most
-fine-tune solves stop at that cap. Every block solve is monotone, so the
-recorded objective trace never increases.
+when the projected-gradient norm, tested on every 8th accepted iterate,
+falls below ``inner_stop.grad_tol`` times its starting value, or at
+``inner_stop.max_iters`` iterations, and many fine-tune solves stop at that
+cap. Every block solve is monotone (it discards momentum steps that raise
+its objective), so the recorded objective trace never increases.
 
 Every training phase alternates in one outer loop, :func:`_sweeps`: each
 pretraining layer on :func:`layer_objective`, and both fine-tuning paths,

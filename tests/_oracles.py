@@ -53,12 +53,17 @@ def quad_objective(v, gram, lin, const):
 
 
 def two_application_apg(v0, left, right, lin, colsum, ridge, const,
-                        lipschitz, rel_tol, max_iters):
+                        lipschitz, rel_tol, max_iters, restart=True):
     """Nesterov's accelerated projected gradient on the quadratic block with
     gradient left @ V @ right + colsum * 1 1^T V + ridge * V + lin, written
     the direct way: the gradient is evaluated at the search point y and again
     at the new iterate, every iteration. ``left``/``right`` of None are
-    identities. Status codes: 0 converged, 1 cap, 2 diverged, 3 non-finite.
+    identities. With ``restart``, a momentum step whose objective is above
+    the last accepted iterate's is discarded and the momentum starts over
+    from that iterate; without it, every step is accepted. The stop rule is
+    tested on every 8th accepted iterate, and an accepted objective left
+    above the start returns the start. Status codes: 0 converged, 1 cap,
+    2 diverged, 3 non-finite.
 
     Returns (solution, iters, status, relative_residual, objective).
     """
@@ -82,35 +87,36 @@ def two_application_apg(v0, left, right, lin, colsum, ridge, const,
     if r0 == 0.0:
         return v0.copy(), 0, 0, 0.0, f0
     div_floor = 2.5e-14 * (1.0 + abs(const))
-    best_f, best_v = f0, v0.copy()
-    cur, y = v0.copy(), v0.copy()
-    a = 1.0
-    status, rel, f_cur, iters = 1, 1.0, f0, 0
+    cur, y, f_cur = v0.copy(), v0.copy(), f0
+    a, beta = 1.0, 0.0
+    status, iters, accepted = 1, 0, 0
     for k in range(max_iters):
-        gy = grad(y)
-        if not np.all(np.isfinite(gy)):
+        new = np.maximum(y - grad(y) / lipschitz, 0.0)
+        gn = grad(new)
+        f_new = obj(new, gn)
+        iters = k + 1
+        if not math.isfinite(f_new):
             status = 3
             break
-        new = np.maximum(y - gy / lipschitz, 0.0)
-        a_next = 0.5 * (1.0 + math.sqrt(4.0 * a * a + 1.0))
-        y = new + ((a - 1.0) / a_next) * (new - cur)
-        cur, a, iters = new, a_next, k + 1
-        gc = grad(cur)
-        f_cur = obj(cur, gc)
-        if f_cur < best_f:
-            best_f, best_v = f_cur, cur.copy()
-        if f_cur > 10.0 * max(f0, 0.0) + div_floor:
+        if f_new > 10.0 * max(f0, 0.0) + div_floor:
             status = 2
             break
-        rel = kkt(cur, gc) / r0
-        if rel <= rel_tol:
+        if restart and beta > 0.0 and f_new > f_cur:
+            a, beta, y = 1.0, 0.0, cur
+            continue
+        a_next = 0.5 * (1.0 + math.sqrt(4.0 * a * a + 1.0))
+        beta = (a - 1.0) / a_next
+        y = new + beta * (new - cur)
+        cur, f_cur, a = new, f_new, a_next
+        accepted += 1
+        if accepted % 8 == 0 and kkt(cur, gn) / r0 <= rel_tol:
             status = 0
             break
     if f_cur > f0:
-        rel = kkt(best_v, grad(best_v)) / r0
-        if status == 0 and rel > rel_tol:
-            status = 1
-        return best_v, iters, status, rel, best_f
+        cur, f_cur = v0.copy(), f0
+    rel = kkt(cur, grad(cur)) / r0
+    if status in (0, 1):
+        status = 0 if rel <= rel_tol else 1
     return cur, iters, status, rel, f_cur
 
 

@@ -292,6 +292,13 @@ class TestFactorDirChecks:
         assert code == EXIT_DATA
         assert f"{short}: 30 labels for 40 samples" in err
 
+    def test_evaluate_k_above_sample_count_names_flag_and_directory(
+            self, capsys, train_dir):
+        code, _, err = run(capsys, "evaluate", "--factors", str(train_dir),
+                           "--k", "50")
+        assert code == EXIT_DATA
+        assert f"--k 50 exceeds the 40 samples of {train_dir}" in err
+
 
 class TestSweepCommand:
     def test_end_to_end(self, tmp_path, capsys):
@@ -324,3 +331,19 @@ class TestSweepCommand:
         code, out, _ = run(capsys, "inspect", "--factors", factors,
                            "--class", "0")
         assert code == EXIT_OK and "class 0:" in out
+
+    def test_eval_k_above_sample_count_fails_before_training(self, tmp_path,
+                                                             capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(
+            "data.kind = planted_linear\n"
+            "data.rows = 20\n"
+            "data.cols = 40\n"
+            "model.layer_sizes = 6,3\n"
+            "sweep.mu = 0 ; 0.1\n"
+            "eval.k = 50\n"
+            f"output_dir = {tmp_path / 'out'}\n")
+        code, _, err = run(capsys, "sweep", "--config", str(cfg))
+        assert code == EXIT_DATA
+        assert "eval.k = 50 exceeds the 40 samples" in err
+        assert not (tmp_path / "out").exists()
