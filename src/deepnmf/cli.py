@@ -21,7 +21,7 @@ from .dataio import (LABELS_FILE, load_bundle, load_factor_labels,
 from .errors import DataFormatError, InvalidInputError, NumericalError
 from .experiment import (DATA_KEYS, EvalConfig, parse_config, resolve_bundle,
                          run_experiment, score_partitions)
-from .models import ACTIVATION_TAGS, PROJECTION_MODES, VARIANTS, make_spec
+from .models import ACTIVATION_TAGS, VARIANTS, make_spec
 from .synth import KINDS
 from .train import TrainConfig, fit
 
@@ -63,7 +63,6 @@ def _build_parser():
     p.add_argument("--mu", type=parse_weights, default=None)
     p.add_argument("--lambda", dest="lam", type=parse_weights, default=None)
     p.add_argument("--activation", choices=ACTIVATION_TAGS, default="linear")
-    p.add_argument("--projection", choices=PROJECTION_MODES, default=None)
     p.add_argument("--sweeps", type=positive_int, default=TrainConfig.max_sweeps)
     p.add_argument("--tol", type=positive_float, default=TrainConfig.rel_obj_tol)
     p.add_argument("--inner-iters", type=positive_int, default=StopRule.max_iters)
@@ -101,7 +100,7 @@ def _cmd_synth(args):
 def _cmd_train(args):
     bundle = load_bundle(args.data)
     spec = make_spec(args.variant, args.layers, mu=args.mu, lam=args.lam,
-                     activation=args.activation, projection_mode=args.projection)
+                     activation=args.activation)
     cfg = TrainConfig(inner_stop=StopRule(args.inner_iters, args.inner_tol),
                       max_sweeps=args.sweeps, rel_obj_tol=args.tol)
     stack, report = fit(spec, bundle.x, cfg)
@@ -147,8 +146,7 @@ def _cmd_sweep(args):
 
 
 def _print_factor_stats(spec, stack):
-    print(f"variant {spec.variant}, activation {spec.activation}, "
-          f"projection {spec.projection_mode}")
+    print(f"variant {spec.variant}, activation {spec.activation}")
     for i, (w, h) in enumerate(zip(stack.w, stack.h), start=1):
         wz = float(np.mean(np.abs(w) < 1e-6))
         hz = float(np.mean(np.abs(h) < 1e-6))

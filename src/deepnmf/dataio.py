@@ -22,9 +22,10 @@ from typing import Optional
 import numpy as np
 
 from .errors import DataFormatError, InvalidInputError
+from .linalg import as_matrix, check_nonneg
 from .metrics import Partition, from_labels
-from .models import (ACTIVATION_TAGS, PROJECTION_MODES, VARIANTS, FactorStack,
-                     _check_conformance, make_spec)
+from .models import (ACTIVATION_TAGS, VARIANTS, FactorStack, _check_conformance,
+                     make_spec)
 
 MAGIC = b"SDNMF1"
 _HEADER = len(MAGIC) + 8  # magic + two uint32 dims
@@ -153,13 +154,10 @@ class DatasetBundle:
     name: str
 
     def __post_init__(self):
+        self.x = check_nonneg(as_matrix(self.x, "bundle matrix"), "bundle matrix")
         if self.labels is not None and len(self.labels) != self.x.shape[1]:
             raise InvalidInputError(
                 f"{len(self.labels)} labels for {self.x.shape[1]} samples")
-        if not np.all(np.isfinite(self.x)):
-            raise InvalidInputError("bundle matrix must be finite")
-        if self.x.min() < 0:
-            raise InvalidInputError("bundle matrix must be nonnegative")
 
 
 def save_bundle(path, bundle):
@@ -281,8 +279,7 @@ def parse_entry(path, key, raw, parse):
 # a ``sweep.<name>`` axis parses each of its values with the same one.
 MODEL_KEYS = {"variant": one_of(VARIANTS, str.lower), "layer_sizes": parse_sizes,
               "mu": parse_weights, "lambda": parse_weights,
-              "activation": one_of(ACTIVATION_TAGS),
-              "projection_mode": one_of(PROJECTION_MODES)}
+              "activation": one_of(ACTIVATION_TAGS)}
 
 
 def read_spec(path, raw, prefix="", required=("layer_sizes",)):
@@ -316,7 +313,6 @@ def save_factors(outdir, spec, stack, extra=None, labels=None):
         ("mu", ",".join(repr(v) for v in spec.mu)),
         ("lambda", ",".join(repr(v) for v in spec.lam)),
         ("activation", spec.activation),
-        ("projection_mode", spec.projection_mode),
     ]
     for key, value in (extra or {}).items():
         if key in dict(items):

@@ -41,7 +41,7 @@ from .train import TrainConfig, fit
 
 RECORD_FIELDS = (
     "point", "model_rep", "kmeans_rep", "variant", "layer_sizes", "mu",
-    "lambda", "activation", "projection_mode", "nmi", "er", "np",
+    "lambda", "activation", "nmi", "er", "np",
     "final_objective", "sweeps_used", "wall_ms", "error",
 )
 _STAT_NAMES = ("mean", "std", "min", "max")
@@ -61,6 +61,14 @@ class EvalConfig:
     seed: int = 0
     k: Optional[int] = None
 
+    def __post_init__(self):
+        for name in ("kmeans_restarts", "model_reps", "kmeans_reps"):
+            if getattr(self, name) < 1:
+                raise InvalidInputError(
+                    f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.k is not None and self.k < 1:
+            raise InvalidInputError(f"k must be None or >= 1, got {self.k}")
+
 
 @dataclass(frozen=True)
 class SweepAxes:
@@ -70,7 +78,6 @@ class SweepAxes:
     mu: Optional[tuple] = None
     lam: Optional[tuple] = None
     activation: Optional[tuple] = None
-    projection_mode: Optional[tuple] = None
     cap: int = 512
 
 
@@ -135,7 +142,7 @@ def resolve_bundle(data):
 def sweep_points(cfg):
     """Expand the sweep axes into a list of ModelSpec overrides dicts."""
     axes = []
-    for name in ("layer_sizes", "mu", "lam", "activation", "projection_mode"):
+    for name in ("layer_sizes", "mu", "lam", "activation"):
         values = getattr(cfg.sweep, name)
         axes.append([(name, v) for v in values] if values else [(name, None)])
     points = []
@@ -153,10 +160,6 @@ def _spec_for_point(base, overrides):
     puts on every factor its variant penalizes, and fails when those differ.
     """
     layer_sizes = overrides.get("layer_sizes", base.layer_sizes)
-    activation = overrides.get("activation", base.activation)
-    projection = overrides.get("projection_mode")
-    if projection is None and activation == base.activation:
-        projection = base.projection_mode
     masks = dict(zip(("mu", "lam"), penalized_factors(base.variant, base.depth)))
     weights = {name: overrides.get(name, getattr(base, name)) for name in masks}
     for name, on in masks.items():
@@ -168,8 +171,9 @@ def _spec_for_point(base, overrides):
                 f"base {name} {weights[name]} differs across layers; a point "
                 f"of depth {len(layer_sizes)} has no single weight to inherit")
         weights[name] = single.pop() if single else None
-    return make_spec(base.variant, layer_sizes, activation=activation,
-                     projection_mode=projection, **weights)
+    return make_spec(base.variant, layer_sizes,
+                     activation=overrides.get("activation", base.activation),
+                     **weights)
 
 
 def _point_meta(base, overrides, spec):
@@ -183,7 +187,6 @@ def _point_meta(base, overrides, spec):
         "mu": ",".join(repr(float(v)) for v in np.atleast_1d(spec.mu)),
         "lambda": ",".join(repr(float(v)) for v in np.atleast_1d(spec.lam)),
         "activation": spec.activation,
-        "projection_mode": spec.projection_mode,
     }
 
 
@@ -363,7 +366,7 @@ def parse_config(path):
         if raw.get("sweep.layer_sizes"):
             raise DataFormatError(
                 f"{path}: give sweep.layer_sizes or sweep.structure, not both")
-    for name in ("layer_sizes", "mu", "lambda", "activation", "projection_mode"):
+    for name in ("layer_sizes", "mu", "lambda", "activation"):
         value = pop(f"sweep.{name}", parse=lambda v, p=MODEL_KEYS[name]: tuple(
             p(e) for e in _split_list(v)))
         if value is not None:

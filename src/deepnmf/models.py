@@ -58,7 +58,6 @@ PENALTIES = {
 VARIANTS = tuple(PENALTIES)
 # A spec's activation: "linear" (none) or one of the activations.
 ACTIVATION_TAGS = ("linear",) + tuple(ACTIVATIONS)
-PROJECTION_MODES = ("none", "hidden", "all")
 
 _LC_FLOOR = 1e-12
 
@@ -77,11 +76,11 @@ def penalized_factors(variant, depth):
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Variant tag, layer sizes, penalty weights, and the nonlinear options.
+    """Variant tag, layer sizes, penalty weights, and the activation.
 
-    ``projection_mode`` controls where the activation is applied: ``hidden``
-    projects H_1..H_{L-1} (the inter-layer inputs) only, ``all`` additionally
-    projects the final representation H_L.
+    A nonlinear ``activation`` maps each hidden representation H_1..H_{L-1}
+    before it feeds the next layer; the final representation H_L is never
+    mapped.
     """
 
     variant: str
@@ -89,7 +88,6 @@ class ModelSpec:
     mu: tuple
     lam: tuple
     activation: str = "linear"
-    projection_mode: str = "none"
 
     def __post_init__(self):
         object.__setattr__(self, "layer_sizes", tuple(int(k) for k in self.layer_sizes))
@@ -119,19 +117,8 @@ class ModelSpec:
                     raise InvalidInputError(
                         f"{self.variant} does not penalize {factor}_{l}; "
                         f"{name} must be 0 there, got {v}")
-        if self.projection_mode not in PROJECTION_MODES:
-            raise InvalidInputError(
-                f"unknown projection_mode {self.projection_mode!r}; choose "
-                f"from {PROJECTION_MODES}")
-        if self.activation == "linear":
-            if self.projection_mode != "none":
-                raise InvalidInputError(
-                    "projection_mode requires a nonlinear activation")
-        else:
+        if self.activation != "linear":
             get_activation(self.activation)
-            if self.projection_mode == "none":
-                raise InvalidInputError(
-                    "nonlinear activation requires projection_mode 'hidden' or 'all'")
 
     @property
     def depth(self):
@@ -148,8 +135,7 @@ class ModelSpec:
         return (0.0, w) if PENALTIES[self.variant][2] == "ridge" else (w, 0.0)
 
 
-def make_spec(variant, layer_sizes, mu=None, lam=None, activation="linear",
-              projection_mode=None):
+def make_spec(variant, layer_sizes, mu=None, lam=None, activation="linear"):
     """Build a ModelSpec with variant-appropriate defaults.
 
     A scalar weight lands on every factor the variant penalizes and 0 on the
@@ -171,10 +157,8 @@ def make_spec(variant, layer_sizes, mu=None, lam=None, activation="linear",
         return tuple(float(value) if a or not any(on) else 0.0 for a in on)
 
     w_on, h_on = penalized_factors(variant, len(layer_sizes))
-    if projection_mode is None:
-        projection_mode = "none" if activation == "linear" else "hidden"
     return ModelSpec(variant, layer_sizes, broadcast(mu, w_on),
-                     broadcast(lam, h_on), activation, projection_mode)
+                     broadcast(lam, h_on), activation)
 
 
 class FactorStack:

@@ -1,10 +1,8 @@
 """Training path for models with a nonlinear inter-layer activation.
 
 Pretraining is :func:`deepnmf.train.pretrain`, which reads the activation
-and projection mode from the spec: each solved representation is passed
-through the activation before it feeds the next layer (projection mode
-``all`` additionally projects the final representation after its last
-solve).
+from the spec: each solved hidden representation H_1..H_{L-1} is passed
+through the activation before it feeds the next layer; H_L is never mapped.
 
 Fine-tuning decreases the same objective as the linear path,
 :func:`deepnmf.models.chain_objective` on the chain unrolled through the
@@ -103,15 +101,19 @@ def _armijo_step(value, f0, grad, f_of, steps, block):
 
     Returns (new_value, new_f) and doubles the block's step (up to a cap)
     for the next sweep, or returns None when ``MAX_HALVINGS`` halvings fail
-    to produce sufficient decrease.
+    to produce sufficient decrease. A long trial step can overflow the
+    inverse activation; that trial's objective is non-finite and rejected
+    without a warning.
     """
     step = steps[block]
     for _ in range(MAX_HALVINGS):
         cand = np.maximum(value - step * grad, 0.0)
         diff = cand - value
         moved = diff.any()
-        f_cand = f_of(cand) if moved else f0
-        if not moved or f_cand <= f0 + ARMIJO_C * float(np.sum(grad * diff)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            f_cand = f_of(cand) if moved else f0
+        if not moved or (np.isfinite(f_cand) and
+                         f_cand <= f0 + ARMIJO_C * float(np.sum(grad * diff))):
             steps[block] = min(2.0 * step, _STEP_CAP)
             return (cand if moved else value), f_cand
         step *= 0.5

@@ -109,10 +109,9 @@ def _pretrain_layer(spec, layer, h_input, cfg):
 def pretrain(spec, x, cfg=TrainConfig(), full_output=False):
     """Greedy layer-wise initialization of the whole stack.
 
-    For a nonlinear ``spec`` each solved hidden representation passes
-    through the activation before it becomes the next layer's input (the
-    stack keeps the solved factor), and projection mode ``all`` also passes
-    the final representation through it.
+    For a nonlinear ``spec`` each solved hidden representation H_1..H_{L-1}
+    passes through the activation before it becomes the next layer's input;
+    the stack keeps every solved factor, and H_L is never mapped.
 
     With ``full_output=True`` also returns the per-layer objective traces;
     each starts at the layer objective of its NNSVD seed.
@@ -124,12 +123,10 @@ def pretrain(spec, x, cfg=TrainConfig(), full_output=False):
     h_input = x
     for layer in range(1, spec.depth + 1):
         w, h, trace = _pretrain_layer(spec, layer, h_input, cfg)
-        last = layer == spec.depth
-        project = act is not None and (not last or spec.projection_mode == "all")
-        h_input = act.g(h) if project else h
         ws.append(w)
-        hs.append(h_input if last else h)
+        hs.append(h)
         traces.append(trace)
+        h_input = h if act is None or layer == spec.depth else act.g(h)
     stack = FactorStack(ws, hs)
     if full_output:
         return stack, traces

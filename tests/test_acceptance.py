@@ -142,8 +142,7 @@ def test_criterion_04_gradients_match_finite_differences():
                 checks += 1
 
     for tag in ("root", "softplus"):
-        spec = make_spec("sdnmf_rl1", (4, 3), mu=0.2, lam=0.3, activation=tag,
-                         projection_mode="hidden")
+        spec = make_spec("sdnmf_rl1", (4, 3), mu=0.2, lam=0.3, activation=tag)
         for point in range(20):
             stack = random_stack(rng, 6, (4, 3), 5)
             x = rng.uniform(0.1, 1.0, size=(6, 5))
@@ -310,7 +309,7 @@ def test_criterion_10_reductions():
     stack.h[0] = stack.w[1] @ stack.h[1]
     xx = rng.uniform(0.1, 1.0, size=(6, 8))
     nl = make_spec("sdnmf_rl2", (4, 3), mu=0.2, lam=0.3,
-                   activation="identity", projection_mode="hidden")
+                   activation="identity")
     lin = make_spec("sdnmf_rl2", (4, 3), mu=0.2, lam=0.3)
     g_h = representation_gradient(nl, xx, stack)
     lin_h = finetune_problem(lin, 2, "h", xx, stack).grad(stack.h[-1])

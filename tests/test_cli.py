@@ -189,12 +189,26 @@ class TestExitCodes:
                                        ("--layers", "4", "--mu", "nan"),
                                        ("--layers", "4", "--variant", "bogus"),
                                        ("--layers", "4", "--activation", "bogus"),
-                                       ("--layers", "4", "--projection", "bogus")])
+                                       ("--layers", "4", "--projection", "bogus"),
+                                       ("--layers", "4", "--activation", "root",
+                                        "--projection", "hidden")])
     def test_malformed_train_flag_is_usage_error(self, capsys, flags):
         # d.bin does not exist: the flag is rejected before any file is read.
         code, _, err = run(capsys, "train", "--data", "d.bin", *flags)
         assert code == EXIT_USAGE
         assert "usage" in err
+
+    @pytest.mark.parametrize("key", ["model.projection_mode",
+                                     "sweep.projection_mode"])
+    def test_projection_config_key_is_unknown(self, capsys, tmp_path, key):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("data.kind = blobs\nmodel.layer_sizes = 4,2\n"
+                       "model.activation = root\ntrain.max_sweeps = 2\n"
+                       "eval.model_reps = 1\neval.kmeans_reps = 1\n"
+                       f"{key} = hidden\noutput_dir = {tmp_path / 'out'}\n")
+        code, _, err = run(capsys, "sweep", "--config", str(cfg))
+        assert code == EXIT_DATA
+        assert str(cfg) in err and f"unknown config keys ['{key}']" in err
 
     @pytest.mark.parametrize("flags", [("--noise", "nan"), ("--noise", "inf"),
                                        ("--noise", "-0.1"),
@@ -227,8 +241,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("key, value", [("variant", None),
                                             ("variant", "bogus"),
-                                            ("activation", "relu"),
-                                            ("projection_mode", "x")])
+                                            ("activation", "relu")])
     @pytest.mark.parametrize("command", ["evaluate", "inspect"])
     def test_malformed_factor_meta_is_data_error(self, capsys, tmp_path, rng,
                                                  command, key, value):
@@ -298,6 +311,21 @@ class TestFactorDirChecks:
                            "--k", "50")
         assert code == EXIT_DATA
         assert f"--k 50 exceeds the 40 samples of {train_dir}" in err
+
+    @pytest.mark.parametrize("command", [("evaluate", "--reps", "1"),
+                                         ("inspect", "--class", "0")])
+    def test_directory_with_a_projection_entry_loads(self, capsys, train_dir,
+                                                     command):
+        # Older factor directories name a projection mode in meta.cfg; the
+        # entry is kept as an extra, like final_objective.
+        meta = train_dir / "meta.cfg"
+        meta.write_text("".join(line for line in meta.read_text().splitlines(True)
+                                if not line.startswith("projection_mode"))
+                        + "projection_mode = hidden\n")
+        code, out, err = run(capsys, command[0], "--factors", str(train_dir),
+                             *command[1:])
+        assert code == EXIT_OK and err == ""
+        assert "projection" not in out
 
 
 class TestSweepCommand:

@@ -124,6 +124,15 @@ class TestLabelsAndBundles:
         with pytest.raises(InvalidInputError, match="finite"):
             DatasetBundle(x=x, labels=None, name="d")
 
+    @pytest.mark.parametrize("x, match", [
+        (np.ones(5), "2-dimensional"), (np.ones((0, 3)), "nonempty"),
+        (-np.ones((2, 3)), "nonnegative")])
+    def test_bundle_matrix_checked_like_any_data_matrix(self, x, match):
+        from deepnmf import InvalidInputError
+
+        with pytest.raises(InvalidInputError, match=f"bundle matrix.*{match}"):
+            DatasetBundle(x=x, labels=None, name="a")
+
     def test_label_count_must_match(self, rng):
         x = rng.uniform(0.0, 1.0, size=(4, 6))
         from deepnmf import InvalidInputError

@@ -90,10 +90,9 @@ class TestRunExperiment:
         assert summary[1]["nmi_mean"] is None
 
     def test_invalid_spec_point_recorded_not_fatal(self, tmp_path):
-        # "hidden" projection with a linear activation cannot build a spec;
+        # sdnmf_l penalizes no H, so a nonzero lambda cannot build a spec;
         # the point is recorded as failed and the other point still runs.
-        cfg = tiny_config(tmp_path,
-                          sweep=SweepAxes(projection_mode=("none", "hidden")))
+        cfg = tiny_config(tmp_path, sweep=SweepAxes(lam=(0.0, 0.5)))
         rows, summary = run_experiment(cfg)
         assert summary[0]["n_errors"] == 0
         assert summary[1]["n_errors"] == 2
@@ -103,13 +102,12 @@ class TestRunExperiment:
 
     def test_summary_header_with_a_failed_point(self, tmp_path):
         # The first point cannot build its spec, so it has no scores.
-        cfg = tiny_config(tmp_path,
-                          sweep=SweepAxes(projection_mode=("hidden", "none")))
+        cfg = tiny_config(tmp_path, sweep=SweepAxes(lam=(0.5, 0.0)))
         run_experiment(cfg)
         header = (tmp_path / "out" / "summary.csv").read_text().splitlines()[0]
         assert header.split(",") == [
             "point", "variant", "layer_sizes", "mu", "lambda", "activation",
-            "projection_mode", "n_rows", "n_errors"] + [
+            "n_rows", "n_errors"] + [
             f"{metric}_{stat}"
             for metric in ("nmi", "er", "np", "final_objective", "sweeps_used")
             for stat in ("mean", "std", "min", "max")]
@@ -304,3 +302,13 @@ def test_worker_count_env(monkeypatch):
         monkeypatch.setenv("DEEPNMF_THREADS", raw)
         with pytest.raises(InvalidInputError, match="DEEPNMF_THREADS"):
             worker_count()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("kmeans_restarts", 0), ("model_reps", 0), ("kmeans_reps", 0),
+    ("kmeans_reps", -1), ("k", 0)])
+def test_eval_config_rejects_counts_below_one(field, value):
+    # Unchecked, k = 0 would cluster with the label count and a zero
+    # repetition count would write an empty summary row with no error.
+    with pytest.raises(InvalidInputError, match=f"{field} must be"):
+        EvalConfig(**{field: value})

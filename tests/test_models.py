@@ -93,14 +93,6 @@ class TestModelSpec:
         spec = make_spec("sdnmf_r", (6, 3), lam=0.7)
         assert spec.lam == (0.7, 0.7) and spec.mu == (0.0, 0.0)
 
-    def test_projection_requires_activation(self):
-        with pytest.raises(InvalidInputError):
-            make_spec("dnmf", (4,), projection_mode="hidden")
-        with pytest.raises(InvalidInputError, match="unknown projection_mode"):
-            make_spec("dnmf", (4,), projection_mode="bogus")
-        spec = make_spec("dnmf", (4,), activation="root")
-        assert spec.projection_mode == "hidden"
-
 
 class TestObjective:
     def test_exact_factorization_is_zero(self, rng):
@@ -329,7 +321,7 @@ class TestReconstruction:
         x = rng.uniform(0.1, 1.0, size=(6, 5))
         lin = make_spec("sdnmf_rl2", sizes, mu=0.2, lam=0.3)
         ident = make_spec("sdnmf_rl2", sizes, mu=0.2, lam=0.3,
-                          activation="identity", projection_mode="hidden")
+                          activation="identity")
         for a, b in zip(unroll("linear", stack.w, stack.h[-1]),
                         unroll("identity", stack.w, stack.h[-1])):
             for ma, mb in zip(a, b):

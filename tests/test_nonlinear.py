@@ -31,8 +31,7 @@ def chain_point(rng, tag, sizes, top, lo):
     for i in range(len(sizes) - 1, 0, -1):
         stack.w[i] *= top / (stack.w[i] @ fresh).max()
         fresh = act.inverse(stack.w[i] @ fresh)
-    spec = make_spec("sdnmf_rl1", sizes, mu=0.2, lam=0.3, activation=tag,
-                     projection_mode="hidden")
+    spec = make_spec("sdnmf_rl1", sizes, mu=0.2, lam=0.3, activation=tag)
     return spec, rng.uniform(0.1, 1.0, size=(6, 7)), stack
 
 
@@ -122,21 +121,6 @@ class TestNonlinearPretrain:
         np.testing.assert_array_equal(linear.h[0], stack.h[0])
         assert not np.array_equal(linear.w[1], stack.w[1])
 
-    def test_projecting_all_enlarges_subunit_final_representation(self, rng):
-        # root on values below one increases them; mode "all" applies it to
-        # the final representation, mode "hidden" leaves it alone.
-        x = rng.uniform(0.0, 0.5, size=(8, 12))
-        hidden = pretrain(
-            make_spec("dnmf", (4, 2), activation="root", projection_mode="hidden"),
-            x, FAST)
-        allmode = pretrain(
-            make_spec("dnmf", (4, 2), activation="root", projection_mode="all"),
-            x, FAST)
-        np.testing.assert_allclose(allmode.h[-1], np.sqrt(hidden.h[-1]), atol=1e-12)
-        sub_unit = hidden.h[-1] < 1.0
-        assert sub_unit.any()
-        assert np.all(allmode.h[-1][sub_unit] >= hidden.h[-1][sub_unit])
-
 
 class TestGradients:
     def test_identity_activation_equals_linear_gradients(self, rng):
@@ -146,7 +130,7 @@ class TestGradients:
         stack.h[0] = stack.w[1] @ stack.h[1]
         x = rng.uniform(0.1, 1.0, size=(6, 8))
         nl = make_spec("sdnmf_rl2", sizes, mu=0.2, lam=0.3,
-                       activation="identity", projection_mode="hidden")
+                       activation="identity")
         lin = make_spec("sdnmf_rl2", sizes, mu=0.2, lam=0.3)
 
         g_h = representation_gradient(nl, x, stack)
@@ -216,8 +200,7 @@ class TestNonlinearFinetune:
         lin_stack = pretrain(lin_spec, x, FAST)
         _, lin_report = finetune(lin_spec, x, lin_stack, FAST)
 
-        nl_spec = make_spec("dnmf", (4, 2), activation="identity",
-                            projection_mode="hidden")
+        nl_spec = make_spec("dnmf", (4, 2), activation="identity")
         nl_stack = pretrain(nl_spec, x, FAST)
         _, nl_report = nonlinear_finetune(nl_spec, x, nl_stack, FAST)
         assert nl_report.final_objective == pytest.approx(
@@ -227,8 +210,7 @@ class TestNonlinearFinetune:
         bundle = synth_generate("planted_nonlinear", seed=9, rows=16, cols=40,
                                 layer_sizes=(6, 3), classes=3, noise=0.02,
                                 activation="root")
-        spec = make_spec("sdnmf_l", (6, 3), mu=0.05, activation="root",
-                         projection_mode="hidden")
+        spec = make_spec("sdnmf_l", (6, 3), mu=0.05, activation="root")
         stack = pretrain(spec, bundle.x, FAST)
         tuned, report = nonlinear_finetune(spec, bundle.x, stack, FAST)
         trace = np.asarray(report.objective_trace)
@@ -242,8 +224,7 @@ class TestNonlinearFinetune:
         # trace rises (2.7048 -> 2.9115 at sweep 1).
         bundle = synth_generate("planted_linear", 0, rows=30, cols=80,
                                 layer_sizes=(10, 5), classes=4, noise=0.05)
-        spec = make_spec("sdnmf_l", (10, 5), mu=0.05, activation="softplus",
-                         projection_mode="hidden")
+        spec = make_spec("sdnmf_l", (10, 5), mu=0.05, activation="softplus")
         _, report = fit(spec, bundle.x * 0.05,
                         TrainConfig(StopRule(100, 1e-4), max_sweeps=30))
         trace = report.objective_trace
@@ -288,8 +269,26 @@ class TestNonlinearFinetune:
     def test_factors_stay_nonneg(self, rng):
         x = rng.uniform(0.1, 1.0, size=(8, 15))
         spec = make_spec("sdnmf_rl2", (4, 2), mu=0.1, lam=0.1,
-                         activation="root", projection_mode="all")
+                         activation="root")
         stack = pretrain(spec, x, FAST)
         tuned, _ = nonlinear_finetune(spec, x, stack, FAST)
         for m in tuned.w + tuned.h:
             assert m.min() >= 0.0
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_trial_steps_are_rejected_silently(self, monkeypatch):
+        # Long Armijo trials on this depth-3 softplus fit overflow the inverse
+        # activation; they must be rejected without a RuntimeWarning.
+        bundle = synth_generate("planted_linear", 1, rows=40, cols=120,
+                                layer_sizes=(8, 6, 4), classes=4, noise=0.01)
+        values = []
+
+        def recording(*args):
+            values.append(nonlinear.chain_objective(*args))
+            return values[-1]
+
+        monkeypatch.setattr(nonlinear, "nonlinear_objective", recording)
+        spec = make_spec("dnmf", (8, 6, 4), activation="softplus")
+        _, report = fit(spec, bundle.x, TrainConfig(StopRule(60), max_sweeps=6))
+        assert not np.all(np.isfinite(values))
+        assert np.all(np.isfinite(report.objective_trace))
