@@ -301,7 +301,9 @@ def read_spec(path, raw, prefix="", required=("layer_sizes",)):
 def save_factors(outdir, spec, stack, extra=None, labels=None):
     """Dump a trained stack into a directory of BIN files plus meta.cfg,
     with ``extra`` entries appended to meta.cfg and, when given, the
-    ``labels`` partition as labels.csv."""
+    ``labels`` partition as labels.csv. Without ``labels``, a labels.csv
+    left in the directory by an earlier dump is removed, so the factors are
+    never scored against another dataset's labels."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     for i, (w, h) in enumerate(zip(stack.w, stack.h), start=1):
@@ -322,6 +324,8 @@ def save_factors(outdir, spec, stack, extra=None, labels=None):
     _write_flat_config(outdir / "meta.cfg", items)
     if labels is not None:
         save_labels(outdir / LABELS_FILE, labels)
+    else:
+        (outdir / LABELS_FILE).unlink(missing_ok=True)
     return outdir
 
 

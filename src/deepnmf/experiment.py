@@ -3,16 +3,20 @@
 A config file is flat ``key = value`` text with dotted keys (see the README
 for the full key list). One experiment is a cross-product of sweep axes over
 a base model, each point built by :func:`deepnmf.models.make_spec` from
-the base's settings and the point's values. Every (sweep point, model
-repetition) trains a model, and :func:`score_partitions` clusters the final
-representation several times and scores each partition against the
-bundle's labels. Results land in ``records.csv`` (one row per k-means
-repetition, with wall time), ``summary.csv`` (per-point aggregates, no
-timing, byte-reproducible for a fixed seed), and ``summary.json``.
+the base's settings and the point's values. Training is deterministic, so
+each sweep point trains one model, and each of its model repetitions
+clusters that model's final representation several times with
+:func:`score_partitions`, from seeds of its own, scoring each partition
+against the bundle's labels. Results land in ``records.csv`` (one row per
+k-means repetition, with the point's training wall time), ``summary.csv``
+(per-point aggregates, no timing, byte-reproducible for a fixed seed), and
+``summary.json``.
 
-The worker pool size is capped by the ``DEEPNMF_THREADS`` environment
-variable; outputs are ordered by (point, repetition) regardless of the pool
-size or completion order, so parallelism never changes the files.
+The worker pool runs one task per sweep point, and its size is capped by
+the ``DEEPNMF_THREADS`` environment variable; a trained stack lives only
+while its point's task runs. Outputs are ordered by (point, repetition)
+regardless of the pool size or completion order, so parallelism never
+changes the files.
 """
 
 import csv
@@ -208,31 +212,51 @@ def score_partitions(h, labels, k, reps, restarts, *seed):
              "np": naive_precision(part, labels)} for part in parts]
 
 
-def _run_unit(cfg, bundle, spec, meta, point_idx, rep):
-    """Train once, cluster kmeans_reps times, emit one row per clustering."""
-    base = dict(meta, point=point_idx, model_rep=rep)
-    if isinstance(spec, Exception):
-        return [dict(base, kmeans_rep=-1, error=type(spec).__name__)]
-    t0 = time.perf_counter()
+def _run_unit(cfg, bundle, stack, report, wall_ms, meta, point_idx, rep):
+    """Score model repetition ``rep`` of a point from its fitted ``stack``
+    and ``report``: cluster ``stack.h[-1]`` kmeans_reps times with this
+    rep's seeds and emit one row per clustering, each carrying the fit's
+    ``wall_ms``. A scoring failure gives one error row for the rep."""
+    base = dict(meta, point=point_idx, model_rep=rep, wall_ms=wall_ms)
     try:
-        stack, report = fit(spec, bundle.x, cfg.train)
-        wall_ms = (time.perf_counter() - t0) * 1000.0
         scores = score_partitions(stack.h[-1], bundle.labels, cfg.eval.k,
                                   cfg.eval.kmeans_reps,
                                   cfg.eval.kmeans_restarts, cfg.eval.seed,
                                   point_idx, rep)
-        rows = [dict(base, kmeans_rep=krep, final_objective=report.final_objective,
-                     sweeps_used=report.sweeps_used, wall_ms=wall_ms, error="",
-                     **row_scores)
-                for krep, row_scores in enumerate(scores)]
-        if cfg.dump_factors:
-            save_factors(Path(cfg.output_dir) / "factors" / f"p{point_idx}_r{rep}",
-                         spec, stack, labels=bundle.labels)
-        return rows
     except Exception as exc:  # record the failure, keep sweeping
-        wall_ms = (time.perf_counter() - t0) * 1000.0
-        return [dict(base, kmeans_rep=-1, wall_ms=wall_ms,
-                     error=type(exc).__name__)]
+        return [dict(base, kmeans_rep=-1, error=type(exc).__name__)]
+    return [dict(base, kmeans_rep=krep, final_objective=report.final_objective,
+                 sweeps_used=report.sweeps_used, error="", **row_scores)
+            for krep, row_scores in enumerate(scores)]
+
+
+def _run_point(cfg, bundle, spec, meta, point_idx):
+    """Train one sweep point once, dump its factors to ``factors/p<point>``
+    if asked, then score every model repetition from that one fit through
+    :func:`_run_unit`. An invalid spec, or a failed fit or dump, gives one
+    error row per model repetition, with ``kmeans_rep`` -1."""
+    def failed(exc, wall_ms=None):
+        return [dict(meta, point=point_idx, model_rep=rep, kmeans_rep=-1,
+                     wall_ms=wall_ms, error=type(exc).__name__)
+                for rep in range(cfg.eval.model_reps)]
+
+    if isinstance(spec, Exception):
+        return failed(spec)
+    t0 = time.perf_counter()
+    try:
+        stack, report = fit(spec, bundle.x, cfg.train)
+    except Exception as exc:  # record the failure, keep sweeping
+        return failed(exc, (time.perf_counter() - t0) * 1000.0)
+    wall_ms = (time.perf_counter() - t0) * 1000.0
+    if cfg.dump_factors:
+        try:
+            save_factors(Path(cfg.output_dir) / "factors" / f"p{point_idx}",
+                         spec, stack, labels=bundle.labels)
+        except Exception as exc:  # record the failure, keep sweeping
+            return failed(exc, wall_ms)
+    return [row for rep in range(cfg.eval.model_reps)
+            for row in _run_unit(cfg, bundle, stack, report, wall_ms, meta,
+                                 point_idx, rep)]
 
 
 def _fmt(value):
@@ -292,10 +316,9 @@ def run_experiment(cfg):
     outdir.mkdir(parents=True, exist_ok=True)
 
     with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        futures = [pool.submit(_run_unit, cfg, bundle, specs[idx],
-                               points_meta[idx], idx, rep)
-                   for idx in range(len(points))
-                   for rep in range(cfg.eval.model_reps)]
+        futures = [pool.submit(_run_point, cfg, bundle, specs[idx],
+                               points_meta[idx], idx)
+                   for idx in range(len(points))]
         rows = [row for fut in futures for row in fut.result()]
     _write_csv(outdir / "records.csv", RECORD_FIELDS, rows)
 

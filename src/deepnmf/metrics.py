@@ -141,10 +141,34 @@ def _kmeanspp_centers(points, k, rng):
     return centers
 
 
+def _cluster_means(points, labels, centers):
+    """Set each row of ``centers`` to the mean of the points labeled with
+    its index; every cluster must be nonempty.
+
+    The centers equal boolean-mask means, ``points[labels == c].mean(axis=0)``,
+    bit for bit. For two or more coordinates, numpy reduces axis 0 of the
+    masked C-contiguous rows in sample order, and ``np.bincount`` adds its
+    weights in sample order too, so one bincount per coordinate replaces k
+    masked copies. A single coordinate is summed pairwise by numpy, so it
+    keeps the mask means."""
+    k, d = centers.shape
+    if d == 1:
+        for c in range(k):
+            centers[c] = points[labels == c].mean(axis=0)
+        return
+    sizes = np.bincount(labels, minlength=k)
+    for j in range(d):
+        centers[:, j] = np.bincount(labels, weights=points[:, j],
+                                    minlength=k) / sizes
+
+
 def _lloyd(points, centers, max_iters):
     """Lloyd's iterations from ``centers``, moved in place, until an
     assignment repeats the previous one or ``max_iters`` (>= 1) are made.
-    Returns the last assignment's labels and wcss, to the centers it used."""
+    An assignment that leaves clusters empty re-seeds them at the points
+    farthest from their centers; otherwise every center moves to its
+    cluster's mean (:func:`_cluster_means`). Returns the last assignment's
+    labels and wcss, to the centers it used."""
     k = centers.shape[0]
     labels = None
     for it in range(1, max_iters + 1):
@@ -159,8 +183,7 @@ def _lloyd(points, centers, max_iters):
             centers[empty] = points[np.argsort(-d2)[:empty.size]]
         else:
             labels = new_labels
-            for c in range(k):
-                centers[c] = points[labels == c].mean(axis=0)
+            _cluster_means(points, labels, centers)
     return new_labels, float(d2.sum())
 
 

@@ -3,8 +3,9 @@
 Everything here is written from the definitions, sharing no code with the
 package: a plain projected-gradient solver for quadratic blocks, the
 accelerated solver written with two gradient evaluations per iteration,
-the per-center k-means assignment loop, brute-force partition scores, finite
-differences, and small-case partition enumeration.
+the per-center k-means assignment loop, boolean-mask cluster means,
+brute-force partition scores, finite differences, and small-case partition
+enumeration.
 """
 
 import math
@@ -138,6 +139,15 @@ def kmeans_assign_oracle(points, centers):
         labels = np.where(better, c, labels)
         best = np.where(better, d2, best)
     return labels, best
+
+
+def mask_mean_centers(points, labels, k):
+    """The k cluster means, one boolean mask per cluster:
+    row c is ``points[labels == c].mean(axis=0)``."""
+    centers = np.empty((k, points.shape[1]))
+    for c in range(k):
+        centers[c] = points[labels == c].mean(axis=0)
+    return centers
 
 
 def central_diff(f, v, eps=1e-6):

@@ -295,6 +295,25 @@ class TestFactorDirChecks:
         assert code == EXIT_DATA
         assert named in err
 
+    def test_retraining_on_unlabeled_data_drops_stored_labels(
+            self, capsys, train_dir, tmp_path):
+        # Retrained on unlabeled data, the directory must not keep the
+        # first dataset's labels for evaluate to score the new factors by.
+        data = tmp_path / "b.bin"
+        run(capsys, "synth", "--kind", "planted_linear", "--rows", "20",
+            "--cols", "40", "--sizes", "6,3", "--classes", "3", "--seed", "2",
+            "--out", str(data))
+        (tmp_path / "b.bin.labels").unlink()
+        code, _, _ = run(capsys, "train", "--data", str(data), "--layers",
+                         "6,3", "--sweeps", "5", "--inner-iters", "50",
+                         "--out", str(train_dir))
+        assert code == EXIT_OK
+        assert not (train_dir / "labels.csv").exists()
+        code, _, err = run(capsys, "evaluate", "--factors", str(train_dir),
+                           "--reps", "1")
+        assert code == EXIT_DATA
+        assert "no labels.csv stored" in err
+
     def test_evaluate_names_a_short_label_file(self, capsys, train_dir,
                                                tmp_path):
         short = tmp_path / "short.csv"
@@ -352,7 +371,7 @@ class TestSweepCommand:
         assert "1 sweep points" in out
 
         # A dumped factor directory carries the labels it was trained on.
-        factors = str(tmp_path / "out" / "factors" / "p0_r0")
+        factors = str(tmp_path / "out" / "factors" / "p0")
         code, out, _ = run(capsys, "evaluate", "--factors", factors,
                            "--reps", "1", "--restarts", "1")
         assert code == EXIT_OK and "nmi: mean" in out

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from deepnmf import (DataFormatError, EvalConfig, ExperimentConfig,
-                     InvalidInputError, StopRule, SweepAxes, TrainConfig,
-                     draw_layer_structures, load_factors, make_spec,
-                     parse_config, run_experiment)
+                     InvalidInputError, NumericalError, StopRule, SweepAxes,
+                     TrainConfig, draw_layer_structures, load_factors,
+                     make_spec, parse_config, run_experiment)
 from deepnmf import experiment
 from deepnmf.experiment import (_spec_for_point, score_partitions, sweep_points,
                                 worker_count)
@@ -73,10 +73,79 @@ class TestRunExperiment:
         assert len(summary) == 3
         fractions = []
         for point in range(3):
-            _, stack, _ = load_factors(tmp_path / "out" / "factors" / f"p{point}_r0")
+            _, stack, _ = load_factors(tmp_path / "out" / "factors" / f"p{point}")
             fractions.append(float(np.mean(np.abs(stack.w[0]) < 1e-6)))
         assert fractions == sorted(fractions)
         assert fractions[-1] > fractions[0]
+
+    def test_each_point_trains_once_and_keeps_its_kmeans_seeds(
+            self, tmp_path, monkeypatch):
+        fits, seeds = [], []
+        real_fit, real_kmeans = experiment.fit, experiment.kmeans
+
+        def counting_fit(*args, **kwargs):
+            fits.append(args[0])
+            return real_fit(*args, **kwargs)
+
+        def recording_kmeans(*args, seed, **kwargs):
+            seeds.append(seed)
+            return real_kmeans(*args, seed=seed, **kwargs)
+
+        monkeypatch.setattr(experiment, "fit", counting_fit)
+        monkeypatch.setattr(experiment, "kmeans", recording_kmeans)
+        cfg = tiny_config(tmp_path, sweep=SweepAxes(mu=(0.0, 0.1)),
+                          eval=EvalConfig(kmeans_restarts=2, model_reps=3,
+                                          kmeans_reps=2, seed=5))
+        rows, _ = run_experiment(cfg)
+        assert len(fits) == 2
+        assert sorted(seeds) == sorted(
+            experiment._derived_seed(5, point, rep, krep)
+            for point in range(2) for rep in range(3) for krep in range(2))
+        assert [(r["point"], r["model_rep"], r["kmeans_rep"]) for r in rows] == [
+            (point, rep, krep)
+            for point in range(2) for rep in range(3) for krep in range(2)]
+        for point in range(2):
+            walls = {r["wall_ms"] for r in rows if r["point"] == point}
+            assert len(walls) == 1 and walls.pop() > 0
+
+    def test_failed_fit_gives_an_error_row_per_model_rep(self, tmp_path,
+                                                         monkeypatch):
+        def failing_fit(*args, **kwargs):
+            raise NumericalError("diverged")
+
+        monkeypatch.setattr(experiment, "fit", failing_fit)
+        cfg = tiny_config(tmp_path, eval=EvalConfig(
+            kmeans_restarts=2, model_reps=3, kmeans_reps=2, seed=5))
+        rows, summary = run_experiment(cfg)
+        assert [(r["model_rep"], r["kmeans_rep"], r["error"]) for r in rows] == [
+            (rep, -1, "NumericalError") for rep in range(3)]
+        assert len({r["wall_ms"] for r in rows}) == 1
+        assert rows[0]["wall_ms"] >= 0
+        assert summary[0]["n_errors"] == 3
+
+    def test_failed_scoring_gives_one_error_row_for_its_rep(self, tmp_path,
+                                                            monkeypatch):
+        real_kmeans = experiment.kmeans
+        bad_seed = experiment._derived_seed(5, 0, 1, 1)
+
+        def kmeans_failing_once(*args, seed, **kwargs):
+            if seed == bad_seed:
+                raise InvalidInputError("bad partition")
+            return real_kmeans(*args, seed=seed, **kwargs)
+
+        monkeypatch.setattr(experiment, "kmeans", kmeans_failing_once)
+        rows, summary = run_experiment(tiny_config(tmp_path))
+        assert [(r["model_rep"], r["kmeans_rep"], r["error"]) for r in rows] == [
+            (0, 0, ""), (0, 1, ""), (1, -1, "InvalidInputError")]
+        assert len({r["wall_ms"] for r in rows}) == 1
+        assert (summary[0]["n_rows"], summary[0]["n_errors"]) == (2, 1)
+
+    def test_dump_writes_one_factor_directory_per_point(self, tmp_path):
+        cfg = tiny_config(tmp_path, sweep=SweepAxes(mu=(0.0, 0.1, 1.0)),
+                          dump_factors=True)
+        run_experiment(cfg)
+        factors = tmp_path / "out" / "factors"
+        assert sorted(d.name for d in factors.iterdir()) == ["p0", "p1", "p2"]
 
     def test_failures_recorded_and_sweep_continues(self, tmp_path):
         # Second point's first layer is wider than the data, so NNSVD rejects it.

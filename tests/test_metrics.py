@@ -11,7 +11,7 @@ from deepnmf import (InvalidInputError, Partition, confusion_matrix,
 from deepnmf import kernels, metrics
 
 from _oracles import (canonical_partitions, er_oracle, kmeans_assign_oracle,
-                      nmi_oracle, np_oracle)
+                      mask_mean_centers, nmi_oracle, np_oracle)
 
 # Worked example: reference {1,1,2,2} against obtained {1,2,2,2}.
 REF = Partition(np.array([0, 0, 1, 1]), 2)
@@ -237,6 +237,20 @@ class TestKmeans:
         for (data, k), labels in zip(cases, got):
             np.testing.assert_array_equal(
                 labels, kmeans(data, k, restarts=3, seed=5).labels)
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    @pytest.mark.parametrize("d", [1, 2, 3, 10, 11])
+    def test_cluster_means_equal_mask_means_bit_for_bit(self, rng, d, scale):
+        # Lloyd's labels depend on the centers' last bits, so the centre
+        # step must reproduce the mask means exactly, singletons included.
+        for n, k in ((1, 1), (7, 7), (40, 3), (500, 10), (2000, 25)):
+            points = np.ascontiguousarray(rng.random((n, d)) * scale)
+            labels = np.concatenate([np.arange(k), rng.integers(0, k, n - k)])
+            rng.shuffle(labels)
+            centers = np.empty((k, d))
+            metrics._cluster_means(points, labels, centers)
+            np.testing.assert_array_equal(
+                centers, mask_mean_centers(points, labels, k))
 
     @pytest.mark.parametrize("max_iters", [1, 2, 300])
     def test_lloyd_wcss_is_that_of_the_final_centers(self, rng, max_iters):
