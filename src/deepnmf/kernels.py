@@ -15,11 +15,16 @@ stay independent. ``_quad_apply_into`` and ``_kkt_norm_into`` are the single
 definitions of the operator and the KKT residual; the loop calls them on its
 buffers, and ``quad_apply``/``kkt_norm`` on fresh ones.
 
-The k-means assignment is defined by a per-center loop over difference
-arrays. ``kmeans_assign`` returns that loop's labels and distances bit for
-bit at a fraction of its cost: one matrix product screens every center, a
-rounding bound proves which points have a single nearest center, and only
-the rest go through the loop.
+k-means works on samples as the columns of a (d, n) array, the layout of
+the representations it clusters. ``sq_dists`` is its one distance, added
+coordinate by coordinate over contiguous rows, and the assignment is
+defined by a per-center loop over that distance. ``assign_labels`` returns
+that loop's labels bit for bit at a fraction of its cost: one matrix
+product screens every center, a rounding bound proves which points have a
+single nearest center, and only the rest go through the loop. Distances to
+each point's own center are a separate step (``own_sq_dists``), taken only
+where they are read. ``kmeans_assign`` is the same path for callers with
+one sample per row.
 """
 
 import numpy as np
@@ -259,28 +264,40 @@ def sym_top_eig(gram, v0, rel_tol, max_iters):
     return lam, iters, status
 
 
-def sq_dists(points, centers):
-    """Squared distance of each row of ``points`` to ``centers`` (one row,
-    or one row per point): the one definition k-means uses. numpy sums each
-    row of the C-contiguous difference array in an order that depends only
-    on its length."""
-    diff = points - centers
+def sq_dists(data, centers):
+    """Squared distance of each column of ``data`` (d, n) to ``centers``:
+    one center (d,) for every column, or one per column (d, n). The one
+    definition k-means uses, summed coordinate by coordinate over contiguous
+    rows: acc = (x_0 - c_0)^2, then acc += (x_j - c_j)^2 for j = 1..d-1."""
+    diff = data - np.reshape(centers, (data.shape[0], -1))
     diff *= diff
-    return np.sum(diff, axis=1)
+    acc = diff[0].copy()
+    for row in diff[1:]:
+        acc += row
+    return acc
 
 
-def _kmeans_assign_loop(points, centers):
-    """Nearest-center assignment, one vectorized pass per center.
+def own_sq_dists(data, centers, labels):
+    """Squared distance of each column of ``data`` (d, n) to its own center,
+    row ``labels[i]`` of ``centers`` (k, d): :func:`sq_dists` against the
+    gathered (d, n) centers."""
+    return sq_dists(data, centers.T.take(labels, axis=1))
 
-    The definition that :func:`kmeans_assign` reproduces bit for bit: the
+
+def _assign_loop(data, centers):
+    """Nearest-center assignment of the columns of ``data``, one vectorized
+    pass per center.
+
+    The definition that :func:`assign_labels` reproduces bit for bit: the
     distance is :func:`sq_dists` and the first center with the smallest one
-    wins (strict ``<``).
+    wins (strict ``<``). Returns (labels, distances); a column none of whose
+    distances is below inf keeps label 0 and distance inf.
     """
-    n = points.shape[0]
+    n = data.shape[1]
     best = np.full(n, np.inf)
     labels = np.zeros(n, dtype=np.int64)
     for c in range(centers.shape[0]):
-        d2 = sq_dists(points, centers[c])
+        d2 = sq_dists(data, centers[c])
         better = d2 < best
         labels = np.where(better, c, labels)
         best = np.where(better, d2, best)
@@ -293,26 +310,30 @@ _TINY = np.finfo(np.float64).tiny
 _PSI_MAX = np.finfo(np.float64).max / 4
 
 
-def kmeans_assign(points, centers):
-    """Nearest-center assignment: one GEMM screens, exact arithmetic settles.
+def assign_labels(data, centers, sq_norms):
+    """Nearest-center labels of the columns of ``data`` (d, n): one GEMM
+    screens, exact arithmetic settles.
 
-    Returns (labels, squared distances) for float64 ``points`` (n, d) and
-    ``centers`` (k, d), bit-identical to :func:`_kmeans_assign_loop`: ties
-    break toward the lowest center index, and a point whose distances are
-    all NaN or infinite gets label 0 and distance inf.
+    ``centers`` is (k, d) and ``sq_norms`` holds each column's squared norm
+    (any summation order). The labels equal :func:`_assign_loop`'s bit for
+    bit: ties break toward the lowest center index, and a column whose
+    distances are all NaN or infinite gets label 0.
 
-    The screen is s_ic = |c|^2 - 2 p_i.c for all centers at once; |p_i|^2,
-    the same for every center of a point, is left out. Bound its rounding
-    with u = eps/2, g_m = m u/(1 - m u), psi_i = |p_i|^2 + max_c |c|^2 and
-    the exact D_ic = |p_i - c|^2 = |p_i|^2 + t_ic:
+    The screen is s_ic = |c|^2 - 2 c.p_i, all centers at once as
+    ``centers @ data``; |p_i|^2, the same for every center of a point, is
+    left out. Bound its rounding with u = eps/2, g_m = m u/(1 - m u),
+    psi_i = |p_i|^2 + max_c |c|^2 and the exact D_ic = |p_i - c|^2
+    = |p_i|^2 + t_ic:
 
-    * In any summation order p.c is within g_d sum_j |p_j c_j|
+    * In any summation order c.p is within g_d sum_j |c_j p_j|
       <= g_d psi/2 of its value and |c|^2 within g_d psi, and the final
       subtraction adds at most 2u(1 + g_d) psi, so
       |s_ic - t_ic| <= ((d + 1) eps + O(eps^2)) psi_i.
-    * The difference form sums d nonnegative terms with at most three
-      roundings each, so its value q_ic obeys
-      |q_ic - D_ic| <= g_(d+2) D_ic <= ((d + 2) eps + O(eps^2)) psi_i.
+    * :func:`sq_dists` carries three relative roundings into each term
+      (x_j - c_j)^2, the difference's twice as it enters squared and the
+      product's once, and its sequential sum passes a term through at most
+      d - 1 additions, so its value q_ic obeys |q_ic - D_ic| <= g_(d+2) D_ic
+      <= ((d + 2) eps + O(eps^2)) psi_i, as D_ic <= 2 psi_i.
     * The loop picks r with q_ir <= q_ic for every c. For the screen's
       minimizer m, s_ir - s_im <= (D_ir - D_im) + 2 (d + 1) eps psi_i
       <= (4d + 6) eps psi_i to first order.
@@ -322,32 +343,49 @@ def kmeans_assign(points, centers):
     tiny term (the smallest normal number) covers underflow, which moves
     each of the 6d products involved by at most tiny, even when flushed to
     zero. So r is always within tau_i of the screened minimum, and a point
-    with exactly one center there takes it. Its distance is then
-    :func:`sq_dists` against the gathered (n, d) centers, so the bits equal
-    the loop's. Points with two or more candidates, or with psi_i not finite
-    or above max/4 (where a sum could overflow), go through the loop,
-    restricted to those rows.
+    with exactly one center there takes it. Points with two or more
+    candidates, or with psi_i not finite or above max/4 (where a sum could
+    overflow), go through the loop, restricted to those columns.
     """
-    points = np.ascontiguousarray(points, dtype=np.float64)
-    centers = np.ascontiguousarray(centers, dtype=np.float64)
-    if centers.shape[0] == 0:
-        return _kmeans_assign_loop(points, centers)
-    d = points.shape[1]
+    k = centers.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):
         c2 = np.einsum("ij,ij->i", centers, centers)
-        screen = np.dot(-2.0 * centers, points.T)
-        np.add(screen, c2[:, None], screen)
-        psi = np.einsum("ij,ij->i", points, points)
-        psi += c2.max()
+        screen = np.dot(-2.0 * centers, data)
+        screen += c2[:, None]
+        psi = sq_norms + c2.max()
         cand = screen <= (screen.min(axis=0)
-                          + (6 * d + 20) * (_EPS * psi + _TINY))
-        settled = np.count_nonzero(cand, axis=0) == 1
-        settled &= psi <= _PSI_MAX
-        # The index of the one candidate; meaningless on unsettled points,
-        # which the loop overwrites.
-        labels = np.arange(centers.shape[0], dtype=np.int64) @ cand
-        d2 = sq_dists(points, centers.take(labels, axis=0, mode="clip"))
-    rest = np.flatnonzero(~settled)
-    if rest.size:
-        labels[rest], d2[rest] = _kmeans_assign_loop(points[rest], centers)
+                          + (6 * data.shape[0] + 20) * (_EPS * psi + _TINY))
+        # Per point, the candidate count and the sum of candidate indices:
+        # small integers, exact in float64 in any summation order. Where
+        # the count is 1 the sum is the one candidate's index; elsewhere it
+        # is meaningless, and the loop overwrites it.
+        count, index = np.dot(np.vstack([np.ones(k), np.arange(k)]),
+                              cand.astype(np.float64))
+        settled = (count == 1.0) & (psi <= _PSI_MAX)
+        labels = index.astype(np.int64)
+        rest = np.flatnonzero(~settled)
+        if rest.size:
+            labels[rest] = _assign_loop(data[:, rest], centers)[0]
+    return labels
+
+
+def kmeans_assign(points, centers):
+    """Nearest-center assignment of the rows of ``points`` (n, d): the
+    labels of :func:`assign_labels` and each point's :func:`sq_dists` to its
+    center, bit-identical to :func:`_assign_loop` on the transposed points.
+
+    An adapter for callers with one sample per row; k-means itself works on
+    the (d, n) layout. Where every distance of a point is NaN or infinite,
+    the loop keeps distance inf, while the gathered distance to its label 0
+    is NaN or inf; NaN is therefore reported as inf.
+    """
+    data = np.ascontiguousarray(np.asarray(points, dtype=np.float64).T)
+    centers = np.ascontiguousarray(centers, dtype=np.float64)
+    if centers.shape[0] == 0:
+        return _assign_loop(data, centers)
+    with np.errstate(over="ignore", invalid="ignore"):
+        labels = assign_labels(data, centers,
+                               np.einsum("ij,ij->j", data, data))
+        d2 = own_sq_dists(data, centers, labels)
+    d2[np.isnan(d2)] = np.inf
     return labels, d2

@@ -10,9 +10,11 @@ counts without forming n-by-n matrices), and naive precision (per reference
 class, the largest overlap fraction with any obtained cluster).
 
 Partitions of a representation come from :func:`kmeans`, Lloyd's algorithm
-whose assignment step (:func:`deepnmf.kernels.kmeans_assign`) screens all
-centers with one matrix product and returns the per-center loop's labels
-and distances bit for bit.
+on its columns in their own (d, n) layout. The assignment step
+(:func:`deepnmf.kernels.assign_labels`) screens all centers with one matrix
+product and returns the per-center loop's labels bit for bit; distances are
+formed only for the last assignment and for re-seeds, and each center is a
+sum in sample order divided by the cluster size.
 """
 
 import math
@@ -125,54 +127,47 @@ def naive_precision(c, c_star):
     return float(np.mean(largest / sizes))
 
 
-def _kmeanspp_centers(points, k, rng):
-    n = points.shape[0]
-    centers = np.empty((k, points.shape[1]))
-    centers[0] = points[rng.integers(n)]
-    d2 = kernels.sq_dists(points, centers[0])
+def _kmeanspp_centers(data, k, rng):
+    d, n = data.shape
+    centers = np.empty((k, d))
+    centers[0] = data[:, rng.integers(n)]
+    d2 = kernels.sq_dists(data, centers[0])
     for c in range(1, k):
         total = d2.sum()
         if total > 0:
             idx = rng.choice(n, p=d2 / total)
         else:
             idx = rng.integers(n)
-        centers[c] = points[idx]
-        d2 = np.minimum(d2, kernels.sq_dists(points, centers[c]))
+        centers[c] = data[:, idx]
+        d2 = np.minimum(d2, kernels.sq_dists(data, centers[c]))
     return centers
 
 
-def _cluster_means(points, labels, centers):
-    """Set each row of ``centers`` to the mean of the points labeled with
-    its index; every cluster must be nonempty.
+def _cluster_means(data, labels, centers):
+    """Set each row of ``centers`` to the mean of the columns of ``data``
+    labeled with its index; every cluster must be nonempty.
 
-    The centers equal boolean-mask means, ``points[labels == c].mean(axis=0)``,
-    bit for bit. For two or more coordinates, numpy reduces axis 0 of the
-    masked C-contiguous rows in sample order, and ``np.bincount`` adds its
-    weights in sample order too, so one bincount per coordinate replaces k
-    masked copies. A single coordinate is summed pairwise by numpy, so it
-    keeps the mask means."""
+    Each coordinate is one ``np.bincount`` of a contiguous row of ``data``,
+    which adds its weights in sample order, divided by the cluster size."""
     k, d = centers.shape
-    if d == 1:
-        for c in range(k):
-            centers[c] = points[labels == c].mean(axis=0)
-        return
     sizes = np.bincount(labels, minlength=k)
     for j in range(d):
-        centers[:, j] = np.bincount(labels, weights=points[:, j],
-                                    minlength=k) / sizes
+        centers[:, j] = np.bincount(labels, weights=data[j], minlength=k) / sizes
 
 
-def _lloyd(points, centers, max_iters):
-    """Lloyd's iterations from ``centers``, moved in place, until an
+def _lloyd(data, sq_norms, centers, max_iters):
+    """Lloyd's iterations on the columns of ``data`` (d, n), whose squared
+    norms are ``sq_norms``, from ``centers`` (k, d), moved in place, until an
     assignment repeats the previous one or ``max_iters`` (>= 1) are made.
     An assignment that leaves clusters empty re-seeds them at the points
     farthest from their centers; otherwise every center moves to its
-    cluster's mean (:func:`_cluster_means`). Returns the last assignment's
-    labels and wcss, to the centers it used."""
+    cluster's mean (:func:`_cluster_means`). Only those re-seeds and the
+    last assignment form distances. Returns the last assignment's labels
+    and wcss, to the centers it used."""
     k = centers.shape[0]
     labels = None
     for it in range(1, max_iters + 1):
-        new_labels, d2 = kernels.kmeans_assign(points, centers)
+        new_labels = kernels.assign_labels(data, centers, sq_norms)
         if it == max_iters or (labels is not None
                                and np.array_equal(new_labels, labels)):
             break
@@ -180,10 +175,12 @@ def _lloyd(points, centers, max_iters):
         if empty.size:
             # Re-seed empty clusters at the points farthest from their
             # centroid (every time, with fewer distinct points than k).
-            centers[empty] = points[np.argsort(-d2)[:empty.size]]
+            d2 = kernels.own_sq_dists(data, centers, new_labels)
+            centers[empty] = data[:, np.argsort(-d2)[:empty.size]].T
         else:
             labels = new_labels
-            _cluster_means(points, labels, centers)
+            _cluster_means(data, labels, centers)
+    d2 = kernels.own_sq_dists(data, centers, new_labels)
     return new_labels, float(d2.sum())
 
 
@@ -193,29 +190,40 @@ def kmeans(data, k, restarts=10, seed=0):
     Each restart is seeded with k-means++ from its own deterministic
     substream; the partition with the lowest within-cluster sum of squares
     wins, ties going to the lowest restart index. Every assignment step is
-    :func:`deepnmf.kernels.kmeans_assign`: one matrix product screens all
+    :func:`deepnmf.kernels.assign_labels`: one matrix product screens all
     centers and only points within a rounding bound of a tie take the
-    per-center loop, so labels and distances equal the loop's bit for bit.
+    per-center loop, so labels equal the loop's bit for bit.
     A restart ends with an assignment that repeats the previous one, or
     at ``KMEANS_MAX_ITERS`` assignments, and its wcss is that assignment's.
     With fewer distinct samples than ``k``, some clusters stay empty.
+
+    Data whose largest squared sample norm exceeds max/(8n) is rejected:
+    below that bound no squared distance, nor the sum of n of them, can
+    overflow, since every center is a sample or a mean of samples.
     """
     data = np.ascontiguousarray(data, dtype=np.float64)
-    points = np.ascontiguousarray(data.T)
-    n = points.shape[0]
+    n = data.shape[1]
     k = int(k)
     if not 1 <= k <= n:
         raise InvalidInputError(f"k must be in [1, {n}], got {k}")
     if restarts < 1:
         raise InvalidInputError(f"restarts must be >= 1, got {restarts}")
-    if not np.all(np.isfinite(points)):
+    if not np.all(np.isfinite(data)):
         raise InvalidInputError("data contains non-finite entries")
+    with np.errstate(over="ignore"):
+        sq_norms = np.einsum("ij,ij->j", data, data)
+    limit = np.finfo(np.float64).max / (8 * n)
+    i = int(np.argmax(sq_norms))
+    if sq_norms[i] > limit:
+        raise InvalidInputError(
+            f"sample {i} has squared norm {sq_norms[i]:.3g}, above "
+            f"{limit:.3g}, where k-means distances could overflow")
 
     best_labels, best_wcss = None, math.inf
     for r in range(restarts):
         rng = np.random.default_rng([abs(int(seed)), r])
-        centers = _kmeanspp_centers(points, k, rng)
-        labels, wcss = _lloyd(points, centers, KMEANS_MAX_ITERS)
+        centers = _kmeanspp_centers(data, k, rng)
+        labels, wcss = _lloyd(data, sq_norms, centers, KMEANS_MAX_ITERS)
         if wcss < best_wcss:
             best_labels, best_wcss = labels, wcss
     return Partition(best_labels, k)

@@ -3,7 +3,8 @@
 Everything here is written from the definitions, sharing no code with the
 package: a plain projected-gradient solver for quadratic blocks, the
 accelerated solver written with two gradient evaluations per iteration,
-the per-center k-means assignment loop, boolean-mask cluster means,
+the per-center k-means assignment loop with its coordinate-order distance,
+sample-order cluster means,
 brute-force partition scores, finite differences, and small-case partition
 enumeration.
 """
@@ -121,33 +122,45 @@ def two_application_apg(v0, left, right, lin, colsum, ridge, const,
     return cur, iters, status, rel, f_cur
 
 
-def kmeans_assign_oracle(points, centers):
-    """Nearest-center assignment, one pass over all points per center.
+def coordinate_sq_dists(points, center):
+    """Squared distance of each row of ``points`` (n, d) to ``center``,
+    added coordinate by coordinate: (x_0 - c_0)^2 + (x_1 - c_1)^2 + ...,
+    left to right."""
+    diff = points - center
+    d2 = diff[:, 0] * diff[:, 0]
+    for j in range(1, points.shape[1]):
+        d2 = d2 + diff[:, j] * diff[:, j]
+    return d2
 
-    The squared distance is ``np.sum(diff * diff, axis=1)`` of the (n, d)
-    difference array, and a center replaces the best so far only when
-    strictly nearer, so ties go to the lowest index and NaN distances never
-    win. Returns (labels, sq_dists).
+
+def kmeans_assign_oracle(points, centers):
+    """Nearest-center assignment of the rows of ``points``, one pass over
+    all points per center.
+
+    The squared distance is :func:`coordinate_sq_dists`, and a center
+    replaces the best so far only when strictly nearer, so ties go to the
+    lowest index and NaN distances never win. Returns (labels, sq_dists).
     """
     n = points.shape[0]
     best = np.full(n, np.inf)
     labels = np.zeros(n, dtype=np.int64)
     for c in range(centers.shape[0]):
-        diff = points - centers[c]
-        d2 = np.sum(diff * diff, axis=1)
+        d2 = coordinate_sq_dists(points, centers[c])
         better = d2 < best
         labels = np.where(better, c, labels)
         best = np.where(better, d2, best)
     return labels, best
 
 
-def mask_mean_centers(points, labels, k):
-    """The k cluster means, one boolean mask per cluster:
-    row c is ``points[labels == c].mean(axis=0)``."""
-    centers = np.empty((k, points.shape[1]))
-    for c in range(k):
-        centers[c] = points[labels == c].mean(axis=0)
-    return centers
+def sample_order_centers(points, labels, k):
+    """The k cluster means of the rows of ``points``: each cluster's rows
+    added one sample at a time in index order, then divided by its size."""
+    sums = np.zeros((k, points.shape[1]))
+    sizes = np.zeros(k, dtype=np.int64)
+    for row, c in zip(points, labels):
+        sums[c] += row
+        sizes[c] += 1
+    return sums / sizes[:, None]
 
 
 def central_diff(f, v, eps=1e-6):

@@ -1,6 +1,7 @@
 import pytest
 
-from deepnmf import load_factors, save_bundle, synth_generate
+from deepnmf import (load_factors, load_matrix, save_bundle, save_matrix,
+                     synth_generate)
 from deepnmf.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, cli_main
 from deepnmf.synth import KINDS
 
@@ -330,6 +331,16 @@ class TestFactorDirChecks:
                            "--k", "50")
         assert code == EXIT_DATA
         assert f"--k 50 exceeds the 40 samples of {train_dir}" in err
+
+    def test_evaluate_representation_too_large_for_kmeans_is_data_error(
+            self, capsys, train_dir):
+        # Its squared distances overflow; k-means++ used to crash on NaN
+        # probabilities with a traceback (exit 1).
+        h = train_dir / "H2.bin"
+        save_matrix(h, load_matrix(h) * 1e160)
+        code, out, err = run(capsys, "evaluate", "--factors", str(train_dir))
+        assert code == EXIT_DATA and out == ""
+        assert "squared norm" in err and "could overflow" in err
 
     @pytest.mark.parametrize("command", [("evaluate", "--reps", "1"),
                                          ("inspect", "--class", "0")])

@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from deepnmf import kernels
 
-from _oracles import kmeans_assign_oracle
+from _oracles import coordinate_sq_dists, kmeans_assign_oracle
 
 
 def test_status_constants_stable():
@@ -32,11 +32,12 @@ def test_kmeans_assign_ties_go_to_lowest_center():
 
 @pytest.mark.parametrize("n, d", [(1, 1), (37, 5), (300, 10), (64, 130)])
 def test_sq_dists_bits_equal_the_squared_difference_sum(n, d):
+    # Columns are samples; one center for all of them, or one each.
     rng = np.random.default_rng(n * d)
-    points = rng.standard_normal((n, d))
-    for centers in (rng.standard_normal(d), rng.standard_normal((n, d))):
-        assert np.array_equal(kernels.sq_dists(points, centers),
-                              np.sum((points - centers) ** 2, axis=1))
+    data = rng.standard_normal((d, n))
+    for centers in (rng.standard_normal(d), rng.standard_normal((d, n))):
+        assert np.array_equal(kernels.sq_dists(data, centers),
+                              coordinate_sq_dists(data.T, centers.T))
 
 
 def _assert_assign_matches_oracle(points, centers):

@@ -11,7 +11,7 @@ from deepnmf import (InvalidInputError, Partition, confusion_matrix,
 from deepnmf import kernels, metrics
 
 from _oracles import (canonical_partitions, er_oracle, kmeans_assign_oracle,
-                      mask_mean_centers, nmi_oracle, np_oracle)
+                      nmi_oracle, np_oracle, sample_order_centers)
 
 # Worked example: reference {1,1,2,2} against obtained {1,2,2,2}.
 REF = Partition(np.array([0, 0, 1, 1]), 2)
@@ -225,6 +225,24 @@ class TestKmeans:
         assert part.labels[0] == part.labels[1] != part.labels[2]
         assert len(set(part.labels[2:].tolist())) == 1
 
+    @pytest.mark.parametrize("scale", [1e160, 1e300])
+    def test_data_whose_distances_could_overflow_rejected(self, rng, scale):
+        # Squared distances of such data overflow; k-means++ then drew from
+        # NaN probabilities after overflow warnings.
+        with pytest.raises(InvalidInputError, match="sample .* squared norm"):
+            kmeans(scale * rng.uniform(0.5, 1.0, size=(3, 40)), 3)
+
+    def test_data_just_below_the_overflow_bound_clusters(self, rng):
+        # Every sample's squared norm is within 1% of max/(8n); no sum
+        # overflows, so nothing warns (warnings are errors here).
+        data = rng.uniform(0.0, 1.0, size=(4, 60))
+        data[:, :30] += 3.0
+        data *= np.sqrt(0.99 * np.finfo(np.float64).max / (8 * 60)
+                        / np.max(np.sum(data * data, axis=0)))
+        part = kmeans(data, 2, restarts=3, seed=2)
+        assert len(set(part.labels[:30])) == len(set(part.labels[30:])) == 1
+        assert part.labels[0] != part.labels[30]
+
     def test_labels_equal_with_assignment_loop(self, rng, monkeypatch):
         members = np.repeat(np.arange(6), 40)
         blobs = (rng.uniform(0.0, 20.0, size=(5, 6))[:, members]
@@ -233,36 +251,74 @@ class TestKmeans:
         sparse = np.maximum(rng.standard_normal((10, 500)), 0.0)
         cases = [(blobs, 6), (grid, 7), (sparse, 10)]
         got = [kmeans(data, k, restarts=3, seed=5).labels for data, k in cases]
-        monkeypatch.setattr(kernels, "kmeans_assign", kmeans_assign_oracle)
+        calls = []
+
+        def loop_labels(data, centers, sq_norms):
+            calls.append(data.shape)
+            return kmeans_assign_oracle(data.T, centers)[0]
+
+        monkeypatch.setattr(kernels, "assign_labels", loop_labels)
         for (data, k), labels in zip(cases, got):
             np.testing.assert_array_equal(
                 labels, kmeans(data, k, restarts=3, seed=5).labels)
+        # Every restart of every case took at least one assignment step.
+        assert len(calls) >= 3 * len(cases)
 
     @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
-    @pytest.mark.parametrize("d", [1, 2, 3, 10, 11])
+    @pytest.mark.parametrize("d", range(1, 12))
     def test_cluster_means_equal_mask_means_bit_for_bit(self, rng, d, scale):
         # Lloyd's labels depend on the centers' last bits, so the centre
-        # step must reproduce the mask means exactly, singletons included.
+        # step must add each cluster in sample order, singletons included:
+        # for d >= 2 these are the boolean-mask means bit for bit, and for
+        # d = 1 they replace numpy's pairwise sum of a single column.
         for n, k in ((1, 1), (7, 7), (40, 3), (500, 10), (2000, 25)):
-            points = np.ascontiguousarray(rng.random((n, d)) * scale)
+            data = rng.random((d, n)) * scale
             labels = np.concatenate([np.arange(k), rng.integers(0, k, n - k)])
             rng.shuffle(labels)
             centers = np.empty((k, d))
-            metrics._cluster_means(points, labels, centers)
+            metrics._cluster_means(data, labels, centers)
             np.testing.assert_array_equal(
-                centers, mask_mean_centers(points, labels, k))
+                centers, sample_order_centers(data.T, labels, k))
 
     @pytest.mark.parametrize("max_iters", [1, 2, 300])
     def test_lloyd_wcss_is_that_of_the_final_centers(self, rng, max_iters):
         # Converged or stopped at the cap, the run returns its last
         # assignment with that assignment's distances, to the centers it
         # returns with.
-        points = rng.uniform(0.0, 1.0, size=(150, 3))
-        centers = points[:4].copy()
-        labels, wcss = metrics._lloyd(points, centers, max_iters)
-        want_labels, d2 = kmeans_assign_oracle(points, centers)
+        data = rng.uniform(0.0, 1.0, size=(3, 150))
+        centers = data[:, :4].T.copy()
+        labels, wcss = metrics._lloyd(data, np.sum(data * data, axis=0),
+                                      centers, max_iters)
+        want_labels, d2 = kmeans_assign_oracle(data.T, centers)
         assert wcss == float(d2.sum())
         np.testing.assert_array_equal(labels, want_labels)
+
+    def test_only_the_last_lloyd_step_forms_distances(self, rng, monkeypatch):
+        members = np.repeat(np.arange(4), 50)
+        data = (rng.uniform(0.0, 5.0, size=(3, 4))[:, members]
+                + rng.standard_normal((3, 200)))
+        steps, gathers = [], []
+
+        def counted(name, log):
+            real = getattr(kernels, name)
+
+            def call(*args):
+                log.append(args)
+                return real(*args)
+
+            monkeypatch.setattr(kernels, name, call)
+
+        counted("assign_labels", steps)
+        counted("own_sq_dists", gathers)
+        metrics._lloyd(data, np.sum(data * data, axis=0),
+                       data[:, :4].T.copy(), 300)
+        assert len(steps) >= 3 and len(gathers) == 1
+        # A step that leaves clusters empty needs distances for its
+        # re-seeds: here every one does.
+        steps.clear()
+        gathers.clear()
+        metrics._lloyd(np.ones((2, 5)), np.full(5, 2.0), np.ones((3, 2)), 4)
+        assert len(steps) == len(gathers) == 4
 
 
 @pytest.mark.parametrize("score", [nmi, error_rate, naive_precision])
