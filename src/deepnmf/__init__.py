@@ -20,7 +20,7 @@ from .metrics import (Partition, confusion_matrix, error_rate, from_labels,
                       kmeans, naive_precision, nmi)
 from .models import (FactorStack, ModelSpec, VARIANTS, finetune_objective,
                      finetune_problem, make_spec, objective, pretrain_problem,
-                     reconstruct, reconstruct_h)
+                     reconstruct_h)
 from .nnsvd import nnsvd_init
 from .nonlinear import (basis_gradient, nonlinear_finetune, nonlinear_objective,
                         representation_gradient)

@@ -202,7 +202,7 @@ def cli_main(argv=None):
         return EXIT_USAGE
     try:
         return _COMMANDS[args.command](args)
-    except (DataFormatError, InvalidInputError, FileNotFoundError) as exc:
+    except (DataFormatError, InvalidInputError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except NumericalError as exc:

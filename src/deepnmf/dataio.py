@@ -55,36 +55,46 @@ def save_matrix(path, m):
     return path
 
 
+def _existing(path):
+    path = Path(path)
+    if not path.exists():
+        raise DataFormatError(f"{path}: file not found")
+    return path
+
+
+def _lines(path, comment=None):
+    """(line number, text) of each non-blank line of the text file
+    ``path``, stripped and, with a ``comment`` marker, cut at it."""
+    with open(_existing(path)) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = (line if comment is None else line.split(comment, 1)[0]).strip()
+            if line:
+                yield lineno, line
+
+
 def _load_csv(path):
     rows = []
-    width = None
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            cells = line.split(",")
-            if width is None:
-                width = len(cells)
-            elif len(cells) != width:
+    for lineno, line in _lines(path):
+        cells = line.split(",")
+        if rows and len(cells) != len(rows[0]):
+            raise DataFormatError(
+                f"{path}: line {lineno} has {len(cells)} cells, expected {len(rows[0])}")
+        row = []
+        for col, cell in enumerate(cells, start=1):
+            try:
+                row.append(float(cell))
+            except ValueError:
                 raise DataFormatError(
-                    f"{path}: line {lineno} has {len(cells)} cells, expected {width}")
-            row = []
-            for col, cell in enumerate(cells, start=1):
-                try:
-                    row.append(float(cell))
-                except ValueError:
-                    raise DataFormatError(
-                        f"{path}: non-numeric cell {cell!r} at line {lineno}, "
-                        f"column {col}") from None
-            rows.append(row)
+                    f"{path}: non-numeric cell {cell!r} at line {lineno}, "
+                    f"column {col}") from None
+        rows.append(row)
     if not rows:
         raise DataFormatError(f"{path}: no rows found")
     return np.array(rows, dtype=np.float64)
 
 
 def _load_bin(path):
-    blob = Path(path).read_bytes()
+    blob = _existing(path).read_bytes()
     if len(blob) < len(MAGIC) or blob[:len(MAGIC)] != MAGIC:
         raise DataFormatError(
             f"{path}: bad magic {blob[:len(MAGIC)]!r} at byte 0, expected {MAGIC!r}")
@@ -92,6 +102,8 @@ def _load_bin(path):
         raise DataFormatError(
             f"{path}: truncated header, {len(blob)} bytes < {_HEADER}")
     rows, cols = struct.unpack_from("<II", blob, len(MAGIC))
+    if not rows or not cols:
+        raise DataFormatError(f"{path}: header gives an empty {rows}x{cols} matrix")
     expected = rows * cols * 8
     found = len(blob) - _HEADER
     if found != expected:
@@ -102,16 +114,15 @@ def _load_bin(path):
     return np.ascontiguousarray(flat.reshape((rows, cols), order="F"))
 
 
-def load_matrix(path, require_nonneg=False):
-    """Read a matrix back, as CSV for a ``.csv`` suffix and BIN otherwise."""
+def load_matrix(path):
+    """Read a nonnegative matrix back, as CSV for a ``.csv`` suffix and BIN
+    otherwise."""
     path = Path(path)
-    if not path.exists():
-        raise DataFormatError(f"{path}: file not found")
     m = _load_csv(path) if _is_csv(path) else _load_bin(path)
     if not np.all(np.isfinite(m)):
         i, j = np.argwhere(~np.isfinite(m))[0]
         raise DataFormatError(f"{path}: non-finite value at row {i}, column {j}")
-    if require_nonneg and m.min() < 0:
+    if m.min() < 0:
         i, j = np.unravel_index(int(np.argmin(m)), m.shape)
         raise DataFormatError(
             f"{path}: negative entry {m[i, j]} at row {i}, column {j} where a "
@@ -126,20 +137,13 @@ def save_labels(path, partition):
 
 
 def load_labels(path):
-    path = Path(path)
-    if not path.exists():
-        raise DataFormatError(f"{path}: file not found")
     vals = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                vals.append(int(line))
-            except ValueError:
-                raise DataFormatError(
-                    f"{path}: non-integer label {line!r} at line {lineno}") from None
+    for lineno, line in _lines(path):
+        try:
+            vals.append(int(line))
+        except ValueError:
+            raise DataFormatError(
+                f"{path}: non-integer label {line!r} at line {lineno}") from None
     if not vals:
         raise DataFormatError(f"{path}: no labels found")
     return from_labels(vals)
@@ -170,7 +174,7 @@ def save_bundle(path, bundle):
 
 def load_bundle(path):
     path = Path(path)
-    x = load_matrix(path, require_nonneg=True)
+    x = load_matrix(path)
     sidecar = path.with_name(path.name + ".labels")
     labels = load_labels(sidecar) if sidecar.exists() else None
     return DatasetBundle(x=x, labels=labels, name=path.stem)
@@ -185,31 +189,24 @@ def _write_flat_config(path, items):
 def read_flat_config(path):
     """Parse ``key = value`` lines; '#' starts a comment, blanks are skipped,
     and a key given twice is a DataFormatError."""
-    path = Path(path)
-    if not path.exists():
-        raise DataFormatError(f"{path}: file not found")
     out, first_line = {}, {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise DataFormatError(
-                    f"{path}: line {lineno} is not a 'key = value' pair: {line!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key in first_line:
-                raise DataFormatError(f"{path}: {key} is given on line "
-                                      f"{first_line[key]} and again on line {lineno}")
-            first_line[key] = lineno
-            out[key] = value
+    for lineno, line in _lines(path, comment="#"):
+        if "=" not in line:
+            raise DataFormatError(
+                f"{path}: line {lineno} is not a 'key = value' pair: {line!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in first_line:
+            raise DataFormatError(f"{path}: {key} is given on line "
+                                  f"{first_line[key]} and again on line {lineno}")
+        first_line[key] = lineno
+        out[key] = value
     return out
 
 
 def parse_sizes(raw):
     """Comma-separated layer sizes as a tuple of ints; ValueError when an
-    entry is not an integer."""
-    return tuple(int(v) for v in raw.split(","))
+    entry is not a positive integer."""
+    return tuple(positive_int(v) for v in raw.split(","))
 
 
 def positive_int(raw):
@@ -340,8 +337,8 @@ def load_factors(factors_dir):
                      required=("variant", "layer_sizes", "mu", "lambda"))
     ws, hs = [], []
     for i in range(1, spec.depth + 1):
-        ws.append(load_matrix(factors_dir / f"W{i}.bin", require_nonneg=True))
-        hs.append(load_matrix(factors_dir / f"H{i}.bin", require_nonneg=True))
+        ws.append(load_matrix(factors_dir / f"W{i}.bin"))
+        hs.append(load_matrix(factors_dir / f"H{i}.bin"))
     try:
         stack = FactorStack(ws, hs)
         _check_conformance(spec, None, stack)

@@ -143,14 +143,14 @@ def _kmeanspp_centers(data, k, rng):
     return centers
 
 
-def _cluster_means(data, labels, centers):
+def _cluster_means(data, labels, sizes, centers):
     """Set each row of ``centers`` to the mean of the columns of ``data``
-    labeled with its index; every cluster must be nonempty.
+    labeled with its index; ``sizes`` counts each label, and every cluster
+    must be nonempty.
 
     Each coordinate is one ``np.bincount`` of a contiguous row of ``data``,
     which adds its weights in sample order, divided by the cluster size."""
     k, d = centers.shape
-    sizes = np.bincount(labels, minlength=k)
     for j in range(d):
         centers[:, j] = np.bincount(labels, weights=data[j], minlength=k) / sizes
 
@@ -171,7 +171,8 @@ def _lloyd(data, sq_norms, centers, max_iters):
         if it == max_iters or (labels is not None
                                and np.array_equal(new_labels, labels)):
             break
-        empty = np.flatnonzero(np.bincount(new_labels, minlength=k) == 0)
+        sizes = np.bincount(new_labels, minlength=k)
+        empty = np.flatnonzero(sizes == 0)
         if empty.size:
             # Re-seed empty clusters at the points farthest from their
             # centroid (every time, with fewer distinct points than k).
@@ -179,7 +180,7 @@ def _lloyd(data, sq_norms, centers, max_iters):
             centers[empty] = data[:, np.argsort(-d2)[:empty.size]].T
         else:
             labels = new_labels
-            _cluster_means(data, labels, centers)
+            _cluster_means(data, labels, sizes, centers)
     d2 = kernels.own_sq_dists(data, centers, new_labels)
     return new_labels, float(d2.sum())
 

@@ -233,11 +233,6 @@ def reconstruct_h(spec, stack, layer):
                   stop=layer)[1][layer - 1]
 
 
-def reconstruct(spec, stack):
-    """Model reconstruction of the data matrix from the stack."""
-    return unroll(spec.activation, stack.w, stack.h[-1])[0][0]
-
-
 def _colsum_sq(m):
     s = m.sum(axis=0)
     return float(np.dot(s, s))
@@ -260,17 +255,6 @@ def add_layer_penalty(val, spec, layer, w=None, h=None):
             val += 0.5 * colsum * _colsum_sq(h)
         if ridge:
             val += 0.5 * ridge * frobenius_sq(h)
-    return val
-
-
-def objective(spec, x, stack):
-    """Full model objective: half squared reconstruction error plus the
-    variant's penalties, with every representation penalty evaluated on the
-    stored factor."""
-    _check_conformance(spec, x, stack)
-    val = 0.5 * frobenius_sq(x - reconstruct(spec, stack))
-    for l in range(1, spec.depth + 1):
-        val = add_layer_penalty(val, spec, l, w=stack.w[l - 1], h=stack.h[l - 1])
     return val
 
 
@@ -297,6 +281,16 @@ def finetune_objective(spec, x, stack):
     """
     _check_conformance(spec, x, stack)
     return chain_objective(spec, x, stack.w, stack.h[-1])
+
+
+def objective(spec, x, stack):
+    """Full model objective: :func:`finetune_objective` plus the penalties
+    on the stored hidden representations H_1..H_{L-1}, added after the
+    chain's terms."""
+    val = finetune_objective(spec, x, stack)
+    for l in range(1, spec.depth):
+        val = add_layer_penalty(val, spec, l, h=stack.h[l - 1])
+    return val
 
 
 def _check_conformance(spec, x, stack):

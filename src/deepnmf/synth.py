@@ -85,7 +85,7 @@ def synth_generate(kind, seed, *, rows=30, cols=100, layer_sizes=(10, 5),
     if layer_sizes[-1] < classes:
         raise InvalidInputError(
             f"final layer size {layer_sizes[-1]} cannot encode {classes} classes")
-    if min((rows,) + layer_sizes) < 1 or layer_sizes[0] > rows:
+    if layer_sizes[0] > rows:
         raise InvalidInputError(
             f"layer sizes {layer_sizes} do not fit under {rows} rows")
     ws, h_last, labels = _planted_factors(rng, rows, layer_sizes, classes, cols)

@@ -106,18 +106,25 @@ def _pretrain_layer(spec, layer, h_input, cfg):
     return w, h, report.objective_trace
 
 
-def pretrain(spec, x, cfg=TrainConfig(), full_output=False):
+def pretrain(spec, x, cfg=TrainConfig()):
     """Greedy layer-wise initialization of the whole stack.
 
     For a nonlinear ``spec`` each solved hidden representation H_1..H_{L-1}
     passes through the activation before it becomes the next layer's input;
     the stack keeps every solved factor, and H_L is never mapped.
 
-    With ``full_output=True`` also returns the per-layer objective traces;
-    each starts at the layer objective of its NNSVD seed.
+    Returns (stack, traces): the per-layer objective traces each start at
+    the layer objective of its NNSVD seed. A layer wider than either side
+    of its input is rejected before any layer is trained.
     """
     x = as_matrix(x, "x")
     check_nonneg(x, "x")
+    n = x.shape[1]
+    rows = (x.shape[0],) + spec.layer_sizes
+    for layer, k in enumerate(spec.layer_sizes, start=1):
+        if k > min(rows[layer - 1], n):
+            raise InvalidInputError(f"layer {layer} has size {k}, above the "
+                                    f"smaller side of its {rows[layer - 1]}x{n} input")
     act = None if spec.activation == "linear" else get_activation(spec.activation)
     ws, hs, traces = [], [], []
     h_input = x
@@ -127,10 +134,7 @@ def pretrain(spec, x, cfg=TrainConfig(), full_output=False):
         hs.append(h)
         traces.append(trace)
         h_input = h if act is None or layer == spec.depth else act.g(h)
-    stack = FactorStack(ws, hs)
-    if full_output:
-        return stack, traces
-    return stack
+    return FactorStack(ws, hs), traces
 
 
 def _sweeps(x, cfg, obj0, sweep):
@@ -198,7 +202,7 @@ def fit(spec, x, cfg=TrainConfig()):
     Returns (stack, report); the report carries the final pretraining
     objective of every layer alongside the fine-tuning trace.
     """
-    stack, layer_traces = pretrain(spec, x, cfg, full_output=True)
+    stack, layer_traces = pretrain(spec, x, cfg)
     if spec.activation == "linear":
         stack, report = finetune(spec, x, stack, cfg)
     else:

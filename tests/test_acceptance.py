@@ -171,7 +171,7 @@ def test_criterion_05_monotone_descent_per_variant():
             rng = np.random.default_rng(300 + seed)
             x = rng.uniform(0.0, 1.0, size=(12, 30))
             spec = make_spec(variant, (5, 3), **PEN[variant])
-            stack = pretrain(spec, x, cfg)
+            stack, _ = pretrain(spec, x, cfg)
             tuned, report = finetune(spec, x, stack, cfg)
             trace = np.asarray(report.objective_trace)
             assert np.all(trace[1:] <= trace[:-1] * (1 + 1e-10) + 1e-12), variant

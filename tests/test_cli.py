@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from deepnmf import (load_factors, load_matrix, save_bundle, save_matrix,
@@ -92,6 +93,53 @@ class TestExitCodes:
         code, _, err = run(capsys, "train", "--data", str(bad), "--layers", "2")
         assert code == EXIT_DATA
         assert "bad magic" in err
+
+    def test_empty_data_file_is_data_error(self, capsys, tmp_path):
+        empty = save_matrix(tmp_path / "empty.bin", np.zeros((0, 3)))
+        code, _, err = run(capsys, "train", "--data", str(empty), "--layers", "2")
+        assert code == EXIT_DATA
+        assert f"{empty}: header gives an empty 0x3 matrix" in err
+
+    def test_layer_wider_than_the_data_is_named(self, capsys, tmp_path):
+        data = tmp_path / "d.bin"
+        run(capsys, "synth", "--kind", "blobs", "--rows", "20", "--cols", "40",
+            "--out", str(data))
+        code, _, err = run(capsys, "train", "--data", str(data), "--layers", "100")
+        assert code == EXIT_DATA
+        assert "layer 1 has size 100, above the smaller side of its 20x40" in err
+
+    @pytest.mark.parametrize("case", ["synth --out dir", "train --data dir",
+                                      "train --out file"])
+    def test_os_error_is_data_error(self, capsys, tmp_path, case):
+        data = tmp_path / "d.bin"
+        run(capsys, "synth", "--kind", "blobs", "--rows", "6", "--cols", "12",
+            "--classes", "2", "--out", str(data))
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        argv = {"synth --out dir": ("synth", "--kind", "blobs", "--out",
+                                    str(tmp_path)),
+                "train --data dir": ("train", "--data", str(tmp_path),
+                                     "--layers", "2"),
+                "train --out file": ("train", "--data", str(data), "--layers",
+                                     "2", "--sweeps", "2", "--out", str(taken))}
+        code, _, err = run(capsys, *argv[case])
+        assert code == EXIT_DATA
+        assert err.startswith("data error: ") and str(tmp_path) in err
+
+    @pytest.mark.parametrize("lines, key", [
+        ("data.layer_sizes = 0,2\nmodel.layer_sizes = 4,2", "data.layer_sizes"),
+        ("model.layer_sizes = 4,0", "model.layer_sizes"),
+        ("model.layer_sizes = 4,2\nsweep.layer_sizes = 4,2 ; 4,-1",
+         "sweep.layer_sizes")])
+    def test_non_positive_config_layer_size_is_data_error(self, capsys,
+                                                          tmp_path, lines, key):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"data.kind = planted_linear\n{lines}\n"
+                       f"output_dir = {tmp_path / 'out'}\n")
+        code, _, err = run(capsys, "sweep", "--config", str(cfg))
+        assert code == EXIT_DATA
+        assert f"{cfg}: {key} = " in err and "positive integer" in err
+        assert not (tmp_path / "out").exists()
 
     def test_inspect_without_labels_is_data_error(self, capsys, tmp_path, rng):
         from deepnmf import make_spec, save_factors
@@ -198,6 +246,19 @@ class TestExitCodes:
         code, _, err = run(capsys, "train", "--data", "d.bin", *flags)
         assert code == EXIT_USAGE
         assert "usage" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("train", "--data", "d.bin", "--layers", "0,2"),
+        ("train", "--data", "d.bin", "--layers", "4,-1"),
+        ("synth", "--kind", "planted_linear", "--sizes", "0,2")])
+    def test_non_positive_layer_size_is_usage_error(self, capsys, tmp_path,
+                                                    argv):
+        # d.bin does not exist: the sizes are rejected before any file is read.
+        out = tmp_path / "out.bin"
+        code, _, err = run(capsys, *argv, *(("--out", str(out))
+                                            if argv[0] == "synth" else ()))
+        assert code == EXIT_USAGE
+        assert "parse_sizes" in err and "usage" in err and not out.exists()
 
     @pytest.mark.parametrize("key", ["model.projection_mode",
                                      "sweep.projection_mode"])

@@ -10,7 +10,7 @@ from deepnmf import (VARIANTS, DataFormatError, DatasetBundle, Partition,
                      load_bundle, load_factors, load_labels, load_matrix,
                      make_spec, save_bundle, save_factors, save_labels,
                      save_matrix)
-from deepnmf.dataio import MAGIC, read_flat_config
+from deepnmf.dataio import MAGIC, parse_sizes, read_flat_config
 from deepnmf.models import FactorStack
 
 
@@ -21,7 +21,7 @@ class TestCsv:
         np.testing.assert_array_equal(load_matrix(path), [[1, 2], [3, 4]])
 
     def test_round_trip(self, tmp_path, rng):
-        m = rng.standard_normal((4, 7))
+        m = np.abs(rng.standard_normal((4, 7)))
         path = save_matrix(tmp_path / "m.csv", m)
         np.testing.assert_array_equal(load_matrix(path), m)
 
@@ -46,7 +46,7 @@ class TestCsv:
 
 class TestBin:
     @given(arrays(np.float64, st.tuples(st.integers(1, 5), st.integers(1, 5)),
-                  elements=st.floats(-1e12, 1e12, allow_nan=False)))
+                  elements=st.floats(0, 1e12, allow_nan=False)))
     @settings(deadline=None, max_examples=30)
     def test_round_trip_bit_identical(self, m):
         import tempfile
@@ -86,8 +86,15 @@ class TestBin:
     def test_negative_entry_rejected_when_nonneg_required(self, tmp_path):
         path = save_matrix(tmp_path / "m.bin", np.array([[1.0, -2.0]]))
         with pytest.raises(DataFormatError, match="row 0, column 1"):
-            load_matrix(path, require_nonneg=True)
-        np.testing.assert_array_equal(load_matrix(path), [[1.0, -2.0]])
+            load_matrix(path)
+
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+    def test_empty_matrix_rejected(self, tmp_path, shape):
+        path = save_matrix(tmp_path / "m.bin", np.zeros(shape))
+        with pytest.raises(DataFormatError,
+                           match=f"m.bin: header gives an empty "
+                                 f"{shape[0]}x{shape[1]} matrix"):
+            load_matrix(path)
 
     def test_non_finite_rejected(self, tmp_path):
         path = save_matrix(tmp_path / "m.bin", np.array([[1.0, np.inf]]))
@@ -182,6 +189,14 @@ class TestFactorDirs:
         with pytest.raises(DataFormatError, match="mu is given on line 1 and "
                                                   "again on line 3"):
             read_flat_config(path)
+
+    def test_layer_sizes_must_be_positive(self):
+        assert parse_sizes("6, 3") == (6, 3)
+        for raw in ("0,2", "4,-1", "4,x"):
+            with pytest.raises(ValueError):
+                parse_sizes(raw)
+        with pytest.raises(ValueError, match="positive integer, got 0"):
+            parse_sizes("0,2")
 
     def test_missing_meta_rejected(self, tmp_path):
         (tmp_path / "run").mkdir()

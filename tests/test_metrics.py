@@ -276,7 +276,8 @@ class TestKmeans:
             labels = np.concatenate([np.arange(k), rng.integers(0, k, n - k)])
             rng.shuffle(labels)
             centers = np.empty((k, d))
-            metrics._cluster_means(data, labels, centers)
+            metrics._cluster_means(data, labels,
+                                   np.bincount(labels, minlength=k), centers)
             np.testing.assert_array_equal(
                 centers, sample_order_centers(data.T, labels, k))
 

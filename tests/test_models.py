@@ -3,7 +3,7 @@ import pytest
 
 from deepnmf import (FactorStack, InvalidInputError, VARIANTS,
                      finetune_objective, finetune_problem, make_spec,
-                     objective, pretrain_problem, reconstruct, reconstruct_h)
+                     objective, pretrain_problem, reconstruct_h)
 from deepnmf.models import ModelSpec, chain_objective, unroll
 
 from _oracles import central_diff
@@ -298,7 +298,7 @@ class TestReconstruction:
         np.testing.assert_allclose(reconstruct_h(spec, stack, 1),
                                    stack.w[1] @ (stack.w[2] @ stack.h[2]),
                                    atol=1e-14)
-        np.testing.assert_allclose(reconstruct(spec, stack),
+        np.testing.assert_allclose(unroll(spec.activation, stack.w, stack.h[2])[0][0],
                                    stack.w[0] @ stack.w[1] @ stack.w[2] @ stack.h[2],
                                    atol=1e-14)
 
@@ -306,11 +306,10 @@ class TestReconstruction:
     def test_reconstruct_h_is_the_full_chain(self, rng, activation):
         spec = make_spec("dnmf", (4, 3, 2), activation=activation)
         stack = random_stack(rng, 6, (4, 3, 2), 5)
-        pre, fresh = unroll(activation, stack.w, stack.h[-1])
+        _, fresh = unroll(activation, stack.w, stack.h[-1])
         for layer in (1, 2, 3):
             np.testing.assert_array_equal(reconstruct_h(spec, stack, layer),
                                           fresh[layer - 1])
-        np.testing.assert_array_equal(reconstruct(spec, stack), pre[0])
         # Stopping at a layer forms no product below it.
         pre2, fresh2 = unroll(activation, stack.w, stack.h[-1], stop=2)
         assert pre2[:2] == [None, None] and fresh2[0] is None
@@ -334,7 +333,7 @@ class TestReconstruction:
         spec = make_spec("dnmf", (4, 3), activation="root")
         stack = random_stack(rng, 6, (4, 3), 5)
         inner = (stack.w[1] @ stack.h[1]) ** 2
-        np.testing.assert_allclose(reconstruct(spec, stack),
+        np.testing.assert_allclose(unroll(spec.activation, stack.w, stack.h[1])[0][0],
                                    stack.w[0] @ inner, atol=1e-12)
 
     def test_shape_mismatch_rejected(self, rng):

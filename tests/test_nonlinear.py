@@ -96,15 +96,15 @@ class TestNonlinearPretrain:
         spec = make_spec("dnmf", (8, 4), activation="root")
         cfg = TrainConfig(inner_stop=StopRule(300, 1e-5), max_sweeps=80,
                           rel_obj_tol=1e-9)
-        stack = pretrain(spec, bundle.x, cfg)
+        stack, _ = pretrain(spec, bundle.x, cfg)
         data_fit = nonlinear_objective(spec, bundle.x, stack.w, stack.h[-1])
         rel_err = np.sqrt(2.0 * data_fit) / np.linalg.norm(bundle.x)
         assert rel_err <= 1e-2
 
     def test_shapes_match_linear_pretrain(self, rng):
         x = rng.uniform(0.1, 1.0, size=(8, 12))
-        lin = pretrain(make_spec("dnmf", (4, 2)), x, FAST)
-        non = pretrain(make_spec("dnmf", (4, 2), activation="root"), x, FAST)
+        lin, _ = pretrain(make_spec("dnmf", (4, 2)), x, FAST)
+        non, _ = pretrain(make_spec("dnmf", (4, 2), activation="root"), x, FAST)
         for a, b in zip(lin.w + lin.h, non.w + non.h):
             assert a.shape == b.shape
 
@@ -113,11 +113,11 @@ class TestNonlinearPretrain:
         # while the stack keeps the solved H_1.
         x = rng.uniform(0.1, 1.0, size=(8, 12))
         spec = make_spec("dnmf", (4, 2), activation="root")
-        stack, traces = pretrain(spec, x, FAST, full_output=True)
+        stack, traces = pretrain(spec, x, FAST)
         target = get_activation("root").g(stack.h[0])
         fit2 = 0.5 * float(np.sum((target - stack.w[1] @ stack.h[1]) ** 2))
         assert traces[1][-1] == pytest.approx(fit2, rel=1e-12)
-        linear = pretrain(make_spec("dnmf", (4, 2)), x, FAST)
+        linear, _ = pretrain(make_spec("dnmf", (4, 2)), x, FAST)
         np.testing.assert_array_equal(linear.h[0], stack.h[0])
         assert not np.array_equal(linear.w[1], stack.w[1])
 
@@ -197,11 +197,11 @@ class TestNonlinearFinetune:
     def test_identity_activation_tracks_linear_path(self, rng):
         x = rng.uniform(0.1, 1.0, size=(10, 20))
         lin_spec = make_spec("dnmf", (4, 2))
-        lin_stack = pretrain(lin_spec, x, FAST)
+        lin_stack, _ = pretrain(lin_spec, x, FAST)
         _, lin_report = finetune(lin_spec, x, lin_stack, FAST)
 
         nl_spec = make_spec("dnmf", (4, 2), activation="identity")
-        nl_stack = pretrain(nl_spec, x, FAST)
+        nl_stack, _ = pretrain(nl_spec, x, FAST)
         _, nl_report = nonlinear_finetune(nl_spec, x, nl_stack, FAST)
         assert nl_report.final_objective == pytest.approx(
             lin_report.final_objective, rel=0.05)
@@ -211,7 +211,7 @@ class TestNonlinearFinetune:
                                 layer_sizes=(6, 3), classes=3, noise=0.02,
                                 activation="root")
         spec = make_spec("sdnmf_l", (6, 3), mu=0.05, activation="root")
-        stack = pretrain(spec, bundle.x, FAST)
+        stack, _ = pretrain(spec, bundle.x, FAST)
         tuned, report = nonlinear_finetune(spec, bundle.x, stack, FAST)
         trace = np.asarray(report.objective_trace)
         assert trace[-1] <= trace[0]
@@ -249,7 +249,7 @@ class TestNonlinearFinetune:
         monkeypatch.setattr(nonlinear, "MAX_HALVINGS", 0)
         x = rng.uniform(0.1, 1.0, size=(9, 15))
         spec = make_spec("dnmf", (6, 4, 2), activation="root")
-        stack = pretrain(spec, x, FAST)
+        stack, _ = pretrain(spec, x, FAST)
         tuned, report = nonlinear_finetune(spec, x, stack, FAST)
         assert report.stalled and report.sweeps_used == 0
         _, fresh = unroll(spec.activation, tuned.w, tuned.h[-1])
@@ -260,7 +260,7 @@ class TestNonlinearFinetune:
     def test_complete_run_stores_its_final_chain(self, rng):
         x = rng.uniform(0.1, 1.0, size=(9, 15))
         spec = make_spec("sdnmf_l", (6, 4, 2), mu=0.05, activation="softplus")
-        tuned, report = nonlinear_finetune(spec, x, pretrain(spec, x, FAST), FAST)
+        tuned, report = nonlinear_finetune(spec, x, pretrain(spec, x, FAST)[0], FAST)
         assert not report.stalled
         _, fresh = unroll(spec.activation, tuned.w, tuned.h[-1])
         for l in range(spec.depth - 1):
@@ -270,7 +270,7 @@ class TestNonlinearFinetune:
         x = rng.uniform(0.1, 1.0, size=(8, 15))
         spec = make_spec("sdnmf_rl2", (4, 2), mu=0.1, lam=0.1,
                          activation="root")
-        stack = pretrain(spec, x, FAST)
+        stack, _ = pretrain(spec, x, FAST)
         tuned, _ = nonlinear_finetune(spec, x, stack, FAST)
         for m in tuned.w + tuned.h:
             assert m.min() >= 0.0

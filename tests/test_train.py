@@ -38,13 +38,13 @@ class TestPretrain:
     def test_planted_single_layer_reconstructs(self, rng):
         x = planted(rng, 6, (3,), 10)
         spec = make_spec("dnmf", (3,))
-        stack = pretrain(spec, x, TrainConfig(max_sweeps=200))
+        stack, _ = pretrain(spec, x, TrainConfig(max_sweeps=200))
         err = np.linalg.norm(x - stack.w[0] @ stack.h[0]) / np.linalg.norm(x)
         assert err <= 1e-3
 
     def test_shape_chain(self, rng):
         x = rng.uniform(0.0, 1.0, size=(6, 10))
-        stack = pretrain(make_spec("dnmf", (4, 2)), x, FAST)
+        stack, _ = pretrain(make_spec("dnmf", (4, 2)), x, FAST)
         assert stack.w[0].shape == (6, 4)
         assert stack.w[1].shape == (4, 2)
         assert stack.h[1].shape == (2, 10)
@@ -52,7 +52,7 @@ class TestPretrain:
     def test_per_layer_traces_non_increasing(self, rng):
         x = rng.uniform(0.0, 1.0, size=(8, 14))
         spec = make_spec("sdnmf_l", (4, 2), mu=0.1)
-        _, traces = pretrain(spec, x, FAST, full_output=True)
+        _, traces = pretrain(spec, x, FAST)
         assert len(traces) == 2
         for trace in traces:
             assert trace_is_monotone(trace)
@@ -61,7 +61,7 @@ class TestPretrain:
     def test_traces_start_at_the_seed(self, rng, activation):
         x = rng.uniform(0.0, 1.0, size=(8, 14))
         spec = make_spec("sdnmf_l", (4, 2), mu=0.1, activation=activation)
-        stack, traces = pretrain(spec, x, FAST, full_output=True)
+        stack, traces = pretrain(spec, x, FAST)
         h1 = stack.h[0]
         inputs = [x, h1 if activation == "linear" else get_activation(activation).g(h1)]
         for layer, (h_input, trace) in enumerate(zip(inputs, traces), start=1):
@@ -71,7 +71,7 @@ class TestPretrain:
 
     def test_factors_feasible(self, rng):
         x = rng.uniform(0.0, 1.0, size=(7, 12))
-        stack = pretrain(make_spec("sdnmf_rl1", (3, 2), mu=0.2, lam=0.2), x, FAST)
+        stack, _ = pretrain(make_spec("sdnmf_rl1", (3, 2), mu=0.2, lam=0.2), x, FAST)
         for m in stack.w + stack.h:
             assert m.min() >= 0.0
 
@@ -79,6 +79,18 @@ class TestPretrain:
         x = rng.uniform(0.0, 1.0, size=(4, 10))
         with pytest.raises(InvalidInputError):
             pretrain(make_spec("dnmf", (5,)), x, FAST)
+
+    def test_layer_wider_than_its_input_is_named(self, rng):
+        x = rng.uniform(0.0, 1.0, size=(8, 3))
+        with pytest.raises(InvalidInputError, match="layer 1 has size 5, above "
+                                                    "the smaller side of its 8x3"):
+            pretrain(make_spec("dnmf", (5,)), x, FAST)
+        x = rng.uniform(0.0, 1.0, size=(8, 12))
+        with pytest.warns(UserWarning, match="non-increasing"):
+            spec = make_spec("dnmf", (4, 6))
+        with pytest.raises(InvalidInputError, match="layer 2 has size 6, above "
+                                                    "the smaller side of its 4x12"):
+            pretrain(spec, x, FAST)
 
     def test_rejects_negative_data(self):
         x = -np.ones((4, 6))
@@ -106,7 +118,7 @@ class TestFinetune:
     def test_two_layer_sdnmf_l_descends(self, rng):
         x = rng.uniform(0.0, 1.0, size=(20, 50))
         spec = make_spec("sdnmf_l", (6, 3), mu=0.1)
-        stack = pretrain(spec, x, FAST)
+        stack, _ = pretrain(spec, x, FAST)
         pre_obj = finetune_objective(spec, x, stack)
         tuned, report = finetune(spec, x, stack, FAST)
         assert trace_is_monotone(report.objective_trace)
