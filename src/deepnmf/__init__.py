@@ -19,8 +19,7 @@ from .linalg import as_matrix, check_nonneg, frobenius_sq, sym_spectral_norm
 from .metrics import (Partition, confusion_matrix, error_rate, from_labels,
                       kmeans, naive_precision, nmi)
 from .models import (FactorStack, ModelSpec, VARIANTS, finetune_objective,
-                     finetune_problem, make_spec, objective, pretrain_problem,
-                     reconstruct_h)
+                     finetune_problem, make_spec, objective, pretrain_problem)
 from .nnsvd import nnsvd_init
 from .nonlinear import (basis_gradient, nonlinear_finetune, nonlinear_objective,
                         representation_gradient)

@@ -98,6 +98,9 @@ def _cmd_synth(args):
 
 
 def _cmd_train(args):
+    outdir = args.out or f"run_{Path(args.data).stem}"
+    if Path(outdir).exists() and not Path(outdir).is_dir():
+        raise InvalidInputError(f"--out {outdir} exists and is not a directory")
     bundle = load_bundle(args.data)
     spec = make_spec(args.variant, args.layers, mu=args.mu, lam=args.lam,
                      activation=args.activation)
@@ -110,7 +113,6 @@ def _cmd_train(args):
         print(f"finetune sweep {sweep}: objective {obj:.6g}")
     if report.stalled:
         print("note: fine-tuning stalled before the sweep budget")
-    outdir = args.out or f"run_{Path(args.data).stem}"
     save_factors(outdir, spec, stack,
                  extra={"final_objective": repr(report.final_objective),
                         "sweeps_used": report.sweeps_used,

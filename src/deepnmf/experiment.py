@@ -8,9 +8,10 @@ each sweep point trains one model, and each of its model repetitions
 clusters that model's final representation several times with
 :func:`score_partitions`, from seeds of its own, scoring each partition
 against the bundle's labels. Results land in ``records.csv`` (one row per
-k-means repetition, with the point's training wall time), ``summary.csv``
-(per-point aggregates, no timing, byte-reproducible for a fixed seed), and
-``summary.json``.
+k-means repetition, each with its point's training wall time, final
+objective and sweep count), ``summary.csv`` (per point, score aggregates and
+the fit's final objective and sweep count, no timing, byte-reproducible for
+a fixed seed), and ``summary.json``.
 
 The worker pool runs one task per sweep point, and its size is capped by
 the ``DEEPNMF_THREADS`` environment variable; a trained stack lives only
@@ -212,32 +213,32 @@ def score_partitions(h, labels, k, reps, restarts, *seed):
              "np": naive_precision(part, labels)} for part in parts]
 
 
-def _run_unit(cfg, bundle, stack, report, wall_ms, meta, point_idx, rep):
-    """Score model repetition ``rep`` of a point from its fitted ``stack``
-    and ``report``: cluster ``stack.h[-1]`` kmeans_reps times with this
-    rep's seeds and emit one row per clustering, each carrying the fit's
-    ``wall_ms``. A scoring failure gives one error row for the rep."""
-    base = dict(meta, point=point_idx, model_rep=rep, wall_ms=wall_ms)
+def _run_unit(cfg, labels, h, point_idx, rep):
+    """Score model repetition ``rep`` of a point: cluster its final
+    representation ``h`` kmeans_reps times with this rep's seeds and return
+    one row of scores per clustering. A scoring failure gives one error row
+    for the rep."""
     try:
-        scores = score_partitions(stack.h[-1], bundle.labels, cfg.eval.k,
-                                  cfg.eval.kmeans_reps,
+        scores = score_partitions(h, labels, cfg.eval.k, cfg.eval.kmeans_reps,
                                   cfg.eval.kmeans_restarts, cfg.eval.seed,
                                   point_idx, rep)
     except Exception as exc:  # record the failure, keep sweeping
-        return [dict(base, kmeans_rep=-1, error=type(exc).__name__)]
-    return [dict(base, kmeans_rep=krep, final_objective=report.final_objective,
-                 sweeps_used=report.sweeps_used, error="", **row_scores)
+        return [dict(model_rep=rep, kmeans_rep=-1, error=type(exc).__name__)]
+    return [dict(row_scores, model_rep=rep, kmeans_rep=krep, error="")
             for krep, row_scores in enumerate(scores)]
 
 
 def _run_point(cfg, bundle, spec, meta, point_idx):
     """Train one sweep point once, dump its factors to ``factors/p<point>``
     if asked, then score every model repetition from that one fit through
-    :func:`_run_unit`. An invalid spec, or a failed fit or dump, gives one
-    error row per model repetition, with ``kmeans_rep`` -1."""
-    def failed(exc, wall_ms=None):
-        return [dict(meta, point=point_idx, model_rep=rep, kmeans_rep=-1,
-                     wall_ms=wall_ms, error=type(exc).__name__)
+    :func:`_run_unit`. Every row of the point carries the fit's wall time,
+    final objective and sweep count. An invalid spec, or a failed fit or
+    dump, gives one error row per model repetition, with ``kmeans_rep`` -1."""
+    point = dict(meta, point=point_idx)
+
+    def failed(exc):
+        return [dict(point, model_rep=rep, kmeans_rep=-1,
+                     error=type(exc).__name__)
                 for rep in range(cfg.eval.model_reps)]
 
     if isinstance(spec, Exception):
@@ -246,17 +247,20 @@ def _run_point(cfg, bundle, spec, meta, point_idx):
     try:
         stack, report = fit(spec, bundle.x, cfg.train)
     except Exception as exc:  # record the failure, keep sweeping
-        return failed(exc, (time.perf_counter() - t0) * 1000.0)
-    wall_ms = (time.perf_counter() - t0) * 1000.0
+        point["wall_ms"] = (time.perf_counter() - t0) * 1000.0
+        return failed(exc)
+    point.update(wall_ms=(time.perf_counter() - t0) * 1000.0,
+                 final_objective=report.final_objective,
+                 sweeps_used=report.sweeps_used)
     if cfg.dump_factors:
         try:
             save_factors(Path(cfg.output_dir) / "factors" / f"p{point_idx}",
                          spec, stack, labels=bundle.labels)
         except Exception as exc:  # record the failure, keep sweeping
-            return failed(exc, wall_ms)
-    return [row for rep in range(cfg.eval.model_reps)
-            for row in _run_unit(cfg, bundle, stack, report, wall_ms, meta,
-                                 point_idx, rep)]
+            return failed(exc)
+    return [dict(point, **row) for rep in range(cfg.eval.model_reps)
+            for row in _run_unit(cfg, bundle.labels, stack.h[-1], point_idx,
+                                 rep)]
 
 
 def _fmt(value):
@@ -276,13 +280,15 @@ def _write_csv(path, fieldnames, rows):
 
 
 def _summarize(points_meta, rows):
+    """Per point: row and error counts, mean/std/min/max of each score over
+    its scored rows, and the final objective and sweep count of its fit."""
     summary = []
     for idx, meta in enumerate(points_meta):
-        point_rows = [r for r in rows if r["point"] == idx and not r["error"]]
+        all_rows = [r for r in rows if r["point"] == idx]
+        point_rows = [r for r in all_rows if not r["error"]]
         entry = dict(point=idx, **meta, n_rows=len(point_rows),
-                     n_errors=sum(1 for r in rows
-                                  if r["point"] == idx and r["error"]))
-        for metric in ("nmi", "er", "np", "final_objective", "sweeps_used"):
+                     n_errors=len(all_rows) - len(point_rows))
+        for metric in ("nmi", "er", "np"):
             vals = [r[metric] for r in point_rows if r.get(metric) is not None]
             if vals:
                 arr = np.array(vals, dtype=np.float64)
@@ -292,6 +298,8 @@ def _summarize(points_meta, rows):
                 stats = (None, None, None, None)
             for stat_name, stat in zip(_STAT_NAMES, stats):
                 entry[f"{metric}_{stat_name}"] = stat
+        for name in ("final_objective", "sweeps_used"):
+            entry[name] = all_rows[0].get(name)
         summary.append(entry)
     return summary
 

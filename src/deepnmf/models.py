@@ -35,6 +35,7 @@ problem with no basis prefix.
 
 import warnings
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -186,18 +187,6 @@ class FactorStack:
     def depth(self):
         return len(self.w)
 
-    def basis_product(self, upto):
-        """W_1 @ ... @ W_upto, multiplied left to right; ``None`` for
-        upto == 0 (an implicit identity)."""
-        if upto == 0:
-            return None
-        if not 1 <= upto <= self.depth:
-            raise InvalidInputError(f"layer index {upto} out of range")
-        prod = self.w[0]
-        for w in self.w[1:upto]:
-            prod = prod @ w
-        return prod
-
     def copy(self):
         return FactorStack([m.copy() for m in self.w], [m.copy() for m in self.h])
 
@@ -221,16 +210,6 @@ def unroll(activation, w, h_last, stop=0):
         if i > 0:
             fresh[i - 1] = pre[i] if act is None else act.inverse(pre[i])
     return pre, fresh
-
-
-def reconstruct_h(spec, stack, layer):
-    """Top-down reconstruction of the layer's representation from the factors
-    above it: ``fresh[layer-1]`` of :func:`unroll`."""
-    L = stack.depth
-    if not 1 <= layer <= L:
-        raise InvalidInputError(f"layer {layer} out of range 1..{L}")
-    return unroll(spec.activation, stack.w, stack.h[L - 1],
-                  stop=layer)[1][layer - 1]
 
 
 def _colsum_sq(m):
@@ -367,9 +346,10 @@ def finetune_problem(spec, layer, role, x, stack):
     """Block subproblem for whole-system fine-tuning (linear models).
 
     W blocks minimize the full reconstruction error with every other factor
-    fixed, between the cumulative basis product up to layer-1 and the
-    top-down reconstruction of this layer's representation; H blocks fit
-    the data against the cumulative basis product through this layer.
+    fixed, between the basis product W_1 ... W_{layer-1} (multiplied left to
+    right, none at layer 1) and this layer's representation unrolled from
+    the top (:func:`unroll` stopped at the layer); H blocks fit the data
+    against the basis product W_1 ... W_layer.
     """
     if spec.activation != "linear":
         raise InvalidInputError(
@@ -380,8 +360,9 @@ def finetune_problem(spec, layer, role, x, stack):
     x = as_matrix(x, "x")
     _check_conformance(spec, x, stack)
     if role == "w":
-        return _w_problem(spec, layer, x, stack.basis_product(layer - 1),
-                          reconstruct_h(spec, stack, layer))
+        prefix = reduce(np.matmul, stack.w[:layer - 1]) if layer > 1 else None
+        fresh = unroll(spec.activation, stack.w, stack.h[-1], stop=layer)[1]
+        return _w_problem(spec, layer, x, prefix, fresh[layer - 1])
     if role == "h":
-        return _h_problem(spec, layer, x, stack.basis_product(layer))
+        return _h_problem(spec, layer, x, reduce(np.matmul, stack.w[:layer]))
     raise InvalidInputError(f"role must be 'w' or 'h', got {role!r}")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from deepnmf import (load_factors, load_matrix, save_bundle, save_matrix,
+from deepnmf import (cli, load_factors, load_matrix, save_bundle, save_matrix,
                      synth_generate)
 from deepnmf.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, cli_main
 from deepnmf.synth import KINDS
@@ -125,6 +125,24 @@ class TestExitCodes:
         code, _, err = run(capsys, *argv[case])
         assert code == EXIT_DATA
         assert err.startswith("data error: ") and str(tmp_path) in err
+
+    def test_train_out_file_is_rejected_before_the_fit(self, capsys, tmp_path,
+                                                        monkeypatch):
+        data = tmp_path / "d.bin"
+        run(capsys, "synth", "--kind", "blobs", "--rows", "6", "--cols", "12",
+            "--classes", "2", "--out", str(data))
+        taken = tmp_path / "taken"
+        taken.write_text("")
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fit called")
+
+        monkeypatch.setattr(cli, "fit", no_fit)
+        code, out, err = run(capsys, "train", "--data", str(data), "--layers",
+                             "2", "--out", str(taken))
+        assert code == EXIT_DATA
+        assert out == "" and f"--out {taken} exists and is not a directory" in err
+        assert taken.read_text() == ""
 
     @pytest.mark.parametrize("lines, key", [
         ("data.layer_sizes = 0,2\nmodel.layer_sizes = 4,2", "data.layer_sizes"),

@@ -177,9 +177,45 @@ class TestRunExperiment:
         assert header.split(",") == [
             "point", "variant", "layer_sizes", "mu", "lambda", "activation",
             "n_rows", "n_errors"] + [
-            f"{metric}_{stat}"
-            for metric in ("nmi", "er", "np", "final_objective", "sweeps_used")
-            for stat in ("mean", "std", "min", "max")]
+            f"{metric}_{stat}" for metric in ("nmi", "er", "np")
+            for stat in ("mean", "std", "min", "max")] + [
+            "final_objective", "sweeps_used"]
+
+    def test_summary_records_each_fit_once(self, tmp_path):
+        # 3 model x 5 k-means repetitions: a mean over the 15 copies of the
+        # fit's objective need not round back to it; the summary copies it.
+        import csv as csvmod
+
+        cfg = tiny_config(tmp_path, sweep=SweepAxes(mu=(0.0, 0.1, 1.0)),
+                          eval=EvalConfig(kmeans_restarts=1, model_reps=3,
+                                          kmeans_reps=5, seed=5))
+        run_experiment(cfg)
+        out = tmp_path / "out"
+        with open(out / "records.csv", newline="") as fh:
+            records = list(csvmod.DictReader(fh))
+        with open(out / "summary.csv", newline="") as fh:
+            summary = list(csvmod.DictReader(fh))
+        assert len(records) == 3 * 15 and len(summary) == 3
+        for point in summary:
+            rows = [r for r in records if r["point"] == point["point"]]
+            assert len(rows) == 15
+            for name in ("final_objective", "sweeps_used"):
+                assert {r[name] for r in rows} == {point[name]}
+
+    def test_failed_scoring_keeps_the_fit(self, tmp_path, monkeypatch):
+        def failing_kmeans(*args, **kwargs):
+            raise InvalidInputError("bad partition")
+
+        cfg = tiny_config(tmp_path)
+        _, report = experiment.fit(cfg.model, experiment.resolve_bundle(
+            cfg.data).x, cfg.train)
+        monkeypatch.setattr(experiment, "kmeans", failing_kmeans)
+        rows, summary = run_experiment(cfg)
+        assert [(r["kmeans_rep"], r["error"]) for r in rows] == [
+            (-1, "InvalidInputError")] * 2
+        for entry in rows + summary:
+            assert entry["final_objective"] == report.final_objective
+            assert entry["sweeps_used"] == report.sweeps_used
 
     def test_point_of_another_depth_inherits_base_weight(self, tmp_path):
         cfg = tiny_config(

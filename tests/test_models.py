@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from deepnmf import (FactorStack, InvalidInputError, VARIANTS,
-                     finetune_objective, finetune_problem, make_spec,
-                     objective, pretrain_problem, reconstruct_h)
+from deepnmf import (FactorStack, InvalidInputError, TrainConfig, VARIANTS,
+                     finetune_objective, finetune_problem, fit, make_spec,
+                     objective, pretrain_problem, synth_generate)
 from deepnmf.models import ModelSpec, chain_objective, unroll
 
 from _oracles import central_diff
@@ -200,7 +200,7 @@ class TestFinetuneProblems:
         spec = make_spec("sdnmf_l", (4, 2), mu=0.3)
         stack = random_stack(rng, 6, (4, 2), 8)
         x = rng.uniform(0.1, 1.0, size=(6, 8))
-        h_rec = reconstruct_h(spec, stack, 1)
+        h_rec = stack.w[1] @ stack.h[1]
         fine = finetune_problem(spec, 1, "w", x, stack)
         pre = pretrain_problem(spec, 1, "w", x, stack.w[0], h_rec)
         probe = rng.uniform(0.0, 1.0, size=stack.w[0].shape)
@@ -276,44 +276,45 @@ class TestFinetuneProblems:
         with pytest.raises(InvalidInputError, match="spec size 4"):
             finetune_objective(spec, x, stack)
 
-    def test_basis_product_multiplies_left_to_right(self, rng):
-        stack = random_stack(rng, 6, (4, 3, 2), 8)
-        assert stack.basis_product(0) is None
-        assert stack.basis_product(1) is stack.w[0]
-        np.testing.assert_array_equal(stack.basis_product(3),
-                                      (stack.w[0] @ stack.w[1]) @ stack.w[2])
-        # Factors are plain list entries: a product sees an assignment at once.
-        stack.w[1] = rng.uniform(0.1, 1.0, size=(4, 3))
-        np.testing.assert_array_equal(stack.basis_product(2),
-                                      stack.w[0] @ stack.w[1])
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_blocks_read_the_chain(self, rng, depth):
+        # Every block is formed from the chain's own products, bit for bit:
+        # W_1 ... W_l multiplied left to right, and the representation
+        # unrolled from the top and stopped at the layer.
+        sizes = (5, 4, 3)[:depth]
+        spec = make_spec("sdnmf_rl2", sizes, mu=0.3, lam=0.2)
+        stack = random_stack(rng, 7, sizes, 6)
+        x = rng.uniform(0.1, 1.0, size=(7, 6))
+        w, h = stack.w, stack.h[-1]
+        if depth == 1:
+            prefixes, reps = [None, w[0]], [h]
+        elif depth == 2:
+            prefixes, reps = [None, w[0], w[0] @ w[1]], [w[1] @ h, h]
+        else:
+            prefixes = [None, w[0], w[0] @ w[1], (w[0] @ w[1]) @ w[2]]
+            reps = [w[1] @ (w[2] @ h), w[2] @ h, h]
+        for layer in range(1, depth + 1):
+            pre, fresh = unroll(spec.activation, w, h, stop=layer)
+            assert pre[:layer - 1] == fresh[:layer - 1] == [None] * (layer - 1)
+            rep = reps[layer - 1]
+            np.testing.assert_array_equal(fresh[layer - 1], rep)
+            wp = finetune_problem(spec, layer, "w", x, stack)
+            prefix = prefixes[layer - 1]
+            np.testing.assert_array_equal(wp.right, rep @ rep.T)
+            if prefix is None:
+                assert wp.left is None
+                np.testing.assert_array_equal(wp.lin, -(x @ rep.T))
+            else:
+                np.testing.assert_array_equal(wp.left, prefix.T @ prefix)
+                np.testing.assert_array_equal(wp.lin, -(prefix.T @ x @ rep.T))
+            hp = finetune_problem(spec, layer, "h", x, stack)
+            basis = prefixes[layer]
+            assert hp.right is None
+            np.testing.assert_array_equal(hp.left, basis.T @ basis)
+            np.testing.assert_array_equal(hp.lin, -(basis.T @ x))
 
 
 class TestReconstruction:
-    def test_reconstruct_h_recursion(self, rng):
-        spec = make_spec("dnmf", (4, 3, 2))
-        stack = random_stack(rng, 6, (4, 3, 2), 5)
-        np.testing.assert_allclose(reconstruct_h(spec, stack, 3), stack.h[2])
-        np.testing.assert_allclose(reconstruct_h(spec, stack, 2),
-                                   stack.w[2] @ stack.h[2], atol=1e-14)
-        np.testing.assert_allclose(reconstruct_h(spec, stack, 1),
-                                   stack.w[1] @ (stack.w[2] @ stack.h[2]),
-                                   atol=1e-14)
-        np.testing.assert_allclose(unroll(spec.activation, stack.w, stack.h[2])[0][0],
-                                   stack.w[0] @ stack.w[1] @ stack.w[2] @ stack.h[2],
-                                   atol=1e-14)
-
-    @pytest.mark.parametrize("activation", ["linear", "root", "tanh"])
-    def test_reconstruct_h_is_the_full_chain(self, rng, activation):
-        spec = make_spec("dnmf", (4, 3, 2), activation=activation)
-        stack = random_stack(rng, 6, (4, 3, 2), 5)
-        _, fresh = unroll(activation, stack.w, stack.h[-1])
-        for layer in (1, 2, 3):
-            np.testing.assert_array_equal(reconstruct_h(spec, stack, layer),
-                                          fresh[layer - 1])
-        # Stopping at a layer forms no product below it.
-        pre2, fresh2 = unroll(activation, stack.w, stack.h[-1], stop=2)
-        assert pre2[:2] == [None, None] and fresh2[0] is None
-
     def test_identity_chain_equals_linear_chain(self, rng):
         sizes = (4, 3, 2)
         stack = random_stack(rng, 6, sizes, 5)
@@ -342,3 +343,50 @@ class TestReconstruction:
         x = rng.uniform(0.1, 1.0, size=(5, 8))
         with pytest.raises(InvalidInputError):
             objective(spec, x, stack)
+
+
+# Rescalings that keep the chain W_1 ... W_L H_L: every basis factor times c
+# with H_L times c^-L, and W_1 over c with H_L times c.
+SCALINGS = {
+    "bases_down": lambda w, h, c: ([m * c for m in w], h * c ** -len(w)),
+    "first_basis_up": lambda w, h, c: ([w[0] / c] + w[1:], h * c),
+}
+
+
+class TestScaleValley:
+    """The penalties see how scale is spread along the chain; the misfit
+    does not."""
+
+    @staticmethod
+    def valley(variant, scaling):
+        x = synth_generate("planted_linear", 1, rows=30, cols=120,
+                           layer_sizes=(8, 4), classes=4, noise=0.01).x
+        spec = make_spec(variant, (8, 4))
+        stack, _ = fit(spec, x, TrainConfig(max_sweeps=5))
+        misfit = make_spec("dnmf", (8, 4))
+        points = [SCALINGS[scaling](stack.w, stack.h[-1], c)
+                  for c in (1.0, 0.1, 0.01)]
+        return ([chain_objective(misfit, x, *p) for p in points],
+                [chain_objective(spec, x, *p) for p in points])
+
+    @pytest.mark.parametrize("variant, scaling", [
+        ("sdnmf_l", "bases_down"), ("sdnmf_r", "first_basis_up")])
+    def test_objective_falls_to_the_misfit(self, variant, scaling):
+        # No minimizer: the objective tends to the misfit, never reached.
+        misfits, objs = self.valley(variant, scaling)
+        assert misfits == pytest.approx([misfits[0]] * 3, rel=1e-9)
+        assert objs[0] > objs[1] > objs[2] > misfits[0]
+        assert objs[2] - misfits[0] <= 1e-3 * (objs[0] - misfits[0])
+
+    @pytest.mark.parametrize("scaling", list(SCALINGS))
+    @pytest.mark.parametrize("variant", ["sdnmf_rl1", "sdnmf_rl2"])
+    def test_objective_rises_when_every_chain_factor_is_penalized(
+            self, variant, scaling):
+        misfits, objs = self.valley(variant, scaling)
+        assert misfits == pytest.approx([misfits[0]] * 3, rel=1e-9)
+        assert objs[0] < objs[1] < objs[2]
+
+    @pytest.mark.parametrize("scaling", list(SCALINGS))
+    def test_dnmf_is_scale_invariant(self, scaling):
+        misfits, objs = self.valley("dnmf", scaling)
+        assert objs == misfits == pytest.approx([misfits[0]] * 3, rel=1e-9)
