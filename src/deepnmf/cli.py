@@ -101,11 +101,11 @@ def _cmd_train(args):
     outdir = args.out or f"run_{Path(args.data).stem}"
     if Path(outdir).exists() and not Path(outdir).is_dir():
         raise InvalidInputError(f"--out {outdir} exists and is not a directory")
-    bundle = load_bundle(args.data)
     spec = make_spec(args.variant, args.layers, mu=args.mu, lam=args.lam,
                      activation=args.activation)
     cfg = TrainConfig(inner_stop=StopRule(args.inner_iters, args.inner_tol),
                       max_sweeps=args.sweeps, rel_obj_tol=args.tol)
+    bundle = load_bundle(args.data)
     stack, report = fit(spec, bundle.x, cfg)
     for layer, obj in enumerate(report.per_layer_pretrain_objectives, start=1):
         print(f"pretrain layer {layer}: objective {obj:.6g}")
@@ -150,8 +150,7 @@ def _cmd_sweep(args):
 def _print_factor_stats(spec, stack):
     print(f"variant {spec.variant}, activation {spec.activation}")
     for i, (w, h) in enumerate(zip(stack.w, stack.h), start=1):
-        wz = float(np.mean(np.abs(w) < 1e-6))
-        hz = float(np.mean(np.abs(h) < 1e-6))
+        wz, hz = (float(np.mean(m <= 1e-6 * m.max())) for m in (w, h))
         col_l1 = np.abs(w).sum(axis=0)
         print(f"layer {i}: W {w.shape[0]}x{w.shape[1]} near-zero {wz:.3f} "
               f"column-L1 [{col_l1.min():.4g}, {col_l1.max():.4g}] | "
@@ -165,7 +164,7 @@ def _cmd_inspect(args):
         return EXIT_OK
 
     labels = load_factor_labels(args.factors, stack)
-    members = np.flatnonzero(labels.labels == args.class_id)
+    members = np.flatnonzero(labels.ids[labels.labels] == args.class_id)
     if members.size == 0:
         raise InvalidInputError(f"class {args.class_id} has no samples")
 

@@ -10,8 +10,8 @@ A dataset bundle is a matrix file (columns are samples) with an optional
 ``<path>.labels`` sidecar holding one integer class id per line.
 
 A factor directory holds ``W1.bin .. WL.bin``, ``H1.bin .. HL.bin``, a flat
-``meta.cfg`` describing the model, and optionally the dataset's labels as
-``labels.csv``.
+``meta.cfg`` describing the model, and optionally the dataset's labels, with
+their class ids as given, as ``labels.csv``.
 """
 
 import struct
@@ -132,7 +132,7 @@ def load_matrix(path):
 
 def save_labels(path, partition):
     with open(path, "w") as fh:
-        for v in partition.labels:
+        for v in partition.ids[partition.labels]:
             fh.write(f"{int(v)}\n")
 
 

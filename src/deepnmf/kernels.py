@@ -44,7 +44,7 @@ def roundoff_slack(const):
     ``const`` (half the squared norm of its fit target) and is still
     roundoff: the objective is a difference of terms of that size, so
     values this close together are indistinguishable."""
-    return 2.5e-14 * (1.0 + abs(const))
+    return 2.5e-14 * abs(const)
 
 
 def _contiguous_or_none(m):

@@ -51,6 +51,4 @@ def sym_spectral_norm(gram):
     n = gram.shape[0]
     if gram.shape[1] != n:
         raise InvalidInputError(f"gram must be square, got shape {gram.shape}")
-    if not np.any(gram):
-        return 0.0
     return float(max(np.linalg.eigvalsh(gram)[-1], 0.0))

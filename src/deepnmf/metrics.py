@@ -19,6 +19,7 @@ sum in sample order divided by the cluster size.
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -30,14 +31,20 @@ KMEANS_MAX_ITERS = 300
 
 @dataclass(frozen=True)
 class Partition:
-    """Cluster assignment: one id per sample, ids in [0, n_clusters)."""
+    """Cluster assignment: one index per sample, in [0, n_clusters), and
+    ``ids``, the class id each index stands for (by default the index)."""
 
     labels: np.ndarray
     n_clusters: int
+    ids: Optional[np.ndarray] = None
 
     def __post_init__(self):
         labels = np.ascontiguousarray(self.labels, dtype=np.int64)
         object.__setattr__(self, "labels", labels)
+        ids = np.arange(self.n_clusters) if self.ids is None else np.asarray(self.ids)
+        object.__setattr__(self, "ids", ids)
+        if ids.shape != (self.n_clusters,):
+            raise InvalidInputError(f"need {self.n_clusters} class ids, got {ids.size}")
         if labels.ndim != 1 or labels.size == 0:
             raise InvalidInputError("labels must be a nonempty 1-d sequence")
         if labels.min() < 0 or labels.max() >= self.n_clusters:
@@ -50,13 +57,14 @@ class Partition:
 
 
 def from_labels(labels):
-    """Partition from raw ids, relabeled to consecutive ints by first occurrence."""
+    """Partition from raw ids, relabeled to consecutive ints by first
+    occurrence; the raw ids are kept as its ``ids``."""
     labels = np.asarray(labels)
     _, first, inverse = np.unique(labels, return_index=True,
                                   return_inverse=True)
     rank = np.empty(first.size, dtype=np.int64)
     rank[np.argsort(first)] = np.arange(first.size)
-    return Partition(rank[inverse], first.size)
+    return Partition(rank[inverse], first.size, labels[np.sort(first)])
 
 
 def _overlap_cells(c, c_star):

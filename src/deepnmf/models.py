@@ -60,8 +60,6 @@ VARIANTS = tuple(PENALTIES)
 # A spec's activation: "linear" (none) or one of the activations.
 ACTIVATION_TAGS = ("linear",) + tuple(ACTIVATIONS)
 
-_LC_FLOOR = 1e-12
-
 
 def penalized_factors(variant, depth):
     """Per-layer flags (W_1..W_L, H_1..H_L) of the factors ``variant``
@@ -298,7 +296,9 @@ def _problem(lin, left, right, colsum, ridge, target):
         if gram is not None:
             lc *= sym_spectral_norm(gram)
     lc += colsum * lin.shape[0] + ridge
-    return ApgProblem(lin, max(lc, _LC_FLOOR), left=left, right=right,
+    # A zero constant comes only from a zero gram, whose factor zeroes
+    # ``lin`` too: the gradient is zero and any step leaves the block as it is.
+    return ApgProblem(lin, lc or 1.0, left=left, right=right,
                       colsum=colsum, ridge=ridge,
                       const=0.5 * frobenius_sq(target))
 

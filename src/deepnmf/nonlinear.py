@@ -13,13 +13,14 @@ so the final representation and every basis factor above the first are
 updated by projected gradient descent with Armijo backtracking. Their exact
 gradients share one back-propagation of the chain's misfit, which stops at
 the layer asked for; where the inverse activation's clamp holds a chain
-entry, its derivative is 0. Each block's backtracking starts from twice its
-last accepted step. The first basis factor keeps its convex block, a fit
-of the data against the chain's first representation, and is still solved
-by the accelerated method, to the same stop rule as the linear path
-(relative tolerance or iteration cap). No step reads the stored hidden
-representations, so they are set once, after the last sweep: the final
-chain's, clipped at zero.
+entry, its derivative is 0. Every backtracking starts from the trial step
+f / ||g||^2, Polyak's step for an objective bounded below by 0, so the step
+takes its scale from the data. The first basis factor keeps its convex
+block, a fit of the data against the chain's first representation, and is
+still solved by the accelerated method, to the same stop rule as the
+linear path (relative tolerance or iteration cap). No step reads the
+stored hidden representations, so they are set once, after the last
+sweep: the final chain's, clipped at zero.
 """
 
 import numpy as np
@@ -27,7 +28,7 @@ import numpy as np
 from .activations import get_activation
 from .apg import apg_solve
 from .errors import InvalidInputError
-from .linalg import as_matrix, check_nonneg
+from .linalg import as_matrix, check_nonneg, frobenius_sq
 from .models import _check_conformance, chain_objective, pretrain_problem, unroll
 from .train import TrainConfig, _sweeps
 # Nothing here calls pretrain; perfbench/tracing.py patches nonlinear.pretrain.
@@ -35,7 +36,6 @@ from .train import pretrain
 
 ARMIJO_C = 1e-4
 MAX_HALVINGS = 50
-_STEP_CAP = 1e12
 
 
 # The fine-tune objective under its nonlinear-path name: the nonlinear sweep
@@ -95,17 +95,18 @@ def basis_gradient(spec, x, stack, layer):
     return g
 
 
-def _armijo_step(value, f0, grad, f_of, steps, block):
+def _armijo_step(value, f0, grad, f_of):
     """Projected gradient step with Armijo backtracking from ``value``, where
-    the objective is ``f0``, starting from the block's step ``steps[block]``.
+    the objective is ``f0``, starting from the trial step f0 / ||grad||^2
+    (none for a zero gradient, which leaves ``value`` where it is).
 
-    Returns (new_value, new_f) and doubles the block's step (up to a cap)
-    for the next sweep, or returns None when ``MAX_HALVINGS`` halvings fail
+    Returns (new_value, new_f), or None when ``MAX_HALVINGS`` halvings fail
     to produce sufficient decrease. A long trial step can overflow the
     inverse activation; that trial's objective is non-finite and rejected
     without a warning.
     """
-    step = steps[block]
+    gg = frobenius_sq(grad)
+    step = f0 / gg if gg else 0.0
     for _ in range(MAX_HALVINGS):
         cand = np.maximum(value - step * grad, 0.0)
         diff = cand - value
@@ -114,7 +115,6 @@ def _armijo_step(value, f0, grad, f_of, steps, block):
             f_cand = f_of(cand) if moved else f0
         if not moved or (np.isfinite(f_cand) and
                          f_cand <= f0 + ARMIJO_C * float(np.sum(grad * diff))):
-            steps[block] = min(2.0 * step, _STEP_CAP)
             return (cand if moved else value), f_cand
         step *= 0.5
     return None
@@ -139,15 +139,13 @@ def nonlinear_finetune(spec, x, stack, cfg=TrainConfig()):
     check_nonneg(x, "x")
     stack = stack.copy()
     L = spec.depth
-    # Each block's next starting step: index 0 is H_L, index l-1 is W_l.
-    steps = [1.0] * L
     obj = nonlinear_objective(spec, x, stack.w, stack.h[-1])
 
     def sweep():
         nonlocal obj
         out = _armijo_step(
             stack.h[-1], obj, representation_gradient(spec, x, stack),
-            lambda v: nonlinear_objective(spec, x, stack.w, v), steps, 0)
+            lambda v: nonlinear_objective(spec, x, stack.w, v))
         if out is None:
             return None
         stack.h[-1], obj = out
@@ -156,7 +154,7 @@ def nonlinear_finetune(spec, x, stack, cfg=TrainConfig()):
             out = _armijo_step(
                 w[l - 1], obj, basis_gradient(spec, x, stack, l),
                 lambda v: nonlinear_objective(spec, x, w[:l - 1] + [v] + w[l:],
-                                              stack.h[-1]), steps, l - 1)
+                                              stack.h[-1]))
             if out is None:
                 return None
             stack.w[l - 1], obj = out

@@ -33,8 +33,6 @@ from .models import (FactorStack, add_layer_penalty, finetune_objective,
                      finetune_problem, pretrain_problem)
 from .nnsvd import nnsvd_init
 
-_TINY = 1e-300
-
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -68,15 +66,11 @@ class TrainReport:
     stalled: bool = False
 
 
-def _rel_change(prev, cur):
-    return abs(prev - cur) / max(abs(prev), _TINY)
-
-
 def _noise_floor(x):
     """Absolute objective level indistinguishable from float64 roundoff of a
     squared-error sum over ``x``-sized data; values below it count as zero
     for stopping."""
-    scale = np.finfo(np.float64).eps * max(1.0, float(np.abs(x).max()))
+    scale = np.finfo(np.float64).eps * float(np.abs(x).max())
     return 100.0 * x.size * scale * scale
 
 
@@ -166,7 +160,7 @@ def _sweeps(x, cfg, obj0, sweep):
             raise InternalError(
                 f"objective rose from {trace[-2]} to {cur}; a gradient or "
                 "Lipschitz constant is wrong")
-        if _rel_change(trace[-2], cur) < cfg.rel_obj_tol or cur <= floor:
+        if abs(trace[-2] - cur) < cfg.rel_obj_tol * abs(trace[-2]) or cur <= floor:
             break
     return TrainReport(objective_trace=trace, final_objective=trace[-1],
                        sweeps_used=len(trace) - 1, stalled=stalled)

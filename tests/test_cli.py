@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -319,6 +321,20 @@ class TestExitCodes:
         assert code == EXIT_DATA
         assert "dnmf does not penalize W_1" in err
 
+    @pytest.mark.parametrize("flags, message", [
+        (("--variant", "dnmf", "--mu", "0.5"), "dnmf does not penalize W_1"),
+        (("--variant", "sdnmf_l", "--mu", "0.1,0.2,0.3"), "mu and lam must")])
+    def test_train_checks_the_model_before_reading_the_data(
+            self, capsys, tmp_path, monkeypatch, flags, message):
+        def no_load(*args, **kwargs):
+            raise AssertionError("load_bundle called")
+
+        monkeypatch.setattr(cli, "load_bundle", no_load)
+        code, out, err = run(capsys, "train", "--data", str(tmp_path / "d.bin"),
+                             "--layers", "4,2", *flags)
+        assert code == EXIT_DATA
+        assert out == "" and message in err
+
     @pytest.mark.parametrize("key, value", [("variant", None),
                                             ("variant", "bogus"),
                                             ("activation", "relu")])
@@ -420,6 +436,48 @@ class TestFactorDirChecks:
         code, out, err = run(capsys, "evaluate", "--factors", str(train_dir))
         assert code == EXIT_DATA and out == ""
         assert "squared norm" in err and "could overflow" in err
+
+    def test_label_file_class_ids_are_kept(self, capsys, train_dir, tmp_path):
+        sidecar = tmp_path / "d.bin.labels"
+        sidecar.write_text("".join(f"{v}\n" for v in [7] * 13 + [2] * 13 + [5] * 14))
+        run_dir = tmp_path / "ids"
+        code, _, _ = run(capsys, "train", "--data", str(tmp_path / "d.bin"),
+                         "--layers", "6,3", "--sweeps", "5", "--inner-iters",
+                         "50", "--out", str(run_dir))
+        assert code == EXIT_OK
+        assert (run_dir / "labels.csv").read_text() == sidecar.read_text()
+        code, out, _ = run(capsys, "inspect", "--factors", str(run_dir),
+                           "--class", "7")
+        assert code == EXIT_OK and "class 7: 13 samples" in out
+        code, _, err = run(capsys, "inspect", "--factors", str(run_dir),
+                           "--class", "0")
+        assert code == EXIT_DATA and "class 0 has no samples" in err
+        # The scores see only the partition, not the ids that name it.
+        renumbered = tmp_path / "renumbered.csv"
+        renumbered.write_text("0\n" * 13 + "1\n" * 13 + "2\n" * 14)
+        _, kept, _ = run(capsys, "evaluate", "--factors", str(run_dir))
+        _, plain, _ = run(capsys, "evaluate", "--factors", str(run_dir),
+                          "--labels", str(renumbered))
+        assert "nmi: mean" in kept and kept == plain
+
+    def test_near_zero_share_is_relative_to_each_factor(self, capsys,
+                                                         tmp_path):
+        # Entries at or below 1e-6 times the factor's largest entry count,
+        # so a power-of-two rescaling of the factors prints the same shares.
+        from deepnmf import make_spec, save_factors
+        from deepnmf.models import FactorStack
+
+        w = np.array([[0.0, 1e-7], [2e-6, 1.0], [0.5, 0.5]])
+        h = np.array([[1.0, 1e-6, 0.3, 0.0], [0.2, 0.4, 0.6, 0.8]])
+        shares = []
+        for e in (0, -48, 48):
+            out_dir = tmp_path / f"scaled{e}"
+            save_factors(out_dir, make_spec("dnmf", (2,)),
+                         FactorStack([w * 2.0 ** e], [h * 2.0 ** e]))
+            code, out, _ = run(capsys, "inspect", "--factors", str(out_dir))
+            assert code == EXIT_OK
+            shares.append(re.findall(r"near-zero (\S+)", out))
+        assert shares == [["0.333", "0.250"]] * 3
 
     @pytest.mark.parametrize("command", [("evaluate", "--reps", "1"),
                                          ("inspect", "--class", "0")])

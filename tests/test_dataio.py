@@ -109,6 +109,15 @@ class TestLabelsAndBundles:
         out = load_labels(tmp_path / "l.csv")
         np.testing.assert_array_equal(out.labels, part.labels)
 
+    def test_labels_keep_their_class_ids(self, tmp_path):
+        path = tmp_path / "l.csv"
+        path.write_text("7\n7\n2\n5\n2\n")
+        part = load_labels(path)
+        np.testing.assert_array_equal(part.labels, [0, 0, 1, 2, 1])
+        np.testing.assert_array_equal(part.ids, [7, 2, 5])
+        save_labels(tmp_path / "out.csv", part)
+        assert (tmp_path / "out.csv").read_text() == path.read_text()
+
     def test_bundle_round_trip(self, tmp_path, rng):
         x = rng.uniform(0.0, 1.0, size=(6, 10))
         bundle = DatasetBundle(x=x, labels=Partition(np.arange(10) % 3, 3),

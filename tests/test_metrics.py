@@ -44,6 +44,12 @@ class TestPartition:
         part = from_labels([7, 7, 3, 9])
         np.testing.assert_array_equal(part.labels, [0, 0, 1, 2])
         assert part.n_clusters == 3
+        np.testing.assert_array_equal(part.ids, [7, 3, 9])
+
+    def test_ids_default_to_the_indices_and_match_the_count(self):
+        np.testing.assert_array_equal(Partition(np.array([1, 0]), 2).ids, [0, 1])
+        with pytest.raises(InvalidInputError, match="class ids"):
+            Partition(np.array([1, 0]), 2, np.array([4]))
 
     @settings(max_examples=200, deadline=None)
     @given(st.one_of(

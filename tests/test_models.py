@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from deepnmf import (FactorStack, InvalidInputError, TrainConfig, VARIANTS,
-                     finetune_objective, finetune_problem, fit, make_spec,
-                     objective, pretrain_problem, synth_generate)
+from deepnmf import (FactorStack, InvalidInputError, StopRule, TrainConfig,
+                     VARIANTS, apg_solve, finetune_objective, finetune_problem,
+                     fit, make_spec, objective, pretrain_problem,
+                     synth_generate)
 from deepnmf.models import ModelSpec, chain_objective, unroll
 
 from _oracles import central_diff
@@ -159,6 +160,19 @@ class TestPretrainProblems:
         h = np.eye(2)
         problem = pretrain_problem(spec, 1, "w", w @ h, w, h)
         assert problem.lipschitz == pytest.approx(3.0, rel=1e-9)
+
+    @pytest.mark.parametrize("role", ["w", "h"])
+    def test_zero_gram_block_stays_put(self, rng, role):
+        # A zero factor zeroes both the gram and the linear term, so the
+        # block's gradient is 0 and its step 1/1 leaves it where it is.
+        spec = make_spec("dnmf", (3,))
+        x = rng.uniform(0.1, 1.0, size=(5, 8))
+        w = np.zeros((5, 3)) if role == "h" else rng.uniform(0.1, 1.0, (5, 3))
+        h = np.zeros((3, 8)) if role == "w" else rng.uniform(0.1, 1.0, (3, 8))
+        problem = pretrain_problem(spec, 1, role, x, w, h)
+        assert problem.lipschitz == 1.0 and not problem.lin.any()
+        block = w if role == "w" else h
+        np.testing.assert_array_equal(apg_solve(block, problem, StopRule()), block)
 
     def test_dnmf_gradient_is_plain_least_squares(self, rng):
         spec = make_spec("dnmf", (3,))

@@ -3,7 +3,8 @@ import pytest
 
 from deepnmf import (ApgProblem, InternalError, InvalidInputError, StopRule,
                      TrainConfig, VARIANTS, apg_solve, finetune,
-                     finetune_objective, fit, make_spec, nnsvd_init, pretrain)
+                     finetune_objective, fit, make_spec, nnsvd_init, pretrain,
+                     synth_generate)
 from deepnmf.activations import get_activation
 from deepnmf.kernels import roundoff_slack
 from deepnmf.train import _sweeps, layer_objective
@@ -203,6 +204,35 @@ class TestFinetune:
 def test_train_config_rejects_non_finite_or_zero_tol(tol):
     with pytest.raises(InvalidInputError, match="rel_obj_tol"):
         TrainConfig(rel_obj_tol=tol)
+
+
+class TestDataScale:
+    """Every step, floor and tolerance of training comes from the problem, so
+    a power-of-two rescaling of the data rescales the whole fit exactly."""
+
+    @pytest.mark.parametrize("activation", ["linear", "root"])
+    def test_power_of_two_rescaling_scales_the_trace(self, activation):
+        x = synth_generate("planted_linear", 1, rows=40, cols=120,
+                           layer_sizes=(8, 4), classes=4, noise=0.01).x
+        spec = make_spec("dnmf", (8, 4), activation=activation)
+        cfg = TrainConfig(StopRule(60), max_sweeps=10)
+        _, unit = fit(spec, x, cfg)
+        assert unit.sweeps_used == 10 and not unit.stalled
+        for e in (-96, -48, 48, 96):
+            s = 2.0 ** e
+            _, report = fit(spec, s * x, cfg)
+            assert report.objective_trace == [s * s * v for v in
+                                              unit.objective_trace], e
+
+    def test_large_basis_penalty_still_descends(self):
+        # The penalty drives W_1's entries, and with them the H blocks'
+        # Lipschitz constants, toward 0 (about 1e-11 after pretraining
+        # here); the steps must grow to match, or the fit stops far above
+        # its optimum.
+        x = np.abs(np.random.default_rng(0).normal(size=(5, 6)))
+        spec = make_spec("sdnmf_l", (3, 2), mu=1e9)
+        _, report = fit(spec, x, TrainConfig(max_sweeps=20))
+        assert report.final_objective < 1.0
 
 
 class TestSweepLoop:
