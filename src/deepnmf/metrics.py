@@ -31,8 +31,7 @@ KMEANS_MAX_ITERS = 300
 
 @dataclass(frozen=True)
 class Partition:
-    """Cluster assignment: one index per sample, in [0, n_clusters), and
-    ``ids``, the class id each index stands for (by default the index)."""
+    """One cluster index per sample, in [0, n_clusters); ``ids[i]`` is i's class id."""
 
     labels: np.ndarray
     n_clusters: int
@@ -57,8 +56,7 @@ class Partition:
 
 
 def from_labels(labels):
-    """Partition from raw ids, relabeled to consecutive ints by first
-    occurrence; the raw ids are kept as its ``ids``."""
+    """Partition from raw ids, relabeled by first occurrence, kept as ``ids``."""
     labels = np.asarray(labels)
     _, first, inverse = np.unique(labels, return_index=True,
                                   return_inverse=True)

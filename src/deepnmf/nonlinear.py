@@ -13,14 +13,14 @@ so the final representation and every basis factor above the first are
 updated by projected gradient descent with Armijo backtracking. Their exact
 gradients share one back-propagation of the chain's misfit, which stops at
 the layer asked for; where the inverse activation's clamp holds a chain
-entry, its derivative is 0. Every backtracking starts from the trial step
-f / ||g||^2, Polyak's step for an objective bounded below by 0, so the step
-takes its scale from the data. The first basis factor keeps its convex
-block, a fit of the data against the chain's first representation, and is
-still solved by the accelerated method, to the same stop rule as the
-linear path (relative tolerance or iteration cap). No step reads the
-stored hidden representations, so they are set once, after the last
-sweep: the final chain's, clipped at zero.
+entry, its derivative is 0. A block's first backtracking starts from
+f / ||g||^2 (Polyak's step for an objective bounded below by 0), each
+later one from twice its last accepted step. The first basis factor keeps
+its convex block, a fit of the data against the chain's first
+representation, and is still solved by the accelerated method, to the
+same stop rule as the linear path (relative tolerance or iteration cap).
+No step reads the stored hidden representations, so they are set once,
+after the last sweep: the final chain's, clipped at zero.
 """
 
 import numpy as np
@@ -95,27 +95,29 @@ def basis_gradient(spec, x, stack, layer):
     return g
 
 
-def _armijo_step(value, f0, grad, f_of):
+def _armijo_step(value, f0, grad, f_of, step=None):
     """Projected gradient step with Armijo backtracking from ``value``, where
-    the objective is ``f0``, starting from the trial step f0 / ||grad||^2
-    (none for a zero gradient, which leaves ``value`` where it is).
+    the objective is ``f0``, starting from ``step``, or f0 / ||grad||^2 if None.
 
-    Returns (new_value, new_f), or None when ``MAX_HALVINGS`` halvings fail
-    to produce sufficient decrease. A long trial step can overflow the
-    inverse activation; that trial's objective is non-finite and rejected
-    without a warning.
+    Returns (new_value, new_f, next_step), or None when ``MAX_HALVINGS``
+    halvings fail to produce sufficient decrease. ``next_step`` is twice the
+    accepted step, or None when no trial moved ``value``. A long trial step
+    can overflow the inverse activation; that trial's objective is
+    non-finite and rejected without a warning.
     """
-    gg = frobenius_sq(grad)
-    step = f0 / gg if gg else 0.0
+    if step is None:
+        gg = frobenius_sq(grad)
+        step = f0 / gg if gg else 0.0
     for _ in range(MAX_HALVINGS):
         cand = np.maximum(value - step * grad, 0.0)
         diff = cand - value
-        moved = diff.any()
+        if not diff.any():
+            return value, f0, None
         with np.errstate(over="ignore", invalid="ignore"):
-            f_cand = f_of(cand) if moved else f0
-        if not moved or (np.isfinite(f_cand) and
-                         f_cand <= f0 + ARMIJO_C * float(np.sum(grad * diff))):
-            return (cand if moved else value), f_cand
+            f_cand = f_of(cand)
+        if (np.isfinite(f_cand) and
+                f_cand <= f0 + ARMIJO_C * float(np.sum(grad * diff))):
+            return cand, f_cand, 2.0 * step
         step *= 0.5
     return None
 
@@ -139,25 +141,27 @@ def nonlinear_finetune(spec, x, stack, cfg=TrainConfig()):
     check_nonneg(x, "x")
     stack = stack.copy()
     L = spec.depth
+    # Each block's next trial step: index 0 is H_L, index l-1 is W_l.
+    steps = [None] * L
     obj = nonlinear_objective(spec, x, stack.w, stack.h[-1])
 
     def sweep():
         nonlocal obj
         out = _armijo_step(
             stack.h[-1], obj, representation_gradient(spec, x, stack),
-            lambda v: nonlinear_objective(spec, x, stack.w, v))
+            lambda v: nonlinear_objective(spec, x, stack.w, v), steps[0])
         if out is None:
             return None
-        stack.h[-1], obj = out
+        stack.h[-1], obj, steps[0] = out
         for l in range(2, L + 1):
             w = stack.w
             out = _armijo_step(
                 w[l - 1], obj, basis_gradient(spec, x, stack, l),
                 lambda v: nonlinear_objective(spec, x, w[:l - 1] + [v] + w[l:],
-                                              stack.h[-1]))
+                                              stack.h[-1]), steps[l - 1])
             if out is None:
                 return None
-            stack.w[l - 1], obj = out
+            stack.w[l - 1], obj, steps[l - 1] = out
 
         # W_1's block fits the chain's own first representation, which the
         # objective reconstructs through, unclipped.

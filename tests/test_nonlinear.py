@@ -7,6 +7,7 @@ from deepnmf import (FactorStack, InvalidInputError, StopRule, TrainConfig,
                      nonlinear_objective, pretrain,
                      representation_gradient, synth_generate)
 from deepnmf import nonlinear
+from deepnmf.linalg import frobenius_sq
 from deepnmf.models import unroll
 
 from _oracles import central_diff
@@ -295,6 +296,50 @@ class TestNonlinearFinetune:
             values.append(nonlinear.chain_objective(spec, x, stack.w, v))
             return values[-1]
 
-        value, f = nonlinear._armijo_step(stack.h[-1], f0, grad, f_of)
+        value, f, _ = nonlinear._armijo_step(stack.h[-1], f0, grad, f_of)
         assert not np.isfinite(values[0])
         assert np.isfinite(f) and f < f0 and np.all(np.isfinite(value))
+
+    def test_next_trial_step_is_twice_the_accepted_one(self, rng):
+        spec = make_spec("dnmf", (4, 3), activation="root")
+        stack = random_stack(rng, 6, (4, 3), 7)
+        x = rng.uniform(0.1, 1.0, size=(6, 7))
+        f0 = nonlinear.chain_objective(spec, x, stack.w, stack.h[-1])
+        grad = representation_gradient(spec, x, stack)
+        trials = []
+
+        def f_of(v):
+            trials.append(v)
+            return nonlinear.chain_objective(spec, x, stack.w, v)
+
+        value, _, step = nonlinear._armijo_step(stack.h[-1], f0, grad, f_of)
+        accepted = 0.5 * step
+        np.testing.assert_array_equal(
+            value, np.maximum(stack.h[-1] - accepted * grad, 0.0))
+        assert accepted == f0 / frobenius_sq(grad) / 2.0 ** (len(trials) - 1)
+        # A zero gradient does not move the block and forgets the step.
+        zero = np.zeros_like(grad)
+        assert nonlinear._armijo_step(value, f0, zero, f_of, step)[1:] == (f0, None)
+
+    def test_later_backtrackings_start_near_the_accepted_step(self, monkeypatch):
+        # A trial step of f / ||g||^2 on every backtracking grows against
+        # 1 / L as the gradient shrinks and takes about 12 evaluations per
+        # step on this fit; twice the last accepted step is accepted after
+        # about two.
+        x = synth_generate("planted_linear", 1, rows=40, cols=120,
+                           layer_sizes=(8, 4), classes=4, noise=0.01).x
+        spec = make_spec("dnmf", (8, 4), activation="root")
+        stack, _ = pretrain(spec, x, FAST)
+        calls = []
+
+        def counting(*args):
+            calls.append(None)
+            return nonlinear.chain_objective(*args)
+
+        monkeypatch.setattr(nonlinear, "nonlinear_objective", counting)
+        cfg = TrainConfig(StopRule(60), max_sweeps=60, rel_obj_tol=1e-12)
+        _, report = nonlinear_finetune(spec, x, stack, cfg)
+        assert report.sweeps_used == 60 and not report.stalled
+        # One evaluation at the start and one after each W_1 solve.
+        per_step = (len(calls) - 1 - 60) / (60 * spec.depth)
+        assert per_step < 2.5
