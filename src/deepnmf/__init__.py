@@ -11,8 +11,8 @@ from .apg import ApgProblem, StopRule, apg_solve
 from .dataio import (DatasetBundle, load_bundle, load_factors, load_labels,
                      load_matrix, save_bundle, save_factors, save_labels,
                      save_matrix)
-from .errors import (DataFormatError, DeepNmfError, InternalError,
-                     InvalidInputError, NumericalError)
+from .errors import (DataFormatError, DeepNmfError, InvalidInputError,
+                     NumericalError)
 from .experiment import (EvalConfig, ExperimentConfig, SweepAxes,
                          draw_layer_structures, parse_config, run_experiment)
 from .linalg import as_matrix, check_nonneg, frobenius_sq, sym_spectral_norm

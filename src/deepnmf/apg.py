@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InvalidInputError, NumericalError
+from .errors import InvalidInputError
 from . import kernels
 
 
@@ -99,27 +99,21 @@ def apg_solve(initial, problem, stop=StopRule(), full_output=False):
 
     The returned block never has a higher objective than ``initial``: only
     plain projected-gradient steps may rise, by roundoff, and if the last
-    accepted iterate ends above the start, the start is returned. An
-    objective rising past 10x the starting value aborts with
-    NumericalError, which almost always means the supplied Lipschitz
-    constant is too small.
+    accepted iterate ends above the start, the start is returned. A
+    non-finite gradient or objective, or an objective rising past 10x the
+    starting value, raises NumericalError from the kernel loop; the latter
+    almost always means the supplied Lipschitz constant is too small.
 
     With ``full_output=True`` also returns a dict with ``iters`` (operator
     applications, discarded steps included), ``converged``,
     ``rel_residual`` and ``objective`` entries, all of the returned block.
     """
     initial = _check_initial(initial, problem)
-    v, iters, status, rel, f_val = kernels.apg_quad_solve(
+    v, iters, converged, rel, f_val = kernels.apg_quad_solve(
         initial, problem.left, problem.right, problem.lin, problem.colsum,
         problem.ridge, problem.const, problem.lipschitz, stop.grad_tol,
         stop.max_iters)
-    if status == kernels.NONFINITE:
-        raise NumericalError("gradient produced non-finite entries")
-    if status == kernels.DIVERGED:
-        raise NumericalError(
-            "objective grew past 10x its starting value; the Lipschitz "
-            "constant is likely wrong")
     if full_output:
-        return v, {"iters": int(iters), "converged": status == kernels.CONVERGED,
+        return v, {"iters": int(iters), "converged": converged,
                    "rel_residual": float(rel), "objective": float(f_val)}
     return v

@@ -14,8 +14,4 @@ class DataFormatError(DeepNmfError, ValueError):
 
 
 class NumericalError(DeepNmfError, RuntimeError):
-    """A solve produced non-finite values or a diverging objective."""
-
-
-class InternalError(DeepNmfError, RuntimeError):
-    """Internal consistency violated (a rising objective, impossible states)."""
+    """A solve produced non-finite values or an objective that climbs."""

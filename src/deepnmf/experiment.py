@@ -307,6 +307,7 @@ def _summarize(points_meta, rows):
 def run_experiment(cfg):
     """Execute the full sweep; returns (records, summary) after writing
     records.csv, summary.csv and summary.json under ``cfg.output_dir``."""
+    workers = worker_count()
     bundle = resolve_bundle(cfg.data)
     samples = bundle.x.shape[1]
     if bundle.labels is not None and cfg.eval.k and cfg.eval.k > samples:
@@ -323,7 +324,7 @@ def run_experiment(cfg):
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(_run_point, cfg, bundle, specs[idx],
                                points_meta[idx], idx)
                    for idx in range(len(points))]
@@ -400,7 +401,7 @@ def parse_config(path):
     for name in ("layer_sizes", "mu", "lambda", "activation"):
         value = pop(f"sweep.{name}", parse=lambda v, p=MODEL_KEYS[name]: tuple(
             p(e) for e in _split_list(v)))
-        if value is not None:
+        if value:
             sweep_kwargs["lam" if name == "lambda" else name] = value
 
     output_dir = pop("output_dir", "results")

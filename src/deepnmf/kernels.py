@@ -29,14 +29,10 @@ one sample per row.
 
 import numpy as np
 
+from .errors import NumericalError
+
 # Read by perfbench/worker.py's provenance record; numpy is the only path.
 NUMBA_ENABLED = False
-
-# Solve status codes shared by kernels and their callers.
-CONVERGED = 0
-MAXITER = 1
-DIVERGED = 2
-NONFINITE = 3
 
 
 def roundoff_slack(const):
@@ -135,10 +131,15 @@ def apg_quad_solve(v0, left, right, lin, colsum_w, ridge, obj_const,
     costs nothing else. Block-sized arrays are buffers allocated once per
     call and written in place.
 
-    Returns (solution, iterations, status, relative_residual, objective).
+    Raises NumericalError on a non-finite gradient or objective, and on a
+    candidate objective past 10x the starting one, which almost always
+    means ``lipschitz`` is too small.
+
+    Returns (solution, iterations, converged, relative_residual, objective).
     The iterations count every operator application, rejected ones
-    included; the residual and status are those of the returned solution,
-    which is ``v0`` if roundoff left the accepted objective above it.
+    included; the residual and ``converged`` (residual at most ``rel_tol``)
+    are those of the returned solution, which is ``v0`` if roundoff left
+    the accepted objective above it.
     """
     v0 = np.ascontiguousarray(v0)
     lin = np.ascontiguousarray(lin)
@@ -156,14 +157,14 @@ def apg_quad_solve(v0, left, right, lin, colsum_w, ridge, obj_const,
     np.add(g, lin, g)
     np.isfinite(g, mask)
     if not np.all(mask):
-        return v0.copy(), 0, NONFINITE, np.inf, np.inf
+        raise NumericalError("gradient produced non-finite entries")
     r0 = _kkt_norm_into(v0, g, mask, mask2, u_prev)
     f0 = 0.5 * (_inner(v0, g) + _inner(v0, lin)) + obj_const
     # Objectives this close to zero are roundoff of the constant term; the
     # divergence test must not fire on their noise.
     div_floor = roundoff_slack(obj_const)
     if r0 == 0.0:
-        return v0.copy(), 0, CONVERGED, 0.0, f0
+        return v0.copy(), 0, True, 0.0, f0
 
     step = 1.0 / lipschitz
     np.multiply(g, -step, u)
@@ -178,7 +179,6 @@ def apg_quad_solve(v0, left, right, lin, colsum_w, ridge, obj_const,
     beta = 0.0
     accepted = 0
     iters = 0
-    status = MAXITER
     rel = 1.0
     for iters in range(1, max_iters + 1):
         if beta > 0.0:
@@ -193,11 +193,11 @@ def apg_quad_solve(v0, left, right, lin, colsum_w, ridge, obj_const,
         f_y = 0.5 * (_inner(y, g_y) + _inner(y, lin)) + obj_const
         # A non-finite entry of g_y makes f_y non-finite.
         if not np.isfinite(f_y):
-            status = NONFINITE
-            break
+            raise NumericalError("gradient produced non-finite entries")
         if f_y > 10.0 * max(f0, 0.0) + div_floor:
-            status = DIVERGED
-            break
+            raise NumericalError(
+                f"objective grew past 10x its starting value at iteration "
+                f"{iters}; the Lipschitz constant is likely wrong")
         if beta > 0.0 and f_y > f_x:
             alpha, beta = 1.0, 0.0
             continue
@@ -209,7 +209,6 @@ def apg_quad_solve(v0, left, right, lin, colsum_w, ridge, obj_const,
         if accepted % 8 == 0:
             rel = _kkt_norm_into(x, g, mask, mask2, u_prev) / r0
             if rel <= rel_tol:
-                status = CONVERGED
                 break
         np.multiply(g, -step, u_prev)
         np.add(u_prev, x, u_prev)
@@ -219,9 +218,7 @@ def apg_quad_solve(v0, left, right, lin, colsum_w, ridge, obj_const,
         x, f_x, rel = v0.copy(), f0, 1.0
     elif accepted % 8:
         rel = _kkt_norm_into(x, g, mask, mask2, u_prev) / r0
-    if status in (CONVERGED, MAXITER):
-        status = CONVERGED if rel <= rel_tol else MAXITER
-    return x, iters, status, rel, f_x
+    return x, iters, bool(rel <= rel_tol), rel, f_x
 
 
 # Timed by the kernels.eig_us_per_iter.60x60 case of perfbench/worker.py.
@@ -232,14 +229,14 @@ def sym_top_eig(gram, v0, rel_tol, max_iters):
     r/(1-r) times the last change; the stop threshold scales the requested
     tolerance by the estimated (1-r)/r to actually deliver it.
 
-    Returns (eigenvalue, iterations, status). A zero eigenvalue estimate with
+    Returns (eigenvalue, iterations, converged). A zero eigenvalue estimate with
     a nonzero matrix signals a start vector orthogonal to the top eigenspace.
     """
     gram = np.ascontiguousarray(gram)
     v = np.ascontiguousarray(v0).copy()
     lam = 0.0
     d_prev = np.inf
-    status = MAXITER
+    converged = False
     iters = 0
     for k in range(max_iters):
         w = np.dot(gram, v)
@@ -247,7 +244,7 @@ def sym_top_eig(gram, v0, rel_tol, max_iters):
         nrm = np.sqrt(np.sum(w * w))
         iters = k + 1
         if nrm == 0.0:
-            return 0.0, iters, CONVERGED
+            return 0.0, iters, True
         v = w / nrm
         d = abs(lam_new - lam)
         if k > 0:
@@ -257,11 +254,11 @@ def sym_top_eig(gram, v0, rel_tol, max_iters):
                 ratio = 1e-3
             if d <= rel_tol * abs(lam_new) * (1.0 - ratio) / ratio:
                 lam = lam_new
-                status = CONVERGED
+                converged = True
                 break
         d_prev = d
         lam = lam_new
-    return lam, iters, status
+    return lam, iters, converged
 
 
 def sq_dists(data, centers):

@@ -16,8 +16,8 @@ Every training phase alternates in one outer loop, :func:`_sweeps`: each
 pretraining layer on :func:`layer_objective`, and both fine-tuning paths,
 :func:`finetune` and :func:`deepnmf.nonlinear.nonlinear_finetune`, on
 :func:`deepnmf.models.chain_objective`. Its trace starts at the objective
-of the starting factors, and it treats a rise beyond roundoff as an
-internal error.
+of the starting factors, and it raises NumericalError on a rise beyond
+roundoff.
 """
 
 from dataclasses import dataclass, field
@@ -27,7 +27,7 @@ import numpy as np
 from .activations import get_activation
 from . import kernels
 from .apg import StopRule, apg_solve
-from .errors import InternalError, InvalidInputError
+from .errors import InvalidInputError, NumericalError
 from .linalg import as_matrix, check_nonneg, frobenius_sq
 from .models import (FactorStack, add_layer_penalty, finetune_objective,
                      finetune_problem, pretrain_problem)
@@ -141,7 +141,7 @@ def _sweeps(x, cfg, obj0, sweep):
     relative change drops below ``cfg.rel_obj_tol``, the objective reaches
     the noise floor of ``x``, or at ``cfg.max_sweeps``.
 
-    A rise counts as an error only beyond the roundoff of the block
+    A rise raises NumericalError, but only beyond the roundoff of the block
     objectives that the solves decrease: each carries the constant
     0.5*||x||^2, so its monotonicity holds up to
     :func:`deepnmf.kernels.roundoff_slack` of that constant.
@@ -157,7 +157,7 @@ def _sweeps(x, cfg, obj0, sweep):
             break
         trace.append(cur)
         if cur > trace[-2] * (1.0 + 1e-10) + slack:
-            raise InternalError(
+            raise NumericalError(
                 f"objective rose from {trace[-2]} to {cur}; a gradient or "
                 "Lipschitz constant is wrong")
         if abs(trace[-2] - cur) < cfg.rel_obj_tol * abs(trace[-2]) or cur <= floor:

@@ -64,10 +64,12 @@ def two_application_apg(v0, left, right, lin, colsum, ridge, const,
     the last accepted iterate's is discarded and the momentum starts over
     from that iterate; without it, every step is accepted. The stop rule is
     tested on every 8th accepted iterate, and an accepted objective left
-    above the start returns the start. Status codes: 0 converged, 1 cap,
-    2 diverged, 3 non-finite.
+    above the start returns the start.
 
-    Returns (solution, iters, status, relative_residual, objective).
+    Raises FloatingPointError on a non-finite gradient or objective, and on
+    an objective above 10x the starting one plus 2.5e-14 * |const|, naming
+    the iteration. Returns (solution, iters, converged, relative_residual,
+    objective), where converged means the residual is at most ``rel_tol``.
     """
     def grad(v):
         a = v if left is None else left @ v
@@ -83,26 +85,25 @@ def two_application_apg(v0, left, right, lin, colsum, ridge, const,
 
     g0 = grad(v0)
     if not np.all(np.isfinite(g0)):
-        return v0.copy(), 0, 3, math.inf, math.inf
+        raise FloatingPointError("non-finite gradient at iteration 0")
     r0 = kkt(v0, g0)
     f0 = obj(v0, g0)
     if r0 == 0.0:
-        return v0.copy(), 0, 0, 0.0, f0
-    div_floor = 2.5e-14 * (1.0 + abs(const))
+        return v0.copy(), 0, True, 0.0, f0
+    div_floor = 2.5e-14 * abs(const)
     cur, y, f_cur = v0.copy(), v0.copy(), f0
     a, beta = 1.0, 0.0
-    status, iters, accepted = 1, 0, 0
+    iters, accepted = 0, 0
     for k in range(max_iters):
         new = np.maximum(y - grad(y) / lipschitz, 0.0)
         gn = grad(new)
         f_new = obj(new, gn)
         iters = k + 1
         if not math.isfinite(f_new):
-            status = 3
-            break
+            raise FloatingPointError(
+                f"non-finite objective at iteration {iters}")
         if f_new > 10.0 * max(f0, 0.0) + div_floor:
-            status = 2
-            break
+            raise FloatingPointError(f"objective diverged at iteration {iters}")
         if restart and beta > 0.0 and f_new > f_cur:
             a, beta, y = 1.0, 0.0, cur
             continue
@@ -112,14 +113,11 @@ def two_application_apg(v0, left, right, lin, colsum, ridge, const,
         cur, f_cur, a = new, f_new, a_next
         accepted += 1
         if accepted % 8 == 0 and kkt(cur, gn) / r0 <= rel_tol:
-            status = 0
             break
     if f_cur > f0:
         cur, f_cur = v0.copy(), f0
     rel = kkt(cur, grad(cur)) / r0
-    if status in (0, 1):
-        status = 0 if rel <= rel_tol else 1
-    return cur, iters, status, rel, f_cur
+    return cur, iters, rel <= rel_tol, rel, f_cur
 
 
 def coordinate_sq_dists(points, center):

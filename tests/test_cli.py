@@ -3,9 +3,9 @@ import re
 import numpy as np
 import pytest
 
-from deepnmf import (cli, load_factors, load_matrix, save_bundle, save_matrix,
-                     synth_generate)
-from deepnmf.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, cli_main
+from deepnmf import (cli, experiment, load_factors, load_matrix, save_bundle,
+                     save_matrix, synth_generate, train)
+from deepnmf.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, cli_main
 from deepnmf.synth import KINDS
 
 
@@ -357,6 +357,21 @@ class TestExitCodes:
         assert code == EXIT_DATA
         assert "meta.cfg" in err and key in err
 
+    def test_rising_objective_is_numerical_failure(self, capsys, tmp_path,
+                                                   monkeypatch):
+        data = tmp_path / "d.bin"
+        run(capsys, "synth", "--kind", "blobs", "--rows", "6", "--cols", "12",
+            "--classes", "2", "--out", str(data))
+        values = iter(range(1, 100))
+        monkeypatch.setattr(train, "finetune_objective",
+                            lambda *args: float(next(values)))
+        code, _, err = run(capsys, "train", "--data", str(data), "--layers",
+                           "2", "--sweeps", "3", "--out",
+                           str(tmp_path / "run"))
+        assert code == EXIT_NUMERIC
+        assert err.startswith("numerical failure: objective rose from 1.0 "
+                              "to 2.0")
+
 
 @pytest.fixture
 def train_dir(tmp_path, capsys):
@@ -541,4 +556,22 @@ class TestSweepCommand:
         code, _, err = run(capsys, "sweep", "--config", str(cfg))
         assert code == EXIT_DATA
         assert "eval.k = 50 exceeds the 40 samples" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_bad_thread_count_fails_before_any_work(self, tmp_path, capsys,
+                                                    monkeypatch):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(
+            "data.kind = planted_linear\n"
+            "model.layer_sizes = 4,2\n"
+            f"output_dir = {tmp_path / 'out'}\n")
+
+        def no_data(data):
+            raise AssertionError("the data was read")
+
+        monkeypatch.setattr(experiment, "resolve_bundle", no_data)
+        monkeypatch.setenv("DEEPNMF_THREADS", "abc")
+        code, _, err = run(capsys, "sweep", "--config", str(cfg))
+        assert code == EXIT_DATA
+        assert "DEEPNMF_THREADS = 'abc'" in err
         assert not (tmp_path / "out").exists()

@@ -367,6 +367,19 @@ class TestConfigFile:
             assert sizes[-1] == 4
             assert sizes[0] >= sizes[1] >= sizes[2]
 
+    def test_blank_axis_is_absent(self, tmp_path):
+        # A blank sweep.layer_sizes line must not replace the drawn
+        # structures with an empty axis.
+        path = tmp_path / "exp.cfg"
+        path.write_text(
+            "model.layer_sizes = 4,2\n"
+            "data.kind = blobs\n"
+            "sweep.structure = 3,2,2,4,8\n"
+            "sweep.layer_sizes =\n")
+        cfg = parse_config(path)
+        assert len(cfg.sweep.layer_sizes) == 3
+        assert len(sweep_points(cfg)) == 3
+
 
 class TestStructureDraws:
     def test_properties(self):

@@ -11,11 +11,6 @@ from deepnmf import kernels
 from _oracles import coordinate_sq_dists, kmeans_assign_oracle
 
 
-def test_status_constants_stable():
-    assert (kernels.CONVERGED, kernels.MAXITER, kernels.DIVERGED,
-            kernels.NONFINITE) == (0, 1, 2, 3)
-
-
 def test_kmeans_assign_ties_go_to_lowest_center():
     # Every point is exactly equally near to two or more nearest centers
     # (center 4 repeats center 0); a last-wins rule would pick 4, 4, 4, 3,

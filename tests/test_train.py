@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from deepnmf import (ApgProblem, InternalError, InvalidInputError, StopRule,
+from deepnmf import (ApgProblem, InvalidInputError, NumericalError, StopRule,
                      TrainConfig, VARIANTS, apg_solve, finetune,
                      finetune_objective, fit, make_spec, nnsvd_init, pretrain,
                      synth_generate)
@@ -240,7 +240,7 @@ class TestSweepLoop:
 
     def test_rising_sweep_raises(self):
         values = iter([0.9, 1.2])
-        with pytest.raises(InternalError, match="rose from 0.9 to 1.2"):
+        with pytest.raises(NumericalError, match="rose from 0.9 to 1.2"):
             _sweeps(self.X, TrainConfig(max_sweeps=5), 1.0, lambda: next(values))
 
     def test_rise_within_roundoff_of_the_data_scale_passes(self):
@@ -252,7 +252,7 @@ class TestSweepLoop:
                          lambda: next(values))
         assert report.sweeps_used == 2
         values = iter([1e-15 + 2.0 * slack])
-        with pytest.raises(InternalError, match="rose"):
+        with pytest.raises(NumericalError, match="rose"):
             _sweeps(self.X, TrainConfig(max_sweeps=5), 1e-15,
                     lambda: next(values))
 
