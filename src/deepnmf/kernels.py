@@ -27,6 +27,8 @@ where they are read. ``kmeans_assign`` is the same path for callers with
 one sample per row.
 """
 
+import math
+
 import numpy as np
 
 from .errors import NumericalError
@@ -48,12 +50,19 @@ def _contiguous_or_none(m):
     return None if m is None else np.ascontiguousarray(m)
 
 
-def _quad_apply_into(v, left, right, colsum_w, ridge, out, tmp):
+def _colsum_weights(colsum_w, rows):
+    """The all-ones gram term's weight vector for a block of ``rows`` rows,
+    or None when the term is absent."""
+    return np.full(rows, colsum_w) if colsum_w != 0.0 else None
+
+
+def _quad_apply_into(v, left, right, colsum_vec, ridge, out, tmp):
     """Write left @ v @ right + colsum/ridge terms into ``out``.
 
     ``tmp`` is scratch of v's shape. The all-ones gram term is applied as a
-    broadcast of v's weighted column sums (one matrix-vector product), never
-    as a materialized ones matrix.
+    broadcast of v's column sums weighted by ``colsum_vec`` (one
+    matrix-vector product, skipped for None; see :func:`_colsum_weights`),
+    never as a materialized ones matrix.
     """
     if left is not None and right is not None:
         np.dot(left, v, tmp)
@@ -67,8 +76,8 @@ def _quad_apply_into(v, left, right, colsum_w, ridge, out, tmp):
     if ridge != 0.0:
         np.multiply(v, ridge, tmp)
         np.add(out, tmp, out)
-    if colsum_w != 0.0:
-        np.add(out, np.dot(np.full(v.shape[0], colsum_w), v), out)
+    if colsum_vec is not None:
+        np.add(out, np.dot(colsum_vec, v), out)
 
 
 def quad_apply(v, left, right, colsum_w, ridge):
@@ -76,13 +85,15 @@ def quad_apply(v, left, right, colsum_w, ridge):
     v = np.ascontiguousarray(v, dtype=np.float64)
     out = np.empty(v.shape)
     _quad_apply_into(v, _contiguous_or_none(left), _contiguous_or_none(right),
-                     colsum_w, ridge, out, np.empty(v.shape))
+                     _colsum_weights(colsum_w, v.shape[0]), ridge, out,
+                     np.empty(v.shape))
     return out
 
 
 def _inner(a, b):
-    """Frobenius inner product of two contiguous arrays of one shape."""
-    return np.dot(a.ravel(), b.ravel())
+    """Frobenius inner product of two contiguous arrays of one shape, as a
+    Python float."""
+    return float(np.dot(a.ravel(), b.ravel()))
 
 
 def _kkt_norm_into(v, g, mask, mask2, tmp):
@@ -96,16 +107,15 @@ def _kkt_norm_into(v, g, mask, mask2, tmp):
     np.less(g, 0.0, mask2)
     np.logical_or(mask, mask2, tmp)
     np.multiply(g, tmp, tmp)
-    return np.sqrt(_inner(tmp, tmp))
+    return math.sqrt(_inner(tmp, tmp))
 
 
 def kkt_norm(v, g):
     """Frobenius norm of the projected gradient (see ``_kkt_norm_into``)."""
     v = np.ascontiguousarray(v)
-    return float(_kkt_norm_into(v, np.ascontiguousarray(g),
-                                np.empty(v.shape, dtype=np.bool_),
-                                np.empty(v.shape, dtype=np.bool_),
-                                np.empty(v.shape)))
+    return _kkt_norm_into(v, np.ascontiguousarray(g),
+                          np.empty(v.shape, dtype=np.bool_),
+                          np.empty(v.shape, dtype=np.bool_), np.empty(v.shape))
 
 
 def apg_quad_solve(v0, left, right, lin, colsum_w, ridge, obj_const,
@@ -129,7 +139,8 @@ def apg_quad_solve(v0, left, right, lin, colsum_w, ridge, obj_const,
     y_k - grad(y_k)/LC equals u_k + beta_{k-1} (u_k - u_{k-1}). Each
     iteration applies the operator once, to the candidate; a rejected one
     costs nothing else. Block-sized arrays are buffers allocated once per
-    call and written in place.
+    call and written in place, and the scalars of the loop are Python
+    floats.
 
     Raises NumericalError on a non-finite gradient or objective, and on a
     candidate objective past 10x the starting one, which almost always
@@ -146,6 +157,8 @@ def apg_quad_solve(v0, left, right, lin, colsum_w, ridge, obj_const,
     left = _contiguous_or_none(left)
     right = _contiguous_or_none(right)
     shape = v0.shape
+    colsum_vec = _colsum_weights(colsum_w, shape[0])
+    obj_const = float(obj_const)
     g = np.empty(shape)
     u = np.empty(shape)
     # u_prev holds u_{k-1} only until the step target is formed; for the
@@ -153,7 +166,7 @@ def apg_quad_solve(v0, left, right, lin, colsum_w, ridge, obj_const,
     u_prev = np.empty(shape)
     mask = np.empty(shape, dtype=np.bool_)
     mask2 = np.empty(shape, dtype=np.bool_)
-    _quad_apply_into(v0, left, right, colsum_w, ridge, g, u_prev)
+    _quad_apply_into(v0, left, right, colsum_vec, ridge, g, u_prev)
     np.add(g, lin, g)
     np.isfinite(g, mask)
     if not np.all(mask):
@@ -162,11 +175,11 @@ def apg_quad_solve(v0, left, right, lin, colsum_w, ridge, obj_const,
     f0 = 0.5 * (_inner(v0, g) + _inner(v0, lin)) + obj_const
     # Objectives this close to zero are roundoff of the constant term; the
     # divergence test must not fire on their noise.
-    div_floor = roundoff_slack(obj_const)
+    div_limit = 10.0 * max(f0, 0.0) + roundoff_slack(obj_const)
     if r0 == 0.0:
         return v0.copy(), 0, True, 0.0, f0
 
-    step = 1.0 / lipschitz
+    step = 1.0 / float(lipschitz)
     np.multiply(g, -step, u)
     np.add(u, v0, u)
     # x, g and f_x are the accepted iterate, its gradient and objective; the
@@ -188,13 +201,13 @@ def apg_quad_solve(v0, left, right, lin, colsum_w, ridge, obj_const,
             np.clip(y, 0.0, np.inf, y)
         else:
             np.clip(u, 0.0, np.inf, y)
-        _quad_apply_into(y, left, right, colsum_w, ridge, g_y, u_prev)
+        _quad_apply_into(y, left, right, colsum_vec, ridge, g_y, u_prev)
         np.add(g_y, lin, g_y)
         f_y = 0.5 * (_inner(y, g_y) + _inner(y, lin)) + obj_const
         # A non-finite entry of g_y makes f_y non-finite.
-        if not np.isfinite(f_y):
+        if not math.isfinite(f_y):
             raise NumericalError("gradient produced non-finite entries")
-        if f_y > 10.0 * max(f0, 0.0) + div_floor:
+        if f_y > div_limit:
             raise NumericalError(
                 f"objective grew past 10x its starting value at iteration "
                 f"{iters}; the Lipschitz constant is likely wrong")
@@ -203,7 +216,7 @@ def apg_quad_solve(v0, left, right, lin, colsum_w, ridge, obj_const,
             continue
         x, y, g, g_y, f_x = y, x, g_y, g, f_y
         accepted += 1
-        alpha_next = 0.5 * (1.0 + np.sqrt(4.0 * alpha * alpha + 1.0))
+        alpha_next = 0.5 * (1.0 + math.sqrt(4.0 * alpha * alpha + 1.0))
         beta = (alpha - 1.0) / alpha_next
         alpha = alpha_next
         if accepted % 8 == 0:

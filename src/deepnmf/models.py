@@ -210,6 +210,16 @@ def unroll(activation, w, h_last, stop=0):
     return pre, fresh
 
 
+def hidden_from_chain(activation, w, h_last):
+    """Hidden factors from the final chain: the representations
+    H_1..H_{L-1} that :func:`unroll` derives from ``w`` and ``h_last``,
+    clipped at zero. The chain does not involve W_1. A linear chain is a
+    product of nonnegative factors; an inverse activation goes negative
+    (sigmoid below 1/2, softplus below log 2) only where the clip engages."""
+    fresh = unroll(activation, w, h_last, stop=1)[1]
+    return [np.maximum(f, 0.0) for f in fresh[:-1]]
+
+
 def _colsum_sq(m):
     s = m.sum(axis=0)
     return float(np.dot(s, s))
@@ -250,11 +260,11 @@ def finetune_objective(spec, x, stack):
     :func:`chain_objective` of the stack, after checking that it conforms
     to ``spec`` and ``x``.
 
-    Hidden-representation penalties are deliberately absent: during
-    fine-tuning the hidden H_l are not part of the reconstruction chain, so
-    their penalty terms are paid only inside their own block solves. For
-    every variant except ``sdnmf_r`` with L >= 2 this equals
-    :func:`objective`.
+    Hidden-representation penalties are absent: the hidden H_l are not
+    part of the reconstruction chain, and no fine-tuning sweep reads them.
+    Linear fine-tuning pays their penalties only in the one block solve of
+    each that follows its last sweep. For every variant except ``sdnmf_r``
+    with L >= 2 this equals :func:`objective`.
     """
     _check_conformance(spec, x, stack)
     return chain_objective(spec, x, stack.w, stack.h[-1])
@@ -263,7 +273,9 @@ def finetune_objective(spec, x, stack):
 def objective(spec, x, stack):
     """Full model objective: :func:`finetune_objective` plus the penalties
     on the stored hidden representations H_1..H_{L-1}, added after the
-    chain's terms."""
+    chain's terms. Fine-tuning sets those factors after its last sweep, so
+    no sweep decreases this sum; the fine-tuning trace records
+    :func:`finetune_objective`."""
     val = finetune_objective(spec, x, stack)
     for l in range(1, spec.depth):
         val = add_layer_penalty(val, spec, l, h=stack.h[l - 1])

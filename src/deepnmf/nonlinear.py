@@ -29,7 +29,8 @@ from .activations import get_activation
 from .apg import apg_solve
 from .errors import InvalidInputError
 from .linalg import as_matrix, check_nonneg, frobenius_sq
-from .models import _check_conformance, chain_objective, pretrain_problem, unroll
+from .models import (_check_conformance, chain_objective, hidden_from_chain,
+                     pretrain_problem, unroll)
 from .train import TrainConfig, _sweeps
 # Nothing here calls pretrain; perfbench/tracing.py patches nonlinear.pretrain.
 from .train import pretrain
@@ -172,9 +173,5 @@ def nonlinear_finetune(spec, x, stack, cfg=TrainConfig()):
         return obj
 
     report = _sweeps(x, cfg, obj, sweep)
-    # The stored hidden factors are the final chain clipped at zero; the clip
-    # engages only where the inverse goes negative (sigmoid below 1/2,
-    # softplus below log 2). The chain does not involve W_1.
-    fresh = unroll(spec.activation, stack.w, stack.h[-1], stop=1)[1]
-    stack.h[:-1] = [np.maximum(f, 0.0) for f in fresh[:-1]]
+    stack.h[:-1] = hidden_from_chain(spec.activation, stack.w, stack.h[-1])
     return stack, report

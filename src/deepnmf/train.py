@@ -4,8 +4,10 @@ Pretraining walks the layers once, seeding each (W_l, H_l) with NNSVD on the
 previous representation and alternating block solves (H first, then W)
 until the layer objective stalls; a nonlinear model's activation maps each
 solved representation before it feeds the next layer. Fine-tuning then
-sweeps the whole system, layer by layer from the bottom, updating W_l and
-H_l on the block subproblems from :mod:`deepnmf.models`. A block solve is not exact: it stops
+sweeps the chain X ~ W_1 ... W_L H_L: each sweep updates W_1..W_L from the
+bottom, then H_L, on the block subproblems from :mod:`deepnmf.models`. No
+chain block reads a hidden H_l (l < L), so linear fine-tuning solves each
+of them once, after the last sweep. A block solve is not exact: it stops
 when the projected-gradient norm, tested on every 8th accepted iterate,
 falls below ``inner_stop.grad_tol`` times its starting value, or at
 ``inner_stop.max_iters`` iterations, and many fine-tune solves stop at that
@@ -30,7 +32,7 @@ from .apg import StopRule, apg_solve
 from .errors import InvalidInputError, NumericalError
 from .linalg import as_matrix, check_nonneg, frobenius_sq
 from .models import (FactorStack, add_layer_penalty, finetune_objective,
-                     finetune_problem, pretrain_problem)
+                     finetune_problem, hidden_from_chain, pretrain_problem)
 from .nnsvd import nnsvd_init
 
 
@@ -169,11 +171,14 @@ def _sweeps(x, cfg, obj0, sweep):
 def finetune(spec, x, stack, cfg=TrainConfig()):
     """Whole-system sweeps over the pretrained stack (linear models).
 
-    Each sweep visits layers bottom-up, updating W_l then H_l with block
-    solves that stop at ``cfg.inner_stop`` (its relative tolerance or, for
-    most fine-tune blocks, its iteration cap); every subproblem is built
-    from the current factors. A linear sweep never stalls. Stops as
-    :func:`_sweeps` describes.
+    Each sweep updates W_1..W_L bottom-up, then H_L, with block solves that
+    stop at ``cfg.inner_stop`` (its relative tolerance or, for most
+    fine-tune blocks, its iteration cap); every subproblem is built from
+    the current factors. A linear sweep never stalls. Stops as
+    :func:`_sweeps` describes. No sweep reads the hidden H_1..H_{L-1}:
+    after the last one, each is one H block solve against the final bases,
+    to the same stop rule, started from the chain's own representation
+    W_{l+1} ... W_L H_L (:func:`deepnmf.models.hidden_from_chain`).
     """
     x = as_matrix(x, "x")
     check_nonneg(x, "x")
@@ -183,11 +188,16 @@ def finetune(spec, x, stack, cfg=TrainConfig()):
         for layer in range(1, spec.depth + 1):
             wp = finetune_problem(spec, layer, "w", x, stack)
             stack.w[layer - 1] = apg_solve(stack.w[layer - 1], wp, cfg.inner_stop)
-            hp = finetune_problem(spec, layer, "h", x, stack)
-            stack.h[layer - 1] = apg_solve(stack.h[layer - 1], hp, cfg.inner_stop)
+        hp = finetune_problem(spec, spec.depth, "h", x, stack)
+        stack.h[-1] = apg_solve(stack.h[-1], hp, cfg.inner_stop)
         return finetune_objective(spec, x, stack)
 
-    return stack, _sweeps(x, cfg, finetune_objective(spec, x, stack), sweep)
+    report = _sweeps(x, cfg, finetune_objective(spec, x, stack), sweep)
+    hidden = hidden_from_chain(spec.activation, stack.w, stack.h[-1])
+    for layer, start in enumerate(hidden, start=1):
+        hp = finetune_problem(spec, layer, "h", x, stack)
+        stack.h[layer - 1] = apg_solve(start, hp, cfg.inner_stop)
+    return stack, report
 
 
 def fit(spec, x, cfg=TrainConfig()):

@@ -1,12 +1,15 @@
 """Independent reference implementations used only to check the library.
 
-Everything here is written from the definitions, sharing no code with the
-package: a plain projected-gradient solver for quadratic blocks, the
-accelerated solver written with two gradient evaluations per iteration,
+Everything here but one is written from the definitions, sharing no code
+with the package: a plain projected-gradient solver for quadratic blocks,
+the accelerated solver written with two gradient evaluations per iteration,
 the per-center k-means assignment loop with its coordinate-order distance,
 sample-order cluster means,
 brute-force partition scores, finite differences, and small-case partition
-enumeration.
+enumeration. The exception, :func:`every_hidden_finetune`, is linear
+fine-tuning with a hidden-representation solve in every sweep; it is built
+from the package's block problems, solver and sweep loop, so that its
+chain factors and trace can be compared bit for bit.
 """
 
 import math
@@ -118,6 +121,28 @@ def two_application_apg(v0, left, right, lin, colsum, ridge, const,
         cur, f_cur = v0.copy(), f0
     rel = kkt(cur, grad(cur)) / r0
     return cur, iters, rel <= rel_tol, rel, f_cur
+
+
+def every_hidden_finetune(spec, x, stack, cfg):
+    """Linear fine-tuning that visits the layers bottom-up in every sweep
+    and solves W_l, then H_l, so every hidden H_l is re-solved in every
+    sweep and the last sweep's solve is the one stored. Returns
+    (stack, report) like :func:`deepnmf.train.finetune`."""
+    from deepnmf.apg import apg_solve
+    from deepnmf.models import finetune_objective, finetune_problem
+    from deepnmf.train import _sweeps
+
+    stack = stack.copy()
+
+    def sweep():
+        for layer in range(1, spec.depth + 1):
+            for role, factors in (("w", stack.w), ("h", stack.h)):
+                problem = finetune_problem(spec, layer, role, x, stack)
+                factors[layer - 1] = apg_solve(factors[layer - 1], problem,
+                                               cfg.inner_stop)
+        return finetune_objective(spec, x, stack)
+
+    return stack, _sweeps(x, cfg, finetune_objective(spec, x, stack), sweep)
 
 
 def coordinate_sq_dists(points, center):

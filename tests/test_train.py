@@ -5,9 +5,13 @@ from deepnmf import (ApgProblem, InvalidInputError, NumericalError, StopRule,
                      TrainConfig, VARIANTS, apg_solve, finetune,
                      finetune_objective, fit, make_spec, nnsvd_init, pretrain,
                      synth_generate)
+from deepnmf import train
 from deepnmf.activations import get_activation
 from deepnmf.kernels import roundoff_slack
+from deepnmf.models import finetune_problem
 from deepnmf.train import _sweeps, layer_objective
+
+from _oracles import every_hidden_finetune
 
 PEN = {
     "dnmf": {},
@@ -233,6 +237,61 @@ class TestDataScale:
         spec = make_spec("sdnmf_l", (3, 2), mu=1e9)
         _, report = fit(spec, x, TrainConfig(max_sweeps=20))
         assert report.final_objective < 1.0
+
+
+class TestHiddenSolves:
+    """Linear fine-tuning solves the chain W_1 .. W_L H_L in its sweeps and
+    each hidden H_l once, after the last sweep."""
+
+    CFG = TrainConfig(inner_stop=StopRule(60, 1e-4), max_sweeps=4,
+                      rel_obj_tol=1e-12)
+
+    @pytest.mark.parametrize("depth", [2, 3])
+    @pytest.mark.parametrize("variant", ["dnmf", "sdnmf_l", "sdnmf_r", "sdnmf_rl2"])
+    def test_hidden_blocks_do_not_affect_the_chain(self, rng, variant, depth):
+        sizes = (8, 6, 4)[:depth]
+        x = planted(rng, 20, sizes, 40) + 0.01 * rng.uniform(size=(20, 40))
+        spec = make_spec(variant, sizes, **PEN[variant])
+        stack, _ = pretrain(spec, x, self.CFG)
+        got, report = finetune(spec, x, stack, self.CFG)
+        ref, ref_report = every_hidden_finetune(spec, x, stack, self.CFG)
+        assert report.sweeps_used >= 2
+        for a, b in zip(got.w + got.h[-1:], ref.w + ref.h[-1:]):
+            np.testing.assert_array_equal(a, b)
+        assert report.objective_trace == ref_report.objective_trace
+        # Each stored hidden factor is one block solve against the final
+        # bases, started from the chain's W_{l+1} .. W_L H_L.
+        rep = got.h[-1]
+        for layer in range(depth - 1, 0, -1):
+            rep = got.w[layer] @ rep
+            problem = finetune_problem(spec, layer, "h", x, got)
+            np.testing.assert_array_equal(
+                got.h[layer - 1], apg_solve(rep, problem, self.CFG.inner_stop))
+
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_solve_count(self, rng, depth, monkeypatch):
+        sizes = (8, 6, 4)[:depth]
+        x = planted(rng, 20, sizes, 40) + 0.01 * rng.uniform(size=(20, 40))
+        spec = make_spec("sdnmf_l", sizes, mu=0.1)
+        stack, _ = pretrain(spec, x, self.CFG)
+        # One letter per call: "s" a block solve, "o" the objective that
+        # starts the trace and ends every sweep.
+        events = []
+
+        def logged(fn, letter):
+            def wrapper(*args, **kwargs):
+                events.append(letter)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(train, "apg_solve", logged(train.apg_solve, "s"))
+        monkeypatch.setattr(train, "finetune_objective",
+                            logged(train.finetune_objective, "o"))
+        _, report = finetune(spec, x, stack, self.CFG)
+        assert report.sweeps_used >= 2
+        expected = ("o" + ("s" * (depth + 1) + "o") * report.sweeps_used
+                    + "s" * (depth - 1))
+        assert "".join(events) == expected
 
 
 class TestSweepLoop:
