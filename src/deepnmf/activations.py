@@ -55,6 +55,18 @@ def _root_g(x):
     return np.sqrt(np.maximum(x, 0.0))
 
 
+# Above log(float64 max), exp overflows, while log1p(exp(x)) = x and
+# log(expm1(y)) = y hold exactly in float64.
+_EXP_MAX = np.log(np.finfo(np.float64).max)
+
+
+def _identity_above_exp_max(f):
+    def exact(x):
+        big = x > _EXP_MAX
+        return np.where(big, x, f(np.where(big, 1.0, x)))
+    return exact
+
+
 ACTIVATIONS = {
     "identity": Activation(
         "identity",
@@ -87,8 +99,8 @@ ACTIVATIONS = {
     ),
     "softplus": Activation(
         "softplus",
-        g=lambda x: np.log1p(np.exp(x)),
-        g_inv=lambda y: np.log(np.expm1(y)),
+        g=_identity_above_exp_max(lambda x: np.log1p(np.exp(x))),
+        g_inv=_identity_above_exp_max(lambda y: np.log(np.expm1(y))),
         g_inv_deriv=lambda y: 1.0 / (-np.expm1(-y)),
         inv_lo=EPS,
     ),

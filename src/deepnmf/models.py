@@ -21,9 +21,9 @@ numbers per factor role: the basis weight (:meth:`ModelSpec.w_weight`) and
 the representation's (colsum, ridge) weights (:meth:`ModelSpec.h_weights`).
 
 The model is one chain, X ~ W_1 ... W_L H_L, unrolled from the top through
-the inverse activation of a nonlinear model by :func:`unroll`. Both
-fine-tuning paths decrease :func:`chain_objective`: the chain's misfit plus
-the basis penalties and the H_L penalty.
+the inverse activation of a nonlinear model by :func:`unroll`.
+Fine-tuning decreases :func:`chain_objective` for every activation: the
+chain's misfit plus the basis penalties and the H_L penalty.
 
 One assembler builds the block subproblems of both training phases. A
 fine-tune W block fits the data between the cumulative basis product below
@@ -210,16 +210,6 @@ def unroll(activation, w, h_last, stop=0):
     return pre, fresh
 
 
-def hidden_from_chain(activation, w, h_last):
-    """Hidden factors from the final chain: the representations
-    H_1..H_{L-1} that :func:`unroll` derives from ``w`` and ``h_last``,
-    clipped at zero. The chain does not involve W_1. A linear chain is a
-    product of nonnegative factors; an inverse activation goes negative
-    (sigmoid below 1/2, softplus below log 2) only where the clip engages."""
-    fresh = unroll(activation, w, h_last, stop=1)[1]
-    return [np.maximum(f, 0.0) for f in fresh[:-1]]
-
-
 def _colsum_sq(m):
     s = m.sum(axis=0)
     return float(np.dot(s, s))
@@ -248,7 +238,7 @@ def add_layer_penalty(val, spec, layer, w=None, h=None):
 def chain_objective(spec, x, w, h_last):
     """Misfit of the chain unrolled from basis factors ``w`` and ``h_last``,
     plus every basis penalty and the final-representation penalty: the
-    objective both fine-tuning paths decrease."""
+    objective fine-tuning decreases."""
     val = 0.5 * frobenius_sq(x - unroll(spec.activation, w, h_last)[0][0])
     for l, w_l in enumerate(w, start=1):
         val = add_layer_penalty(val, spec, l, w=w_l)
@@ -355,18 +345,21 @@ def pretrain_problem(spec, layer, role, h_prev, w_cur, h_cur):
 
 
 def finetune_problem(spec, layer, role, x, stack):
-    """Block subproblem for whole-system fine-tuning (linear models).
+    """Block subproblem for whole-system fine-tuning: every block of a
+    linear model, and W_1 of a nonlinear one.
 
     W blocks minimize the full reconstruction error with every other factor
     fixed, between the basis product W_1 ... W_{layer-1} (multiplied left to
     right, none at layer 1) and this layer's representation unrolled from
     the top (:func:`unroll` stopped at the layer); H blocks fit the data
-    against the basis product W_1 ... W_layer.
+    against the basis product W_1 ... W_layer. Behind an activation only
+    W_1's block, a fit of the data against the chain's first representation
+    (unclipped, as the objective reconstructs through it), is quadratic.
     """
-    if spec.activation != "linear":
+    if spec.activation != "linear" and (role, layer) != ("w", 1):
         raise InvalidInputError(
-            "finetune_problem covers linear models; nonlinear fine-tuning "
-            "uses the projected-gradient path")
+            "a nonlinear model's only quadratic fine-tune block is W_1; its "
+            "other blocks take projected-gradient steps")
     if not 1 <= layer <= spec.depth:
         raise InvalidInputError(f"layer {layer} out of range 1..{spec.depth}")
     x = as_matrix(x, "x")

@@ -1,45 +1,36 @@
-"""Training path for models with a nonlinear inter-layer activation.
+"""Gradients and backtracked steps for models with a nonlinear inter-layer
+activation.
 
-Pretraining is :func:`deepnmf.train.pretrain`, which reads the activation
-from the spec: each solved hidden representation H_1..H_{L-1} is passed
-through the activation before it feeds the next layer; H_L is never mapped.
-
-Fine-tuning decreases the same objective as the linear path,
-:func:`deepnmf.models.chain_objective` on the chain unrolled through the
-inverse activation (:func:`deepnmf.models.unroll`), in the same outer loop
-(:func:`deepnmf.train._sweeps`). It cannot use fixed 1/LC steps because no
-Lipschitz constant is available for the unrolled nonlinear reconstruction,
-so the final representation and every basis factor above the first are
-updated by projected gradient descent with Armijo backtracking. Their exact
-gradients share one back-propagation of the chain's misfit, which stops at
-the layer asked for; where the inverse activation's clamp holds a chain
-entry, its derivative is 0. A block's first backtracking starts from
-f / ||g||^2 (Polyak's step for an objective bounded below by 0), each
-later one from twice its last accepted step. The first basis factor keeps
-its convex block, a fit of the data against the chain's first
-representation, and is still solved by the accelerated method, to the
-same stop rule as the linear path (relative tolerance or iteration cap).
-No step reads the stored hidden representations, so they are set once,
-after the last sweep: the final chain's, clipped at zero.
+Fine-tuning (:func:`deepnmf.train.finetune`) decreases the chain objective
+unrolled through the inverse activation (:func:`deepnmf.models.unroll`),
+for which no Lipschitz constant is available, so every block but W_1 takes
+a projected-gradient step with Armijo backtracking, :func:`gradient_step`.
+The exact gradients share one back-propagation of the chain's misfit,
+which stops at the layer asked for; where the inverse activation's clamp
+holds a chain entry, its derivative is 0. A block's first backtracking
+starts from f / ||g||^2 (Polyak's step for an objective bounded below by
+0), each later one from twice its last accepted step.
 """
 
 import numpy as np
 
 from .activations import get_activation
-from .apg import apg_solve
 from .errors import InvalidInputError
-from .linalg import as_matrix, check_nonneg, frobenius_sq
-from .models import (_check_conformance, chain_objective, hidden_from_chain,
-                     pretrain_problem, unroll)
-from .train import TrainConfig, _sweeps
-# Nothing here calls pretrain; perfbench/tracing.py patches nonlinear.pretrain.
+from .linalg import as_matrix, frobenius_sq
+from .models import _check_conformance, chain_objective, unroll
+# Fine-tuning is one loop for every activation; fit reaches it under this
+# name for a nonlinear model, where perfbench/tracing.py times it.
+from .train import finetune as nonlinear_finetune
+# Nothing here calls these; perfbench/tracing.py patches them on this module.
+from .apg import apg_solve
+from .models import pretrain_problem
 from .train import pretrain
 
 ARMIJO_C = 1e-4
 MAX_HALVINGS = 50
 
 
-# The fine-tune objective under its nonlinear-path name: the nonlinear sweep
+# The fine-tune objective under its nonlinear-path name: every Armijo trial
 # calls it through this module, where perfbench/tracing.py counts the calls.
 nonlinear_objective = chain_objective
 
@@ -123,55 +114,20 @@ def _armijo_step(value, f0, grad, f_of, step=None):
     return None
 
 
-def nonlinear_finetune(spec, x, stack, cfg=TrainConfig()):
-    """Whole-system sweeps for nonlinear models.
+def gradient_step(spec, x, stack, role, layer, obj, step=None):
+    """One Armijo-backtracked projected-gradient step on the chain block
+    (``role``, ``layer``) of a nonlinear model: H_L (role "h") or a basis
+    factor W_l, l >= 2 (role "w"), at the stack's objective ``obj``.
 
-    Each sweep: one backtracked projected-gradient step on the final
-    representation, one on every basis factor above the first (bottom-up),
-    then an accelerated solve of the first basis factor's convex block,
-    stopped by ``cfg.inner_stop``. Accepted steps never increase the
-    objective; a block whose backtracking stalls ends the run with the
-    ``stalled`` flag set. Each step starts from the objective the previous
-    one returned, so no step re-evaluates it at its starting point. Stops
-    as :func:`deepnmf.train._sweeps` describes. The hidden representations
-    are then set from the final chain, also after a stall.
+    Returns (new_block, new_objective, next_step) as :func:`_armijo_step`
+    does, without changing ``stack``, or None when the backtracking stalls.
+    ``step`` is the block's trial step returned by its previous call.
     """
-    if spec.activation == "linear":
-        raise InvalidInputError("nonlinear_finetune requires a nonlinear activation")
-    x = as_matrix(x, "x")
-    check_nonneg(x, "x")
-    stack = stack.copy()
-    L = spec.depth
-    # Each block's next trial step: index 0 is H_L, index l-1 is W_l.
-    steps = [None] * L
-    obj = nonlinear_objective(spec, x, stack.w, stack.h[-1])
-
-    def sweep():
-        nonlocal obj
-        out = _armijo_step(
-            stack.h[-1], obj, representation_gradient(spec, x, stack),
-            lambda v: nonlinear_objective(spec, x, stack.w, v), steps[0])
-        if out is None:
-            return None
-        stack.h[-1], obj, steps[0] = out
-        for l in range(2, L + 1):
-            w = stack.w
-            out = _armijo_step(
-                w[l - 1], obj, basis_gradient(spec, x, stack, l),
-                lambda v: nonlinear_objective(spec, x, w[:l - 1] + [v] + w[l:],
-                                              stack.h[-1]), steps[l - 1])
-            if out is None:
-                return None
-            stack.w[l - 1], obj, steps[l - 1] = out
-
-        # W_1's block fits the chain's own first representation, which the
-        # objective reconstructs through, unclipped.
-        fresh = unroll(spec.activation, stack.w, stack.h[-1], stop=1)[1]
-        problem = pretrain_problem(spec, 1, "w", x, stack.w[0], fresh[0])
-        stack.w[0] = apg_solve(stack.w[0], problem, cfg.inner_stop)
-        obj = nonlinear_objective(spec, x, stack.w, stack.h[-1])
-        return obj
-
-    report = _sweeps(x, cfg, obj, sweep)
-    stack.h[:-1] = hidden_from_chain(spec.activation, stack.w, stack.h[-1])
-    return stack, report
+    w, h_last = stack.w, stack.h[-1]
+    if role == "h":
+        return _armijo_step(h_last, obj, representation_gradient(spec, x, stack),
+                            lambda v: nonlinear_objective(spec, x, w, v), step)
+    return _armijo_step(
+        w[layer - 1], obj, basis_gradient(spec, x, stack, layer),
+        lambda v: nonlinear_objective(spec, x, w[:layer - 1] + [v] + w[layer:],
+                                      h_last), step)

@@ -3,23 +3,18 @@
 Pretraining walks the layers once, seeding each (W_l, H_l) with NNSVD on the
 previous representation and alternating block solves (H first, then W)
 until the layer objective stalls; a nonlinear model's activation maps each
-solved representation before it feeds the next layer. Fine-tuning then
-sweeps the chain X ~ W_1 ... W_L H_L: each sweep updates W_1..W_L from the
-bottom, then H_L, on the block subproblems from :mod:`deepnmf.models`. No
-chain block reads a hidden H_l (l < L), so linear fine-tuning solves each
-of them once, after the last sweep. A block solve is not exact: it stops
-when the projected-gradient norm, tested on every 8th accepted iterate,
-falls below ``inner_stop.grad_tol`` times its starting value, or at
-``inner_stop.max_iters`` iterations, and many fine-tune solves stop at that
-cap. Every block solve is monotone (it discards momentum steps that raise
-its objective), so the recorded objective trace never increases.
+solved representation before it feeds the next layer. Fine-tuning,
+:func:`finetune`, then sweeps the chain X ~ W_1 ... W_L H_L for every
+activation, on :func:`deepnmf.models.chain_objective`. A block solve is not
+exact: it stops when the projected-gradient norm, tested on every 8th
+accepted iterate, falls below ``inner_stop.grad_tol`` times its starting
+value, or at ``inner_stop.max_iters`` iterations, and many fine-tune solves
+stop at that cap. Block solves and backtracked steps never raise their
+objective, so the recorded objective trace never increases.
 
-Every training phase alternates in one outer loop, :func:`_sweeps`: each
-pretraining layer on :func:`layer_objective`, and both fine-tuning paths,
-:func:`finetune` and :func:`deepnmf.nonlinear.nonlinear_finetune`, on
-:func:`deepnmf.models.chain_objective`. Its trace starts at the objective
-of the starting factors, and it raises NumericalError on a rise beyond
-roundoff.
+Both phases alternate in one outer loop, :func:`_sweeps`. Its trace starts
+at the objective of the starting factors, and it raises NumericalError on
+a rise beyond roundoff.
 """
 
 from dataclasses import dataclass, field
@@ -32,7 +27,7 @@ from .apg import StopRule, apg_solve
 from .errors import InvalidInputError, NumericalError
 from .linalg import as_matrix, check_nonneg, frobenius_sq
 from .models import (FactorStack, add_layer_penalty, finetune_objective,
-                     finetune_problem, hidden_from_chain, pretrain_problem)
+                     finetune_problem, pretrain_problem, unroll)
 from .nnsvd import nnsvd_init
 
 
@@ -169,34 +164,64 @@ def _sweeps(x, cfg, obj0, sweep):
 
 
 def finetune(spec, x, stack, cfg=TrainConfig()):
-    """Whole-system sweeps over the pretrained stack (linear models).
+    """Whole-system sweeps over the pretrained stack, for every activation.
 
-    Each sweep updates W_1..W_L bottom-up, then H_L, with block solves that
-    stop at ``cfg.inner_stop`` (its relative tolerance or, for most
-    fine-tune blocks, its iteration cap); every subproblem is built from
-    the current factors. A linear sweep never stalls. Stops as
-    :func:`_sweeps` describes. No sweep reads the hidden H_1..H_{L-1}:
-    after the last one, each is one H block solve against the final bases,
-    to the same stop rule, started from the chain's own representation
-    W_{l+1} ... W_L H_L (:func:`deepnmf.models.hidden_from_chain`).
+    Each sweep visits the chain blocks W_1..W_L and H_L, every subproblem
+    built from the current factors: W_1..W_L bottom-up, then H_L, on a
+    linear chain; H_L, W_2..W_L, then W_1 behind an activation. A block
+    whose subproblem is quadratic (every block of a linear chain, and W_1
+    of any chain) gets a block solve to ``cfg.inner_stop``; every other
+    block gets one backtracked step,
+    :func:`deepnmf.nonlinear.gradient_step`. A step that cannot make
+    progress ends the run with ``stalled`` set. Stops as :func:`_sweeps`
+    describes. No sweep reads the hidden H_1..H_{L-1}: after the last one
+    (also after a stall), each is the chain's representation unrolled
+    from W_{l+1} .. W_L H_L, clipped at zero, and on a linear chain then
+    one H block solve against the final bases from that start.
     """
+    from .nonlinear import gradient_step  # nonlinear imports this module
+
     x = as_matrix(x, "x")
     check_nonneg(x, "x")
     stack = stack.copy()
+    L = spec.depth
+    linear = spec.activation == "linear"
+    if linear:
+        blocks = [("w", l) for l in range(1, L + 1)] + [("h", L)]
+    else:
+        blocks = [("h", L)] + [("w", l) for l in range(2, L + 1)] + [("w", 1)]
+    steps = {}  # each stepped block's next trial step
+    obj = finetune_objective(spec, x, stack)
 
     def sweep():
-        for layer in range(1, spec.depth + 1):
-            wp = finetune_problem(spec, layer, "w", x, stack)
-            stack.w[layer - 1] = apg_solve(stack.w[layer - 1], wp, cfg.inner_stop)
-        hp = finetune_problem(spec, spec.depth, "h", x, stack)
-        stack.h[-1] = apg_solve(stack.h[-1], hp, cfg.inner_stop)
-        return finetune_objective(spec, x, stack)
+        nonlocal obj
+        for role, layer in blocks:
+            factors = stack.w if role == "w" else stack.h
+            if linear or (role, layer) == ("w", 1):
+                problem = finetune_problem(spec, layer, role, x, stack)
+                factors[layer - 1] = apg_solve(factors[layer - 1], problem,
+                                               cfg.inner_stop)
+                continue
+            # No block solve precedes a step within a sweep, so ``obj`` is
+            # the objective at the stack the step starts from.
+            out = gradient_step(spec, x, stack, role, layer, obj,
+                                steps.get((role, layer)))
+            if out is None:
+                return None
+            factors[layer - 1], obj, steps[(role, layer)] = out
+        obj = finetune_objective(spec, x, stack)
+        return obj
 
-    report = _sweeps(x, cfg, finetune_objective(spec, x, stack), sweep)
-    hidden = hidden_from_chain(spec.activation, stack.w, stack.h[-1])
-    for layer, start in enumerate(hidden, start=1):
-        hp = finetune_problem(spec, layer, "h", x, stack)
-        stack.h[layer - 1] = apg_solve(start, hp, cfg.inner_stop)
+    report = _sweeps(x, cfg, obj, sweep)
+    # A linear chain is a product of nonnegative factors; an inverse
+    # activation goes negative (sigmoid below 1/2, softplus below log 2)
+    # only where the clip engages.
+    fresh = unroll(spec.activation, stack.w, stack.h[-1], stop=1)[1]
+    for layer in range(1, L):
+        stack.h[layer - 1] = np.maximum(fresh[layer - 1], 0.0)
+        if linear:
+            hp = finetune_problem(spec, layer, "h", x, stack)
+            stack.h[layer - 1] = apg_solve(stack.h[layer - 1], hp, cfg.inner_stop)
     return stack, report
 
 

@@ -6,10 +6,13 @@ the accelerated solver written with two gradient evaluations per iteration,
 the per-center k-means assignment loop with its coordinate-order distance,
 sample-order cluster means,
 brute-force partition scores, finite differences, and small-case partition
-enumeration. The exception, :func:`every_hidden_finetune`, is linear
-fine-tuning with a hidden-representation solve in every sweep; it is built
-from the package's block problems, solver and sweep loop, so that its
-chain factors and trace can be compared bit for bit.
+enumeration. The two exceptions are fine-tuning loops built from the
+package's block problems, solver, steps and sweep loop, so that their
+factors and traces can be compared bit for bit:
+:func:`every_hidden_finetune`, linear fine-tuning with a
+hidden-representation solve in every sweep, and
+:func:`two_loop_nonlinear_finetune`, the nonlinear sweep as a loop of its
+own.
 """
 
 import math
@@ -143,6 +146,51 @@ def every_hidden_finetune(spec, x, stack, cfg):
         return finetune_objective(spec, x, stack)
 
     return stack, _sweeps(x, cfg, finetune_objective(spec, x, stack), sweep)
+
+
+def two_loop_nonlinear_finetune(spec, x, stack, cfg):
+    """Nonlinear fine-tuning as its own loop: each sweep takes one
+    backtracked step on H_L, one on each of W_2..W_L bottom-up, then solves
+    W_1's block against the chain's first representation; the hidden
+    factors are then the final chain's, clipped at zero. Returns
+    (stack, report) like :func:`deepnmf.train.finetune`."""
+    from deepnmf.apg import apg_solve
+    from deepnmf.models import chain_objective, pretrain_problem, unroll
+    from deepnmf.nonlinear import (_armijo_step, basis_gradient,
+                                   representation_gradient)
+    from deepnmf.train import _sweeps
+
+    stack = stack.copy()
+    steps = [None] * spec.depth  # index 0 is H_L, index l-1 is W_l
+    obj = chain_objective(spec, x, stack.w, stack.h[-1])
+
+    def sweep():
+        nonlocal obj
+        out = _armijo_step(
+            stack.h[-1], obj, representation_gradient(spec, x, stack),
+            lambda v: chain_objective(spec, x, stack.w, v), steps[0])
+        if out is None:
+            return None
+        stack.h[-1], obj, steps[0] = out
+        for l in range(2, spec.depth + 1):
+            w = stack.w
+            out = _armijo_step(
+                w[l - 1], obj, basis_gradient(spec, x, stack, l),
+                lambda v: chain_objective(spec, x, w[:l - 1] + [v] + w[l:],
+                                          stack.h[-1]), steps[l - 1])
+            if out is None:
+                return None
+            stack.w[l - 1], obj, steps[l - 1] = out
+        fresh = unroll(spec.activation, stack.w, stack.h[-1], stop=1)[1]
+        problem = pretrain_problem(spec, 1, "w", x, stack.w[0], fresh[0])
+        stack.w[0] = apg_solve(stack.w[0], problem, cfg.inner_stop)
+        obj = chain_objective(spec, x, stack.w, stack.h[-1])
+        return obj
+
+    report = _sweeps(x, cfg, obj, sweep)
+    fresh = unroll(spec.activation, stack.w, stack.h[-1], stop=1)[1]
+    stack.h[:-1] = [np.maximum(f, 0.0) for f in fresh[:-1]]
+    return stack, report
 
 
 def coordinate_sq_dists(points, center):

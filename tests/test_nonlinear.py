@@ -4,13 +4,13 @@ import pytest
 from deepnmf import (FactorStack, InvalidInputError, StopRule, TrainConfig,
                      basis_gradient, finetune, finetune_problem, fit,
                      get_activation, make_spec, nonlinear_finetune,
-                     nonlinear_objective, pretrain,
+                     nonlinear_objective, pretrain, pretrain_problem,
                      representation_gradient, synth_generate)
 from deepnmf import nonlinear
 from deepnmf.linalg import frobenius_sq
 from deepnmf.models import unroll
 
-from _oracles import central_diff
+from _oracles import central_diff, two_loop_nonlinear_finetune
 
 FAST = TrainConfig(inner_stop=StopRule(200, 1e-5), max_sweeps=40, rel_obj_tol=1e-8)
 
@@ -78,6 +78,30 @@ class TestActivations:
         act = get_activation("softplus")
         h = rng.uniform(0.2, 3.0, size=(3, 3))
         np.testing.assert_allclose(act.g(act.inverse(h)), h, atol=1e-9)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_softplus_is_exact_above_the_exp_overflow(self):
+        # Above log(float64 max) ~ 709.78, exp overflows; there softplus
+        # and its inverse are the identity in float64.
+        act = get_activation("softplus")
+        assert act.g(800.0) == 800.0 and act.inverse(800.0) == 800.0
+        ys = np.array([[709.0, 709.78, 710.0, 1e300]])
+        np.testing.assert_array_equal(act.g(ys)[0, 2:], ys[0, 2:])
+        np.testing.assert_array_equal(act.inverse(ys)[0, 2:], ys[0, 2:])
+        assert np.all(np.isfinite(act.g(ys))) and np.all(np.isfinite(act.inverse(ys)))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("sizes", [(6, 3), (6, 4, 3)])
+    def test_softplus_fits_large_data(self, sizes):
+        # At this scale the pretrained H_1 exceeds 709.78, where softplus
+        # used to overflow to inf ahead of layer 2's NNSVD.
+        x = 1e6 * np.random.default_rng(0).uniform(0, 1, (12, 30))
+        spec = make_spec("sdnmf_rl2", sizes, activation="softplus")
+        stack, report = fit(spec, x, TrainConfig(StopRule(50), max_sweeps=8))
+        assert report.sweeps_used >= 1
+        for m in stack.w + stack.h:
+            assert np.all(np.isfinite(m))
+        assert np.isfinite(report.final_objective)
 
     def test_forward_preserves_nonnegativity(self, rng):
         h = rng.uniform(0.0, 5.0, size=(4, 4))
@@ -189,11 +213,41 @@ class TestGradients:
 
 
 class TestNonlinearFinetune:
-    def test_rejects_linear_spec(self, rng):
-        x = rng.uniform(0.1, 1.0, size=(5, 6))
-        stack = random_stack(rng, 5, (3,), 6)
-        with pytest.raises(InvalidInputError):
-            nonlinear_finetune(make_spec("dnmf", (3,)), x, stack, FAST)
+    CFG = TrainConfig(inner_stop=StopRule(60, 1e-4), max_sweeps=6,
+                      rel_obj_tol=1e-12)
+
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    @pytest.mark.parametrize("tag", ["root", "tanh", "sigmoid", "softplus",
+                                     "identity"])
+    def test_matches_the_two_loop_sweep(self, tag, depth):
+        # One loop for every activation: behind an activation, finetune is
+        # the nonlinear sweep it replaced, bit for bit.
+        assert nonlinear_finetune is finetune
+        sizes = (8, 6, 4)[:depth]
+        x = synth_generate("planted_linear", 3, rows=20, cols=40,
+                           layer_sizes=sizes, classes=4, noise=0.05).x
+        spec = make_spec("sdnmf_rl1", sizes, mu=0.05, lam=0.05, activation=tag)
+        stack, _ = pretrain(spec, x, self.CFG)
+        got, report = finetune(spec, x, stack, self.CFG)
+        ref, ref_report = two_loop_nonlinear_finetune(spec, x, stack, self.CFG)
+        assert report.sweeps_used >= 2
+        for a, b in zip(got.w + got.h, ref.w + ref.h):
+            np.testing.assert_array_equal(a, b)
+        assert report.objective_trace == ref_report.objective_trace
+        assert (report.sweeps_used, report.stalled) == (
+            ref_report.sweeps_used, ref_report.stalled)
+
+    def test_first_basis_block_fits_the_unrolled_chain(self, rng):
+        spec, x, stack = chain_point(rng, "softplus", (5, 4, 3), 3.0, lo=0.1)
+        got = finetune_problem(spec, 1, "w", x, stack)
+        fresh = unroll(spec.activation, stack.w, stack.h[-1], stop=1)[1]
+        ref = pretrain_problem(spec, 1, "w", x, stack.w[0], fresh[0])
+        for name in ("lin", "lipschitz", "left", "right", "colsum", "ridge",
+                     "const"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(ref, name))
+        for role, layer in (("h", spec.depth), ("w", 2)):
+            with pytest.raises(InvalidInputError):
+                finetune_problem(spec, layer, role, x, stack)
 
     def test_identity_activation_tracks_linear_path(self, rng):
         x = rng.uniform(0.1, 1.0, size=(10, 20))
@@ -280,10 +334,15 @@ class TestNonlinearFinetune:
     def test_overflowing_trial_steps_are_rejected_silently(self, rng):
         # A descent direction on one entry of H_L, scaled down so that the
         # first trial step f / ||g||^2 moves that entry far enough to overflow
-        # softplus's inverse: that trial must be rejected without a
+        # root's inverse y * y: that trial must be rejected without a
         # RuntimeWarning, and backtracking must settle on a finite objective.
-        spec = make_spec("dnmf", (4, 3), activation="softplus")
+        # The chain level W_2 H_2 is scaled to about 1e150, where its square
+        # is still finite, and W_1 down so that the data stay near 1.
+        spec = make_spec("dnmf", (4, 3), activation="root")
         stack = random_stack(rng, 6, (4, 3), 7)
+        stack.w[1] *= 1e75
+        stack.h[1] *= 1e75
+        stack.w[0] *= 1e-300
         x = unroll(spec.activation, stack.w, stack.h[-1])[0][0] + 1.0
         f0 = nonlinear.chain_objective(spec, x, stack.w, stack.h[-1])
         g = representation_gradient(spec, x, stack)
@@ -325,7 +384,9 @@ class TestNonlinearFinetune:
         # A trial step of f / ||g||^2 on every backtracking grows against
         # 1 / L as the gradient shrinks and takes about 12 evaluations per
         # step on this fit; twice the last accepted step is accepted after
-        # about two.
+        # about two. Only the Armijo trials evaluate the objective through
+        # nonlinear_objective; the objectives that start the trace and end
+        # each sweep are finetune_objective's.
         x = synth_generate("planted_linear", 1, rows=40, cols=120,
                            layer_sizes=(8, 4), classes=4, noise=0.01).x
         spec = make_spec("dnmf", (8, 4), activation="root")
@@ -340,6 +401,5 @@ class TestNonlinearFinetune:
         cfg = TrainConfig(StopRule(60), max_sweeps=60, rel_obj_tol=1e-12)
         _, report = nonlinear_finetune(spec, x, stack, cfg)
         assert report.sweeps_used == 60 and not report.stalled
-        # One evaluation at the start and one after each W_1 solve.
-        per_step = (len(calls) - 1 - 60) / (60 * spec.depth)
+        per_step = len(calls) / (60 * spec.depth)
         assert per_step < 2.5
