@@ -44,14 +44,14 @@ class StopRule:
 @dataclass(frozen=True)
 class ApgProblem:
     """One nonneg-constrained block subproblem with the affine gradient
-    grad(V) = left @ V @ right + colsum * 1 1' V + ridge * V + lin.
+    grad(V) = left @ V @ right + colsum * 1 1' V + lin.
 
     ``left``/``right`` of None stand for identity factors (the product term
-    is always present). The ``colsum`` all-ones gram term is applied as a
-    column-sum broadcast, never materialized. The implied block objective is
-    0.5*<V, grad(V) - lin> + <lin, V> + const, whose gradient is exactly
-    ``grad`` because every operator here is self-adjoint. ``lipschitz``
-    bounds the gradient's Lipschitz constant and fixes the step 1/LC.
+    is always present). ``colsum``, a basis penalty (an H block's is part of
+    ``left``), is applied as a column-sum broadcast. The implied block
+    objective is 0.5*<V, grad(V) - lin> + <lin, V> + const, whose gradient
+    is exactly ``grad`` because every operator here is self-adjoint.
+    ``lipschitz`` bounds the gradient's Lipschitz constant and fixes the step.
     """
 
     lin: np.ndarray
@@ -59,7 +59,6 @@ class ApgProblem:
     left: Optional[np.ndarray] = None
     right: Optional[np.ndarray] = None
     colsum: float = 0.0
-    ridge: float = 0.0
     const: float = 0.0
 
     def __post_init__(self):
@@ -68,8 +67,7 @@ class ApgProblem:
                 f"lipschitz must be positive and finite, got {self.lipschitz}")
 
     def _apply(self, v):
-        return kernels.quad_apply(v, self.left, self.right, self.colsum,
-                                  self.ridge)
+        return kernels.quad_apply(v, self.left, self.right, self.colsum)
 
     def grad(self, v):
         return self._apply(v) + self.lin
@@ -111,8 +109,7 @@ def apg_solve(initial, problem, stop=StopRule(), full_output=False):
     initial = _check_initial(initial, problem)
     v, iters, converged, rel, f_val = kernels.apg_quad_solve(
         initial, problem.left, problem.right, problem.lin, problem.colsum,
-        problem.ridge, problem.const, problem.lipschitz, stop.grad_tol,
-        stop.max_iters)
+        0.0, problem.const, problem.lipschitz, stop.grad_tol, stop.max_iters)
     if full_output:
         return v, {"iters": int(iters), "converged": converged,
                    "rel_residual": float(rel), "objective": float(f_val)}

@@ -50,19 +50,13 @@ def _contiguous_or_none(m):
     return None if m is None else np.ascontiguousarray(m)
 
 
-def _colsum_weights(colsum_w, rows):
-    """The all-ones gram term's weight vector for a block of ``rows`` rows,
-    or None when the term is absent."""
-    return np.full(rows, colsum_w) if colsum_w != 0.0 else None
-
-
 def _quad_apply_into(v, left, right, colsum_vec, ridge, out, tmp):
     """Write left @ v @ right + colsum/ridge terms into ``out``.
 
     ``tmp`` is scratch of v's shape. The all-ones gram term is applied as a
-    broadcast of v's column sums weighted by ``colsum_vec`` (one
-    matrix-vector product, skipped for None; see :func:`_colsum_weights`),
-    never as a materialized ones matrix.
+    broadcast of v's column sums weighted by ``colsum_vec``, one entry per
+    row (one matrix-vector product, skipped for None), never as a
+    materialized ones matrix.
     """
     if left is not None and right is not None:
         np.dot(left, v, tmp)
@@ -80,13 +74,13 @@ def _quad_apply_into(v, left, right, colsum_vec, ridge, out, tmp):
         np.add(out, np.dot(colsum_vec, v), out)
 
 
-def quad_apply(v, left, right, colsum_w, ridge):
-    """Apply the quadratic operator: left @ v @ right + colsum/ridge terms."""
+def quad_apply(v, left, right, colsum_w):
+    """Apply the quadratic operator: left @ v @ right + the colsum term."""
     v = np.ascontiguousarray(v, dtype=np.float64)
     out = np.empty(v.shape)
+    colsum_vec = None if colsum_w == 0.0 else np.full(v.shape[0], colsum_w)
     _quad_apply_into(v, _contiguous_or_none(left), _contiguous_or_none(right),
-                     _colsum_weights(colsum_w, v.shape[0]), ridge, out,
-                     np.empty(v.shape))
+                     colsum_vec, 0.0, out, np.empty(v.shape))
     return out
 
 
@@ -157,7 +151,7 @@ def apg_quad_solve(v0, left, right, lin, colsum_w, ridge, obj_const,
     left = _contiguous_or_none(left)
     right = _contiguous_or_none(right)
     shape = v0.shape
-    colsum_vec = _colsum_weights(colsum_w, shape[0])
+    colsum_vec = None if colsum_w == 0.0 else np.full(shape[0], colsum_w)
     obj_const = float(obj_const)
     g = np.empty(shape)
     u = np.empty(shape)
@@ -198,9 +192,9 @@ def apg_quad_solve(v0, left, right, lin, colsum_w, ridge, obj_const,
             np.subtract(u, u_prev, y)
             np.multiply(y, beta, y)
             np.add(y, u, y)
-            np.clip(y, 0.0, np.inf, y)
+            np.maximum(y, 0.0, out=y)
         else:
-            np.clip(u, 0.0, np.inf, y)
+            np.maximum(u, 0.0, out=y)
         _quad_apply_into(y, left, right, colsum_vec, ridge, g_y, u_prev)
         np.add(g_y, lin, g_y)
         f_y = 0.5 * (_inner(y, g_y) + _inner(y, lin)) + obj_const

@@ -133,6 +133,12 @@ def naive_precision(c, c_star):
     return float(np.mean(largest / sizes))
 
 
+def _draw_index(rng, p):
+    """``rng.choice(p.size, p=p)``, from its normalized cumulative sum."""
+    cdf = np.cumsum(p)
+    return int(np.searchsorted(cdf / cdf[-1], rng.random(), side="right"))
+
+
 def _kmeanspp_centers(data, k, rng):
     d, n = data.shape
     centers = np.empty((k, d))
@@ -140,10 +146,7 @@ def _kmeanspp_centers(data, k, rng):
     d2 = kernels.sq_dists(data, centers[0])
     for c in range(1, k):
         total = d2.sum()
-        if total > 0:
-            idx = rng.choice(n, p=d2 / total)
-        else:
-            idx = rng.integers(n)
+        idx = _draw_index(rng, d2 / total) if total > 0 else rng.integers(n)
         centers[c] = data[:, idx]
         d2 = np.minimum(d2, kernels.sq_dists(data, centers[c]))
     return centers

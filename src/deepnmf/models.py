@@ -18,7 +18,8 @@ For nonnegative factors the squared column L1 norm equals the all-ones gram
 quadratic form, so every block subproblem stays quadratic, with an exact
 gradient and Lipschitz constant. A spec states each layer's penalties as two
 numbers per factor role: the basis weight (:meth:`ModelSpec.w_weight`) and
-the representation's (colsum, ridge) weights (:meth:`ModelSpec.h_weights`).
+the representation's (colsum, ridge) weights (:meth:`ModelSpec.h_weights`),
+which an H block adds to its gram.
 
 The model is one chain, X ~ W_1 ... W_L H_L, unrolled from the top through
 the inverse activation of a nonlinear model by :func:`unroll`.
@@ -210,11 +211,6 @@ def unroll(activation, w, h_last, stop=0):
     return pre, fresh
 
 
-def _colsum_sq(m):
-    s = m.sum(axis=0)
-    return float(np.dot(s, s))
-
-
 def add_layer_penalty(val, spec, layer, w=None, h=None):
     """``val`` plus the penalties of 1-based ``layer``: the basis penalty on
     ``w`` and the representation penalty on ``h``, each skipped when its
@@ -225,11 +221,11 @@ def add_layer_penalty(val, spec, layer, w=None, h=None):
     """
     mu = spec.w_weight(layer)
     if w is not None and mu:
-        val += 0.5 * mu * _colsum_sq(w)
+        val += 0.5 * mu * frobenius_sq(w.sum(axis=0))
     if h is not None:
         colsum, ridge = spec.h_weights(layer)
         if colsum:
-            val += 0.5 * colsum * _colsum_sq(h)
+            val += 0.5 * colsum * frobenius_sq(h.sum(axis=0))
         if ridge:
             val += 0.5 * ridge * frobenius_sq(h)
     return val
@@ -288,28 +284,37 @@ def _check_conformance(spec, x, stack):
             f"({stack.w[0].shape[0]}, {stack.h[-1].shape[1]})")
 
 
-def _problem(lin, left, right, colsum, ridge, target):
+def h_penalty_gram(spec, layer, rows):
+    """The H penalty of 1-based ``layer``, lambda 1 1' or lambda I, as the
+    ``rows``-square gram P of its gradient P @ H; None where lambda is 0."""
+    colsum, ridge = spec.h_weights(layer)
+    return (np.full((rows, rows), colsum) + ridge * np.eye(rows)
+            if colsum or ridge else None)
+
+
+def _problem(lin, left, right, colsum, target):
     """The block problem with gradient left @ V @ right + colsum * 1 1' V
-    + ridge * V + lin for a fit of ``target``. Its Lipschitz constant is
-    the product of the gram norms plus the all-ones gram norm (the block's
-    row count) times ``colsum`` plus ``ridge``."""
+    + lin for a fit of ``target``. Its Lipschitz constant is the product of
+    the gram norms plus the all-ones gram norm (the block's row count) times
+    ``colsum``."""
     lc = 1.0
     for gram in (right, left):
         if gram is not None:
             lc *= sym_spectral_norm(gram)
-    lc += colsum * lin.shape[0] + ridge
+    lc += colsum * lin.shape[0]
     # A zero constant comes only from a zero gram, whose factor zeroes
     # ``lin`` too: the gradient is zero and any step leaves the block as it is.
-    return ApgProblem(lin, lc or 1.0, left=left, right=right,
-                      colsum=colsum, ridge=ridge,
+    return ApgProblem(lin, lc or 1.0, left=left, right=right, colsum=colsum,
                       const=0.5 * frobenius_sq(target))
 
 
 def _h_problem(spec, layer, target, basis):
-    """H block of fitting ``target`` ~ basis @ H, plus the layer's H penalty."""
-    colsum, ridge = spec.h_weights(layer)
-    return _problem(-(basis.T @ target), basis.T @ basis, None, colsum,
-                    ridge, target)
+    """H block of fitting ``target`` ~ basis @ H, its gram holding the
+    layer's H penalty."""
+    gram = basis.T @ basis
+    penalty = h_penalty_gram(spec, layer, gram.shape[0])
+    gram = gram if penalty is None else gram + penalty
+    return _problem(-(basis.T @ target), gram, None, 0.0, target)
 
 
 def _w_problem(spec, layer, target, prefix, rep):
@@ -320,7 +325,7 @@ def _w_problem(spec, layer, target, prefix, rep):
         left, lin = None, -(target @ rep.T)
     else:
         left, lin = prefix.T @ prefix, -(prefix.T @ target @ rep.T)
-    return _problem(lin, left, right, spec.w_weight(layer), 0.0, target)
+    return _problem(lin, left, right, spec.w_weight(layer), target)
 
 
 def pretrain_problem(spec, layer, role, h_prev, w_cur, h_cur):

@@ -17,7 +17,8 @@ import numpy as np
 from .activations import get_activation
 from .errors import InvalidInputError
 from .linalg import as_matrix, frobenius_sq
-from .models import _check_conformance, chain_objective, unroll
+from .models import (_check_conformance, chain_objective, h_penalty_gram,
+                     unroll)
 # Fine-tuning is one loop for every activation; fit reaches it under this
 # name for a nonlinear model, where perfbench/tracing.py times it.
 from .train import finetune as nonlinear_finetune
@@ -65,12 +66,8 @@ def representation_gradient(spec, x, stack):
     """
     resid, _ = _backprop(spec, x, stack, spec.depth)
     g = stack.w[-1].T @ resid
-    colsum, ridge = spec.h_weights(spec.depth)
-    if colsum:
-        g = g + colsum * stack.h[-1].sum(axis=0)
-    if ridge:
-        g = g + ridge * stack.h[-1]
-    return g
+    penalty = h_penalty_gram(spec, spec.depth, g.shape[0])
+    return g if penalty is None else g + penalty @ stack.h[-1]
 
 
 def basis_gradient(spec, x, stack, layer):

@@ -173,9 +173,9 @@ def finetune(spec, x, stack, cfg=TrainConfig()):
     of any chain) gets a block solve to ``cfg.inner_stop``; every other
     block gets one backtracked step,
     :func:`deepnmf.nonlinear.gradient_step`. A step that cannot make
-    progress ends the run with ``stalled`` set. Stops as :func:`_sweeps`
-    describes. No sweep reads the hidden H_1..H_{L-1}: after the last one
-    (also after a stall), each is the chain's representation unrolled
+    progress undoes its sweep and ends the run with ``stalled`` set. Stops
+    as :func:`_sweeps` describes. No sweep reads the hidden H_1..H_{L-1}:
+    after the last complete one, each is the chain's representation unrolled
     from W_{l+1} .. W_L H_L, clipped at zero, and on a linear chain then
     one H block solve against the final bases from that start.
     """
@@ -195,6 +195,8 @@ def finetune(spec, x, stack, cfg=TrainConfig()):
 
     def sweep():
         nonlocal obj
+        # Blocks are replaced, never written in place: a stall restores these.
+        start = list(stack.w), list(stack.h)
         for role, layer in blocks:
             factors = stack.w if role == "w" else stack.h
             if linear or (role, layer) == ("w", 1):
@@ -207,6 +209,7 @@ def finetune(spec, x, stack, cfg=TrainConfig()):
             out = gradient_step(spec, x, stack, role, layer, obj,
                                 steps.get((role, layer)))
             if out is None:
+                stack.w[:], stack.h[:] = start
                 return None
             factors[layer - 1], obj, steps[(role, layer)] = out
         obj = finetune_objective(spec, x, stack)

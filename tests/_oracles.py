@@ -151,9 +151,9 @@ def every_hidden_finetune(spec, x, stack, cfg):
 def two_loop_nonlinear_finetune(spec, x, stack, cfg):
     """Nonlinear fine-tuning as its own loop: each sweep takes one
     backtracked step on H_L, one on each of W_2..W_L bottom-up, then solves
-    W_1's block against the chain's first representation; the hidden
-    factors are then the final chain's, clipped at zero. Returns
-    (stack, report) like :func:`deepnmf.train.finetune`."""
+    W_1's block against the chain's first representation; a stalled sweep
+    is undone, and the hidden factors are then the final chain's, clipped
+    at zero. Returns (stack, report) like :func:`deepnmf.train.finetune`."""
     from deepnmf.apg import apg_solve
     from deepnmf.models import chain_objective, pretrain_problem, unroll
     from deepnmf.nonlinear import (_armijo_step, basis_gradient,
@@ -166,6 +166,7 @@ def two_loop_nonlinear_finetune(spec, x, stack, cfg):
 
     def sweep():
         nonlocal obj
+        start = stack.copy()
         out = _armijo_step(
             stack.h[-1], obj, representation_gradient(spec, x, stack),
             lambda v: chain_objective(spec, x, stack.w, v), steps[0])
@@ -179,6 +180,7 @@ def two_loop_nonlinear_finetune(spec, x, stack, cfg):
                 lambda v: chain_objective(spec, x, w[:l - 1] + [v] + w[l:],
                                           stack.h[-1]), steps[l - 1])
             if out is None:
+                stack.w, stack.h = start.w, start.h
                 return None
             stack.w[l - 1], obj, steps[l - 1] = out
         fresh = unroll(spec.activation, stack.w, stack.h[-1], stop=1)[1]

@@ -344,6 +344,24 @@ def test_memory_scales_with_samples_not_cluster_pairs(score):
     assert peak < 2 * 2**20
 
 
+def test_kmeanspp_draw_is_generator_choice():
+    # k-means++ draws its next center by searching the cumulative sum that
+    # Generator.choice(n, p=p) forms, with one rng.random(). Both must give
+    # the same index and leave the generator in the same state; this rests
+    # on numpy's implementation of choice.
+    for seed in range(2000):
+        gen = np.random.default_rng(seed)
+        n = int(gen.integers(1, 300))
+        w = gen.uniform(size=n) ** 3
+        w[gen.uniform(size=n) < 0.3] = 0.0
+        w[gen.integers(n)] += 1e-3
+        p = w / w.sum()
+        a = np.random.default_rng([seed, 1])
+        b = np.random.default_rng([seed, 1])
+        assert metrics._draw_index(b, p) == a.choice(n, p=p), seed
+        assert a.random() == b.random()
+
+
 def test_mismatched_sample_counts_rejected():
     a = Partition(np.array([0, 1]), 2)
     with pytest.raises(InvalidInputError):

@@ -324,8 +324,50 @@ class TestFinetuneProblems:
             hp = finetune_problem(spec, layer, "h", x, stack)
             basis = prefixes[layer]
             assert hp.right is None
-            np.testing.assert_array_equal(hp.left, basis.T @ basis)
+            # sdnmf_rl2's ridge on H_L is part of that block's gram.
+            ridge = 0.2 * np.eye(basis.shape[1]) if layer == depth else 0.0
+            np.testing.assert_array_equal(hp.left, basis.T @ basis + ridge)
             np.testing.assert_array_equal(hp.lin, -(basis.T @ x))
+
+
+@pytest.mark.parametrize("variant", ["sdnmf_r", "sdnmf_rl1", "sdnmf_rl2"])
+def test_h_block_penalty_is_part_of_its_gram(rng, variant):
+    """Every penalized H block, in pretraining, in fine-tuning and in the
+    hidden solves after it, carries lambda 1 1' (column L1) or lambda I
+    (ridge) in its left gram: no colsum term, and a Lipschitz constant that
+    is that gram's top eigenvalue."""
+    lam = 0.2
+    spec = make_spec(variant, (5, 4, 3), **ALL_PENALIZED[variant])
+    stack = random_stack(rng, 7, (5, 4, 3), 6)
+    x = rng.uniform(0.1, 1.0, size=(7, 6))
+    inputs = [x] + stack.h[:-1]
+    seen = 0
+    for layer in range(1, 4):
+        if not spec.lam[layer - 1]:
+            continue
+        k = spec.layer_sizes[layer - 1]
+        penalty = lam * (np.eye(k) if variant == "sdnmf_rl2"
+                         else np.ones((k, k)))
+        h = stack.h[layer - 1]
+        chain = stack.w[0]
+        for w in stack.w[1:layer]:
+            chain = chain @ w
+        blocks = [
+            (pretrain_problem(spec, layer, "h", inputs[layer - 1],
+                              stack.w[layer - 1], h),
+             stack.w[layer - 1], inputs[layer - 1]),
+            (finetune_problem(spec, layer, "h", x, stack), chain, x)]
+        for problem, basis, target in blocks:
+            gram = basis.T @ basis + penalty
+            assert problem.colsum == 0.0
+            np.testing.assert_allclose(problem.left, gram, rtol=1e-14)
+            assert problem.lipschitz == pytest.approx(
+                np.linalg.eigvalsh(gram)[-1], rel=1e-12)
+            np.testing.assert_allclose(
+                problem.grad(h), basis.T @ (basis @ h - target) + penalty @ h,
+                rtol=1e-10, atol=1e-12)
+            seen += 1
+    assert seen == (6 if variant == "sdnmf_r" else 2)
 
 
 class TestReconstruction:

@@ -1,11 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from deepnmf import (FactorStack, InvalidInputError, StopRule, TrainConfig,
-                     basis_gradient, finetune, finetune_problem, fit,
-                     get_activation, make_spec, nonlinear_finetune,
-                     nonlinear_objective, pretrain, pretrain_problem,
-                     representation_gradient, synth_generate)
+                     basis_gradient, finetune, finetune_objective,
+                     finetune_problem, fit, get_activation, make_spec,
+                     nonlinear_finetune, nonlinear_objective, pretrain,
+                     pretrain_problem, representation_gradient,
+                     synth_generate)
 from deepnmf import nonlinear
 from deepnmf.linalg import frobenius_sq
 from deepnmf.models import unroll
@@ -242,9 +245,9 @@ class TestNonlinearFinetune:
         got = finetune_problem(spec, 1, "w", x, stack)
         fresh = unroll(spec.activation, stack.w, stack.h[-1], stop=1)[1]
         ref = pretrain_problem(spec, 1, "w", x, stack.w[0], fresh[0])
-        for name in ("lin", "lipschitz", "left", "right", "colsum", "ridge",
-                     "const"):
-            np.testing.assert_array_equal(getattr(got, name), getattr(ref, name))
+        for field in dataclasses.fields(got):
+            np.testing.assert_array_equal(getattr(got, field.name),
+                                          getattr(ref, field.name))
         for role, layer in (("h", spec.depth), ("w", 2)):
             with pytest.raises(InvalidInputError):
                 finetune_problem(spec, layer, role, x, stack)
@@ -311,6 +314,32 @@ class TestNonlinearFinetune:
         for l in range(spec.depth - 1):
             np.testing.assert_array_equal(tuned.h[l], np.maximum(fresh[l], 0.0))
             assert not np.array_equal(tuned.h[l], stack.h[l])
+
+    def test_stall_keeps_the_last_complete_sweep(self, monkeypatch):
+        # The 4th step is the second sweep's W_2 step, after that sweep's
+        # H_L step has moved. The run must return the stack its trace ends
+        # at: the first sweep's, with hidden factors from that chain.
+        x = synth_generate("planted_nonlinear", 3, rows=20, cols=40,
+                           layer_sizes=(8, 4), classes=4, noise=0.01).x
+        spec = make_spec("sdnmf_l", (8, 4), activation="root")
+        cfg = TrainConfig(inner_stop=StopRule(50), max_sweeps=5)
+        stack, _ = pretrain(spec, x, cfg)
+        ref, _ = finetune(spec, x, stack,
+                          TrainConfig(inner_stop=StopRule(50), max_sweeps=1))
+        steps = []
+        real = nonlinear.gradient_step
+
+        def stall_fourth(*args):
+            steps.append(args[3:5])
+            return None if len(steps) == 4 else real(*args)
+
+        monkeypatch.setattr(nonlinear, "gradient_step", stall_fourth)
+        got, report = finetune(spec, x, stack, cfg)
+        assert steps[2:] == [("h", 2), ("w", 2)]
+        assert report.stalled and report.sweeps_used == 1
+        assert finetune_objective(spec, x, got) == report.final_objective
+        for a, b in zip(got.w + got.h, ref.w + ref.h):
+            np.testing.assert_array_equal(a, b)
 
     def test_complete_run_stores_its_final_chain(self, rng):
         x = rng.uniform(0.1, 1.0, size=(9, 15))

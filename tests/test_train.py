@@ -5,7 +5,7 @@ from deepnmf import (ApgProblem, InvalidInputError, NumericalError, StopRule,
                      TrainConfig, VARIANTS, apg_solve, finetune,
                      finetune_objective, fit, make_spec, nnsvd_init, pretrain,
                      synth_generate)
-from deepnmf import train
+from deepnmf import kernels, train
 from deepnmf.activations import get_activation
 from deepnmf.kernels import roundoff_slack
 from deepnmf.models import finetune_problem
@@ -292,6 +292,27 @@ class TestHiddenSolves:
         expected = ("o" + ("s" * (depth + 1) + "o") * report.sweeps_used
                     + "s" * (depth - 1))
         assert "".join(events) == expected
+
+
+@pytest.mark.parametrize("variant", ["sdnmf_r", "sdnmf_rl1", "sdnmf_rl2"])
+def test_no_h_block_reaches_the_kernel_with_a_separate_penalty(
+        rng, variant, monkeypatch):
+    # An H block (40 columns, one per sample) carries its penalty in its
+    # gram, in pretraining, in fine-tuning and in the hidden solves.
+    x = planted(rng, 20, (8, 4), 40) + 0.01 * rng.uniform(size=(20, 40))
+    spec = make_spec(variant, (8, 4), **PEN[variant])
+    calls = []
+    solve = kernels.apg_quad_solve
+
+    def recorded(v0, left, right, lin, colsum_w, ridge, *rest):
+        calls.append((v0.shape[1] == 40, colsum_w, ridge))
+        return solve(v0, left, right, lin, colsum_w, ridge, *rest)
+
+    monkeypatch.setattr(kernels, "apg_quad_solve", recorded)
+    fit(spec, x, TrainConfig(inner_stop=StopRule(20), max_sweeps=2))
+    h_terms = {(colsum, ridge) for is_h, colsum, ridge in calls if is_h}
+    assert h_terms == {(0.0, 0.0)}
+    assert {ridge for _, _, ridge in calls} == {0.0}
 
 
 class TestSweepLoop:
