@@ -132,8 +132,7 @@ def load_matrix(path):
 
 def save_labels(path, partition):
     with open(path, "w") as fh:
-        for v in partition.ids[partition.labels]:
-            fh.write(f"{int(v)}\n")
+        fh.write("".join(f"{int(v)}\n" for v in partition.ids[partition.labels]))
 
 
 def load_labels(path):

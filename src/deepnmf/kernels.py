@@ -1,8 +1,8 @@
 """Hot numeric kernels in plain numpy.
 
-The quadratic operator, the KKT residual and the accelerated solver loop
-each have one implementation. ``left``/``right`` operator factors of None
-stand for identities.
+The quadratic operator (``left @ V @ right`` plus a basis block's
+``colsum`` term), the KKT residual and the accelerated solver loop each
+have one implementation; ``left``/``right`` of None stand for identities.
 
 The solver loop applies the quadratic operator once per iteration, to the
 candidate iterate, and discards a momentum step that raises the objective.
@@ -31,7 +31,7 @@ import math
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import InvalidInputError, NumericalError
 
 # Read by perfbench/worker.py's provenance record; numpy is the only path.
 NUMBA_ENABLED = False
@@ -50,13 +50,13 @@ def _contiguous_or_none(m):
     return None if m is None else np.ascontiguousarray(m)
 
 
-def _quad_apply_into(v, left, right, colsum_vec, ridge, out, tmp):
-    """Write left @ v @ right + colsum/ridge terms into ``out``.
+def _quad_apply_into(v, left, right, colsum_vec, out, tmp):
+    """Write left @ v @ right + the colsum term into ``out``.
 
-    ``tmp`` is scratch of v's shape. The all-ones gram term is applied as a
-    broadcast of v's column sums weighted by ``colsum_vec``, one entry per
-    row (one matrix-vector product, skipped for None), never as a
-    materialized ones matrix.
+    ``tmp`` is scratch of v's shape. The all-ones gram term of a basis block
+    is applied as a broadcast of v's column sums weighted by ``colsum_vec``,
+    one entry per row (one matrix-vector product, skipped for None), never
+    as a materialized ones matrix.
     """
     if left is not None and right is not None:
         np.dot(left, v, tmp)
@@ -67,9 +67,6 @@ def _quad_apply_into(v, left, right, colsum_vec, ridge, out, tmp):
         np.dot(v, right, out)
     else:
         out[:, :] = v
-    if ridge != 0.0:
-        np.multiply(v, ridge, tmp)
-        np.add(out, tmp, out)
     if colsum_vec is not None:
         np.add(out, np.dot(colsum_vec, v), out)
 
@@ -80,14 +77,8 @@ def quad_apply(v, left, right, colsum_w):
     out = np.empty(v.shape)
     colsum_vec = None if colsum_w == 0.0 else np.full(v.shape[0], colsum_w)
     _quad_apply_into(v, _contiguous_or_none(left), _contiguous_or_none(right),
-                     colsum_vec, 0.0, out, np.empty(v.shape))
+                     colsum_vec, out, np.empty(v.shape))
     return out
-
-
-def _inner(a, b):
-    """Frobenius inner product of two contiguous arrays of one shape, as a
-    Python float."""
-    return float(np.dot(a.ravel(), b.ravel()))
 
 
 def _kkt_norm_into(v, g, mask, mask2, tmp):
@@ -101,7 +92,7 @@ def _kkt_norm_into(v, g, mask, mask2, tmp):
     np.less(g, 0.0, mask2)
     np.logical_or(mask, mask2, tmp)
     np.multiply(g, tmp, tmp)
-    return math.sqrt(_inner(tmp, tmp))
+    return math.sqrt(float(np.vdot(tmp, tmp)))
 
 
 def kkt_norm(v, g):
@@ -116,6 +107,10 @@ def apg_quad_solve(v0, left, right, lin, colsum_w, ridge, obj_const,
                    lipschitz, rel_tol, max_iters):
     """Accelerated projected gradient on a nonneg-constrained quadratic
     block, with function-value restart.
+
+    The gradient is the quadratic operator plus ``lin``; a representation
+    block carries its whole penalty in ``left``. ``ridge`` is a reserved
+    positional slot: anything but 0 raises InvalidInputError at once.
 
     Iterates x_{k+1} = P(y_k - grad(y_k)/LC) with the Nesterov extrapolation
     y_{k+1} = x_{k+1} + beta_k (x_{k+1} - x_k), beta_k = (a_k - 1)/a_{k+1},
@@ -146,6 +141,8 @@ def apg_quad_solve(v0, left, right, lin, colsum_w, ridge, obj_const,
     are those of the returned solution, which is ``v0`` if roundoff left
     the accepted objective above it.
     """
+    if ridge != 0.0:
+        raise InvalidInputError(f"ridge must be 0, got {ridge}")
     v0 = np.ascontiguousarray(v0)
     lin = np.ascontiguousarray(lin)
     left = _contiguous_or_none(left)
@@ -160,13 +157,13 @@ def apg_quad_solve(v0, left, right, lin, colsum_w, ridge, obj_const,
     u_prev = np.empty(shape)
     mask = np.empty(shape, dtype=np.bool_)
     mask2 = np.empty(shape, dtype=np.bool_)
-    _quad_apply_into(v0, left, right, colsum_vec, ridge, g, u_prev)
+    _quad_apply_into(v0, left, right, colsum_vec, g, u_prev)
     np.add(g, lin, g)
     np.isfinite(g, mask)
     if not np.all(mask):
         raise NumericalError("gradient produced non-finite entries")
     r0 = _kkt_norm_into(v0, g, mask, mask2, u_prev)
-    f0 = 0.5 * (_inner(v0, g) + _inner(v0, lin)) + obj_const
+    f0 = 0.5 * (float(np.vdot(v0, g)) + float(np.vdot(v0, lin))) + obj_const
     # Objectives this close to zero are roundoff of the constant term; the
     # divergence test must not fire on their noise.
     div_limit = 10.0 * max(f0, 0.0) + roundoff_slack(obj_const)
@@ -195,9 +192,10 @@ def apg_quad_solve(v0, left, right, lin, colsum_w, ridge, obj_const,
             np.maximum(y, 0.0, out=y)
         else:
             np.maximum(u, 0.0, out=y)
-        _quad_apply_into(y, left, right, colsum_vec, ridge, g_y, u_prev)
+        _quad_apply_into(y, left, right, colsum_vec, g_y, u_prev)
         np.add(g_y, lin, g_y)
-        f_y = 0.5 * (_inner(y, g_y) + _inner(y, lin)) + obj_const
+        f_y = (0.5 * (float(np.vdot(y, g_y)) + float(np.vdot(y, lin)))
+               + obj_const)
         # A non-finite entry of g_y makes f_y non-finite.
         if not math.isfinite(f_y):
             raise NumericalError("gradient produced non-finite entries")

@@ -36,11 +36,13 @@ def _planted_factors(rng, rows, layer_sizes, classes, cols):
         ws.append(w)
     k_last = layer_sizes[-1]
     labels = np.arange(cols) * classes // cols
+    lo = labels * k_last // classes
+    hi = np.maximum((labels + 1) * k_last // classes, lo + 1)
+    rows_k = np.arange(k_last)[:, None]
+    block = (rows_k >= lo) & (rows_k < hi)
     h_last = np.zeros((k_last, cols))
-    for j, cls in enumerate(labels):
-        lo = cls * k_last // classes
-        hi = max((cls + 1) * k_last // classes, lo + 1)
-        h_last[lo:hi, j] = rng.uniform(0.5, 1.5, size=hi - lo)
+    # One draw fills the class blocks column by column, top-down in each.
+    h_last.T[block.T] = rng.uniform(0.5, 1.5, size=int(block.sum()))
     return ws, h_last, labels
 
 

@@ -1,18 +1,19 @@
 """Independent reference implementations used only to check the library.
 
-Everything here but one is written from the definitions, sharing no code
+Everything here but three is written from the definitions, sharing no code
 with the package: a plain projected-gradient solver for quadratic blocks,
 the accelerated solver written with two gradient evaluations per iteration,
 the per-center k-means assignment loop with its coordinate-order distance,
 sample-order cluster means,
 brute-force partition scores, finite differences, and small-case partition
-enumeration. The two exceptions are fine-tuning loops built from the
-package's block problems, solver, steps and sweep loop, so that their
-factors and traces can be compared bit for bit:
+enumeration. The exceptions use package code so that their output can be
+compared bit for bit. Two are fine-tuning loops built from the package's
+block problems, solver, steps and sweep loop:
 :func:`every_hidden_finetune`, linear fine-tuning with a
 hidden-representation solve in every sweep, and
 :func:`two_loop_nonlinear_finetune`, the nonlinear sweep as a loop of its
-own.
+own. The third, :func:`per_column_planted`, draws a planted dataset sample
+by sample and forms its data with the package's chain.
 """
 
 import math
@@ -63,24 +64,29 @@ def quad_objective(v, gram, lin, const):
 def two_application_apg(v0, left, right, lin, colsum, ridge, const,
                         lipschitz, rel_tol, max_iters, restart=True):
     """Nesterov's accelerated projected gradient on the quadratic block with
-    gradient left @ V @ right + colsum * 1 1^T V + ridge * V + lin, written
-    the direct way: the gradient is evaluated at the search point y and again
-    at the new iterate, every iteration. ``left``/``right`` of None are
-    identities. With ``restart``, a momentum step whose objective is above
-    the last accepted iterate's is discarded and the momentum starts over
-    from that iterate; without it, every step is accepted. The stop rule is
-    tested on every 8th accepted iterate, and an accepted objective left
-    above the start returns the start.
+    gradient left @ V @ right + colsum * 1 1^T V + lin, written the direct
+    way: the gradient is evaluated at the search point y and again at the
+    new iterate, every iteration. ``left``/``right`` of None are identities;
+    ``ridge`` mirrors the kernel's reserved slot and must be 0. With
+    ``restart``, a momentum step whose objective is above the last accepted
+    iterate's is discarded and the momentum starts over from that iterate;
+    without it, every step is accepted. The stop rule is tested on every 8th
+    accepted iterate, and an accepted objective left above the start returns
+    the start.
 
-    Raises FloatingPointError on a non-finite gradient or objective, and on
-    an objective above 10x the starting one plus 2.5e-14 * |const|, naming
-    the iteration. Returns (solution, iters, converged, relative_residual,
-    objective), where converged means the residual is at most ``rel_tol``.
+    Raises ValueError on a nonzero ``ridge``. Raises FloatingPointError on a
+    non-finite gradient or objective, and on an objective above 10x the
+    starting one plus 2.5e-14 * |const|, naming the iteration. Returns
+    (solution, iters, converged, relative_residual, objective), where
+    converged means the residual is at most ``rel_tol``.
     """
+    if ridge != 0.0:
+        raise ValueError(f"ridge must be 0, got {ridge}")
+
     def grad(v):
         a = v if left is None else left @ v
         a = a if right is None else a @ right
-        return a + ridge * v + colsum * v.sum(axis=0) + lin
+        return a + colsum * v.sum(axis=0) + lin
 
     def kkt(v, g):
         r = np.where((v > 0.0) | (g < 0.0), g, 0.0)
@@ -193,6 +199,36 @@ def two_loop_nonlinear_finetune(spec, x, stack, cfg):
     fresh = unroll(spec.activation, stack.w, stack.h[-1], stop=1)[1]
     stack.h[:-1] = [np.maximum(f, 0.0) for f in fresh[:-1]]
     return stack, report
+
+
+def per_column_planted(kind, seed, rows, cols, layer_sizes, classes,
+                       noise=0.0, activation="root"):
+    """The planted bundle of ``synth_generate(kind, seed, ...)`` as (x,
+    labels), with each sample's class block of H_L drawn by its own
+    ``uniform`` call. The generator's stream runs through each W_l's values
+    and sparsity mask, then H_L column by column, then the noise."""
+    from deepnmf.models import unroll
+
+    rng = np.random.default_rng(abs(int(seed)))
+    sizes = (rows,) + tuple(layer_sizes)
+    ws = []
+    for a, b in zip(sizes, sizes[1:]):
+        w = rng.uniform(0.0, 1.0, size=(a, b))
+        w *= rng.random(size=(a, b)) < 0.6
+        w /= np.maximum(np.linalg.norm(w, axis=0, keepdims=True), 1e-12)
+        ws.append(w)
+    k_last = layer_sizes[-1]
+    labels = np.arange(cols) * classes // cols
+    h_last = np.zeros((k_last, cols))
+    for j, cls in enumerate(labels):
+        lo = cls * k_last // classes
+        hi = max((cls + 1) * k_last // classes, lo + 1)
+        h_last[lo:hi, j] = rng.uniform(0.5, 1.5, size=hi - lo)
+    tag = "linear" if kind == "planted_linear" else activation
+    x = unroll(tag, ws, h_last)[0][0]
+    if noise > 0:
+        x = x + np.abs(rng.normal(0.0, noise, size=x.shape))
+    return np.maximum(x, 0.0), labels
 
 
 def coordinate_sq_dists(points, center):

@@ -135,10 +135,10 @@ class TestApgSolve:
             apg_solve(np.array([[-1.0, 0.0], [0.0, 0.0]]), problem)
 
 
-def _operator_setup(rng, sides, colsum, ridge):
-    """A least-squares block 0.5*||X - A V B||^2 (+ penalties) in kernel form:
-    (v0, left, right, lin, colsum, ridge, const, lipschitz); absent sides
-    are identities."""
+def _operator_setup(rng, sides, colsum):
+    """A least-squares block 0.5*||X - A V B||^2 (+ colsum penalty) in kernel
+    form: (v0, left, right, lin, colsum, ridge, const, lipschitz), with the
+    reserved ridge slot at 0.0; absent sides are identities."""
     rows, cols = 6, 9
     a = rng.uniform(size=(8, rows)) if "left" in sides else np.eye(rows)
     b = rng.uniform(size=(cols, 7)) if "right" in sides else np.eye(cols)
@@ -146,9 +146,9 @@ def _operator_setup(rng, sides, colsum, ridge):
     left = a.T @ a if "left" in sides else None
     right = b @ b.T if "right" in sides else None
     lc = (float(np.linalg.eigvalsh(a.T @ a)[-1])
-          * float(np.linalg.eigvalsh(b @ b.T)[-1]) + colsum * rows + ridge)
+          * float(np.linalg.eigvalsh(b @ b.T)[-1]) + colsum * rows)
     v0 = rng.uniform(size=(rows, cols))
-    return (v0, left, right, -(a.T @ x @ b.T), colsum, ridge,
+    return (v0, left, right, -(a.T @ x @ b.T), colsum, 0.0,
             0.5 * float(np.sum(x * x)), lc)
 
 
@@ -160,17 +160,14 @@ class TestKernelAgainstTwoApplicationLoop:
     Nearer roundoff the restart test compares objectives that differ only
     by rounding, and the two may part ways."""
 
-    @pytest.mark.parametrize("sides, colsum, ridge", [
-        (("left",), 0.3, 0.0),
-        (("left",), 0.0, 0.2),
-        (("right",), 0.3, 0.0),
-        (("left", "right"), 0.2, 0.0),
-        ((), 0.0, 0.0),
-    ], ids=["left+colsum", "left+ridge", "right+colsum", "two_sided+colsum",
-            "identity"])
-    def test_matches_reference_over_300_iterations(self, rng, sides, colsum,
-                                                   ridge):
-        args = _operator_setup(rng, sides, colsum, ridge)
+    @pytest.mark.parametrize("sides, colsum", [
+        (("left",), 0.3),
+        (("right",), 0.3),
+        (("left", "right"), 0.2),
+        ((), 0.0),
+    ], ids=["left+colsum", "right+colsum", "two_sided+colsum", "identity"])
+    def test_matches_reference_over_300_iterations(self, rng, sides, colsum):
+        args = _operator_setup(rng, sides, colsum)
         before = [None if m is None else m.copy() for m in args[:4]]
         v, iters, converged, rel, f_val = kernels.apg_quad_solve(
             *args, 1e-6, 300)
@@ -192,7 +189,7 @@ class TestKernelAgainstTwoApplicationLoop:
         # starting objective on the second (plain) step; both loops must
         # raise there. At half of it, restarts keep the accepted iterates
         # below the start until the cap.
-        args = list(_operator_setup(rng, ("left",), 0.3, 0.0))
+        args = list(_operator_setup(rng, ("left",), 0.3))
         args[-1] /= 50.0
         with pytest.raises(FloatingPointError,
                            match=r"diverged at iteration 2$"):
@@ -201,13 +198,23 @@ class TestKernelAgainstTwoApplicationLoop:
             kernels.apg_quad_solve(*args, 0.0, 300)
 
     def test_restart_needs_fewer_iterations(self, rng):
-        args = _operator_setup(rng, ("left",), 0.3, 0.0)
+        args = _operator_setup(rng, ("left",), 0.3)
         _, iters, converged, _, _ = kernels.apg_quad_solve(*args, 1e-6, 1000)
         _, iters_ref, converged_ref, _, _ = two_application_apg(
             *args, 1e-6, 1000, restart=False)
         assert converged and converged_ref
         # Un-restarted, the stop cadence alone cannot halve the count.
         assert 2 * iters < iters_ref
+
+
+@pytest.mark.parametrize("ridge", [0.2, -0.2, np.nan])
+def test_kernel_rejects_a_ridge(rng, ridge):
+    # A representation block carries its penalty in its gram; the kernel
+    # keeps the ridge slot only for its positional signature.
+    args = list(_operator_setup(rng, ("left",), 0.0))
+    args[5] = ridge
+    with pytest.raises(InvalidInputError, match="ridge must be 0"):
+        kernels.apg_quad_solve(*args, 1e-6, 300)
 
 
 class TestValidation:

@@ -6,6 +6,8 @@ from deepnmf import (InvalidInputError, StopRule, TrainConfig, fit, kmeans,
 from deepnmf.models import unroll
 from deepnmf.synth import _planted_factors
 
+from _oracles import per_column_planted
+
 
 def test_planted_linear_is_fittable():
     bundle = synth_generate("planted_linear", seed=2, rows=30, cols=100,
@@ -61,6 +63,25 @@ def test_planted_data_is_the_model_chain(kind, activation):
                                           (6, 4, 3), 3, 30)
     expected = np.maximum(unroll(activation, ws, h_last)[0][0], 0.0)
     np.testing.assert_array_equal(bundle.x, expected)
+    np.testing.assert_array_equal(bundle.labels.labels, labels)
+
+
+@pytest.mark.parametrize("kind,rows,cols,sizes,classes", [
+    ("planted_linear", 12, 50, (6, 5), 3),
+    ("planted_linear", 9, 23, (7, 7), 4),
+    ("planted_linear", 10, 31, (6, 6, 5), 4),
+    ("planted_nonlinear", 12, 37, (8, 6), 5),
+])
+@pytest.mark.parametrize("seed", [0, 5, 17])
+def test_planted_draws_follow_the_per_column_order(kind, rows, cols, sizes,
+                                                   classes, seed):
+    # Class blocks of uneven height (k_L not a multiple of the classes) and
+    # classes of uneven size; the noise is drawn after H_L.
+    bundle = synth_generate(kind, seed, rows=rows, cols=cols,
+                            layer_sizes=sizes, classes=classes, noise=0.05)
+    x, labels = per_column_planted(kind, seed, rows, cols, sizes, classes,
+                                   noise=0.05)
+    np.testing.assert_array_equal(bundle.x, x)
     np.testing.assert_array_equal(bundle.labels.labels, labels)
 
 
