@@ -39,7 +39,7 @@ def _is_csv(path):
 def save_matrix(path, m):
     """Write a matrix as CSV (a ``.csv`` suffix) or BIN (any other)."""
     path = Path(path)
-    m = np.ascontiguousarray(m, dtype=np.float64)
+    m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2:
         raise InvalidInputError(f"need a 2-d matrix, got ndim={m.ndim}")
     if _is_csv(path):
@@ -51,7 +51,9 @@ def save_matrix(path, m):
         with open(path, "wb") as fh:
             fh.write(MAGIC)
             fh.write(struct.pack("<II", m.shape[0], m.shape[1]))
-            fh.write(m.astype("<f8").tobytes(order="F"))
+            # The C-ordered bytes of m.T are m's column-major bytes; this is
+            # the one copy the write makes, and none for an F-ordered m.
+            fh.write(np.ascontiguousarray(m.T, dtype="<f8").data)
     return path
 
 

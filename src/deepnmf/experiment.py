@@ -11,7 +11,8 @@ against the bundle's labels. Results land in ``records.csv`` (one row per
 k-means repetition, each with its point's training wall time, final
 objective and sweep count), ``summary.csv`` (per point, score aggregates and
 the fit's final objective and sweep count, no timing, byte-reproducible for
-a fixed seed), and ``summary.json``.
+a fixed seed at a fixed BLAS build and BLAS thread count), and
+``summary.json``.
 
 The worker pool runs one task per sweep point, and its size is capped by
 the ``DEEPNMF_THREADS`` environment variable; a trained stack lives only

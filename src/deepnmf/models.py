@@ -235,7 +235,8 @@ def chain_objective(spec, x, w, h_last):
     """Misfit of the chain unrolled from basis factors ``w`` and ``h_last``,
     plus every basis penalty and the final-representation penalty: the
     objective fine-tuning decreases."""
-    val = 0.5 * frobenius_sq(x - unroll(spec.activation, w, h_last)[0][0])
+    recon = unroll(spec.activation, w, h_last)[0][0]
+    val = 0.5 * frobenius_sq(np.subtract(x, recon, out=recon))
     for l, w_l in enumerate(w, start=1):
         val = add_layer_penalty(val, spec, l, w=w_l)
     return add_layer_penalty(val, spec, len(w), h=h_last)

@@ -50,7 +50,7 @@ def _backprop(spec, x, stack, layer):
     _check_conformance(spec, x, stack)
     act = get_activation(spec.activation)
     pre, fresh = unroll(spec.activation, stack.w, stack.h[-1])
-    resid = pre[0] - x
+    resid = np.subtract(pre[0], x, out=pre[0])
     for i in range(1, layer):
         resid = (stack.w[i - 1].T @ resid) * act.inverse_deriv(pre[i])
     return resid, fresh

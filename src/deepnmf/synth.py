@@ -76,8 +76,9 @@ def synth_generate(kind, seed, *, rows=30, cols=100, layer_sizes=(10, 5),
     if kind == "blobs":
         labels = np.arange(cols) * classes // cols
         centers = rng.uniform(0.5, 1.5, size=(rows, classes)) * float(separation)
-        x = centers[:, labels] + rng.standard_normal((rows, cols))
-        x = np.maximum(x, 0.0)
+        x = centers[:, labels]
+        x += rng.standard_normal((rows, cols))
+        np.maximum(x, 0.0, out=x)
         return DatasetBundle(x=x, labels=Partition(labels, classes),
                              name=f"blobs-{seed}")
 
@@ -95,6 +96,9 @@ def synth_generate(kind, seed, *, rows=30, cols=100, layer_sizes=(10, 5),
     tag = "linear" if kind == "planted_linear" else get_activation(activation).tag
     x = unroll(tag, ws, h_last)[0][0]
     if noise > 0:
-        x = x + np.abs(rng.normal(0.0, noise, size=x.shape))
-    return DatasetBundle(x=np.maximum(x, 0.0), labels=Partition(labels, classes),
+        # Folded and clipped in place: one X-sized temporary, the draw.
+        draw = rng.normal(0.0, noise, size=x.shape)
+        x += np.abs(draw, out=draw)
+    np.maximum(x, 0.0, out=x)
+    return DatasetBundle(x=x, labels=Partition(labels, classes),
                          name=f"{kind}-{seed}")

@@ -37,7 +37,8 @@ class TrainConfig:
 
     ``inner_stop`` governs each block solve; ``max_sweeps``/``rel_obj_tol``
     stop the outer alternation (pretraining) and the fine-tuning sweeps.
-    Training is deterministic: the same inputs give the same factors.
+    Training is deterministic: the same inputs give the same factors at a
+    fixed BLAS build and BLAS thread count.
     """
 
     inner_stop: StopRule = field(default_factory=StopRule)
@@ -66,16 +67,17 @@ class TrainReport:
 def _noise_floor(x):
     """Absolute objective level indistinguishable from float64 roundoff of a
     squared-error sum over ``x``-sized data; values below it count as zero
-    for stopping."""
-    scale = np.finfo(np.float64).eps * float(np.abs(x).max())
+    for stopping. ``x`` is nonnegative, so its largest entry is its scale."""
+    scale = np.finfo(np.float64).eps * float(x.max())
     return 100.0 * x.size * scale * scale
 
 
 def layer_objective(spec, layer, h_prev, w, h):
     """Pretraining objective of one layer: half squared fit of the previous
     representation plus this layer's penalties."""
-    return add_layer_penalty(0.5 * frobenius_sq(h_prev - w @ h), spec, layer,
-                             w=w, h=h)
+    recon = w @ h
+    misfit = 0.5 * frobenius_sq(np.subtract(h_prev, recon, out=recon))
+    return add_layer_penalty(misfit, spec, layer, w=w, h=h)
 
 
 def _pretrain_layer(spec, layer, h_input, cfg):

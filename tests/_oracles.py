@@ -2,6 +2,7 @@
 
 Everything here but three is written from the definitions, sharing no code
 with the package: a plain projected-gradient solver for quadratic blocks,
+NNSVD seeding from the full thin SVD,
 the accelerated solver written with two gradient evaluations per iteration,
 the per-center k-means assignment loop with its coordinate-order distance,
 sample-order cluster means,
@@ -229,6 +230,48 @@ def per_column_planted(kind, seed, rows, cols, layer_sizes, classes,
     if noise > 0:
         x = x + np.abs(rng.normal(0.0, noise, size=x.shape))
     return np.maximum(x, 0.0), labels
+
+
+def full_svd_nnsvd(x, k):
+    """NNSVD (Boutsidis & Gallopoulos 2008) seeded from numpy's full thin
+    SVD, the reference for the package's top-k seed: the leading triplet, sign-fixed to a nonnegative column sum, and for each
+    later triplet the dominant one of its positive and negated-negative
+    parts, ties to the positive; columns at roundoff scale are filled with
+    mean(x)/k. Returns (w, h)."""
+    m, n = x.shape
+    u, s, vt = np.linalg.svd(x, full_matrices=False)
+    w = np.zeros((m, k))
+    h = np.zeros((k, n))
+    u0, v0 = u[:, 0], vt[0, :]
+    if u0.sum() < 0:
+        u0, v0 = -u0, -v0
+    w[:, 0] = np.sqrt(s[0]) * np.maximum(u0, 0.0)
+    h[0, :] = np.sqrt(s[0]) * np.maximum(v0, 0.0)
+    for j in range(1, k):
+        uj, vj = u[:, j], vt[j, :]
+        up, un = np.maximum(uj, 0.0), np.maximum(-uj, 0.0)
+        vp, vn = np.maximum(vj, 0.0), np.maximum(-vj, 0.0)
+        up_n, un_n = np.linalg.norm(up), np.linalg.norm(un)
+        vp_n, vn_n = np.linalg.norm(vp), np.linalg.norm(vn)
+        m_pos = up_n * vp_n
+        m_neg = un_n * vn_n
+        if m_pos >= m_neg:
+            if m_pos == 0.0:
+                continue
+            scale = np.sqrt(s[j] * m_pos)
+            w[:, j] = scale * (up / up_n)
+            h[j, :] = scale * (vp / vp_n)
+        else:
+            scale = np.sqrt(s[j] * m_neg)
+            w[:, j] = scale * (un / un_n)
+            h[j, :] = scale * (vn / vn_n)
+    fill = float(np.mean(x)) / k
+    tiny = 1e-6 * np.sqrt(s[0]) if s[0] > 0 else 0.0
+    for j in range(k):
+        if np.linalg.norm(w[:, j]) <= tiny or np.linalg.norm(h[j, :]) <= tiny:
+            w[:, j] = fill
+            h[j, :] = fill
+    return w, h
 
 
 def coordinate_sq_dists(points, center):

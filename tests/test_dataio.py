@@ -66,6 +66,13 @@ class TestBin:
         vals = struct.unpack_from("<4d", blob, 14)
         assert vals == (1.0, 3.0, 2.0, 4.0)
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_payload_is_column_major_bytes_of_either_layout(self, tmp_path,
+                                                            rng, order):
+        m = np.asarray(rng.uniform(0.0, 1.0, size=(5, 7)), order=order)
+        blob = (save_matrix(tmp_path / "m.bin", m)).read_bytes()
+        assert blob[14:] == m.astype("<f8").tobytes(order="F")
+
     def test_truncated_payload_names_byte_counts(self, tmp_path):
         path = save_matrix(tmp_path / "m.bin", np.ones((3, 2)))
         blob = path.read_bytes()

@@ -151,6 +151,18 @@ class TestObjective:
         spec_l = make_spec("sdnmf_l", (4, 3), mu=0.5)
         assert objective(spec_l, x, stack) == finetune_objective(spec_l, x, stack)
 
+    @pytest.mark.parametrize("activation", ["linear", "root"])
+    def test_chain_objective_allocates_one_residual(self, rng, traced_peak,
+                                                    activation):
+        # The reconstruction is the residual's buffer: at most one X-sized
+        # array, plus the narrow hidden chain.
+        stack = random_stack(rng, 200, (8, 4), 2000)
+        x = rng.uniform(0.0, 1.0, size=(200, 2000))
+        spec = make_spec("sdnmf_rl1", (8, 4), mu=0.3, lam=0.2,
+                         activation=activation)
+        peak = traced_peak(chain_objective, spec, x, stack.w, stack.h[-1])
+        assert peak <= 1.1 * x.nbytes
+
 
 class TestPretrainProblems:
     def test_lipschitz_worked_example(self):

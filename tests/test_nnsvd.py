@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from deepnmf import InvalidInputError, nnsvd_init
+from _oracles import full_svd_nnsvd
+from deepnmf import InvalidInputError, nnsvd_init, synth_generate
 
 
 def test_rank_one_input_reconstructs_exactly():
@@ -75,3 +76,55 @@ def test_k_out_of_range():
 def test_negative_input_rejected():
     with pytest.raises(InvalidInputError):
         nnsvd_init(np.array([[1.0, -0.1], [0.5, 0.2]]), 1)
+
+
+def _relative_gap(x, k):
+    w, h = nnsvd_init(x, k)
+    w_ref, h_ref = full_svd_nnsvd(x, k)
+    ref = w_ref @ h_ref
+    return np.linalg.norm(w @ h - ref) / np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("shape", [(30, 80), (80, 30), (40, 40)],
+                         ids=["wide", "tall", "square"])
+def test_matches_full_svd_seed_on_random_input(rng, shape):
+    x = rng.uniform(0.0, 1.0, size=shape)
+    for k in (1, 5, 12):
+        assert _relative_gap(x, k) <= 1e-9
+
+
+# The reduced planted bundles of the benchmark's workloads: (rows, cols,
+# planted layer sizes, classes); each is seeded at each of its layer widths.
+REDUCED_BUNDLES = {
+    "fit_wide": (40, 120, (8, 4), 4),
+    "fit_tall": (120, 40, (8, 6, 4), 4),
+    "sweep_score": (20, 300, (8, 4), 4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REDUCED_BUNDLES))
+def test_matches_full_svd_seed_on_planted_bundles(name):
+    rows, cols, sizes, classes = REDUCED_BUNDLES[name]
+    for seed in (1, 9):
+        x = synth_generate("planted_linear", seed, rows=rows, cols=cols,
+                           layer_sizes=sizes, classes=classes, noise=0.01).x
+        for k in sizes:
+            assert _relative_gap(x, k) <= 1e-9
+
+
+def test_traces_under_half_an_input(traced_peak, rng):
+    # The full SVD's right factor alone is as large as a wide input.
+    x = rng.uniform(0.0, 1.0, size=(40, 4000))
+    assert traced_peak(nnsvd_init, x, 4) < 0.5 * x.nbytes
+
+
+def test_zero_singular_value_gives_a_zero_side_without_warning():
+    # A rank-1 input whose gram has exactly zero trailing eigenvalues; the
+    # divide by s must not warn (warnings are errors here) and the dead
+    # columns are filled.
+    x = np.zeros((3, 6))
+    x[0] = 1.0
+    w, h = nnsvd_init(x, 3)
+    assert np.linalg.norm(x - w[:, :1] @ h[:1]) <= 1e-12
+    np.testing.assert_array_equal(w[:, 1:], x.mean() / 3)
+    np.testing.assert_array_equal(h[1:], x.mean() / 3)

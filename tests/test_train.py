@@ -74,6 +74,13 @@ class TestPretrain:
             assert trace[0] == layer_objective(spec, layer, h_input, w, h)
             assert len(trace) >= 2 and trace[-1] < trace[0]
 
+    def test_layer_objective_allocates_one_residual(self, rng, traced_peak):
+        x = rng.uniform(0.0, 1.0, size=(200, 2000))
+        w = rng.uniform(0.0, 1.0, size=(200, 8))
+        h = rng.uniform(0.0, 1.0, size=(8, 2000))
+        spec = make_spec("sdnmf_rl2", (8, 4), mu=0.1, lam=0.1)
+        assert traced_peak(layer_objective, spec, 1, x, w, h) <= 1.1 * x.nbytes
+
     def test_factors_feasible(self, rng):
         x = rng.uniform(0.0, 1.0, size=(7, 12))
         stack, _ = pretrain(make_spec("sdnmf_rl1", (3, 2), mu=0.2, lam=0.2), x, FAST)
