@@ -12,9 +12,11 @@ plain steps, like the un-restarted scheme's O(1/k^2) rate, needs LC to be
 at least the true Lipschitz constant, which is why the models compute it
 exactly (:func:`deepnmf.linalg.sym_spectral_norm`). The loop applies the
 quadratic operator once per iteration, to the candidate iterate, and
-derives the search-point gradient from the two latest iterate gradients
-(exact for an affine gradient); its block-sized arrays are buffers
-allocated once per call.
+derives the search-point gradient from the two latest step targets (exact
+for an affine gradient). It holds four block-sized buffers, five for a
+two-sided operator, allocated once per call; a solve that stops between
+two of its every-8th KKT tests applies the operator once more, to the
+returned block, for its last test.
 """
 
 from dataclasses import dataclass
@@ -102,8 +104,8 @@ def apg_solve(initial, problem, stop=StopRule(), full_output=False):
     starting value, raises NumericalError from the kernel loop; the latter
     almost always means the supplied Lipschitz constant is too small.
 
-    With ``full_output=True`` also returns a dict with ``iters`` (operator
-    applications, discarded steps included), ``converged``,
+    With ``full_output=True`` also returns a dict with ``iters`` (candidate
+    iterates, discarded steps included), ``converged``,
     ``rel_residual`` and ``objective`` entries, all of the returned block.
     """
     initial = _check_initial(initial, problem)

@@ -7,13 +7,19 @@ have one implementation; ``left``/``right`` of None stand for identities.
 The solver loop applies the quadratic operator once per iteration, to the
 candidate iterate, and discards a momentum step that raises the objective.
 Because the block gradient is affine, the gradient at the Nesterov search
-point is a combination of the two latest iterate gradients and is never
-evaluated on its own. Every block-sized array of the loop is a
-buffer allocated once per call and written in place through ``out``
-arguments; nothing is shared between calls, so concurrent solves in threads
-stay independent. ``_quad_apply_into`` and ``_kkt_norm_into`` are the single
-definitions of the operator and the KKT residual; the loop calls them on its
-buffers, and ``quad_apply``/``kkt_norm`` on fresh ones.
+point is a combination of the two latest step targets and is never
+evaluated on its own. The loop holds four block-sized buffers (the
+accepted iterate, the candidate, the step target, and one that carries the
+previous step target and then the candidate's gradient), one boolean mask
+for the finiteness and KKT tests, and for a two-sided operator one more
+buffer for ``left @ V``. Each is allocated once per call and written in
+place through ``out`` arguments; nothing is shared between calls, so
+concurrent solves in threads stay independent. No gradient is kept past
+its step target, so a solve that stops between two of its every-8th KKT
+tests evaluates the returned block's gradient once more for its last
+test. ``_quad_apply_into`` and ``_kkt_norm_into`` are the single
+definitions of the operator and the KKT residual; the loop calls them on
+its buffers, and ``quad_apply``/``kkt_norm`` on fresh ones.
 
 k-means works on samples as the columns of a (d, n) array, the layout of
 the representations it clusters. ``sq_dists`` is its one distance, added
@@ -81,17 +87,17 @@ def quad_apply(v, left, right, colsum_w):
     return out
 
 
-def _kkt_norm_into(v, g, mask, mask2, tmp):
+def _kkt_norm_into(v, g, mask, tmp):
     """Frobenius norm of the projected gradient, using the given scratch.
 
     Gradient entries that are nonnegative at zero-valued variables do not
     count: they satisfy the first-order conditions of the nonneg constraint.
-    ``mask``/``mask2`` are boolean and ``tmp`` float scratch of v's shape.
+    The projected gradient is min(g, 0), overwritten with g where v > 0.
+    ``mask`` is boolean and ``tmp`` float scratch of v's shape.
     """
-    np.greater(v, 0.0, mask)
-    np.less(g, 0.0, mask2)
-    np.logical_or(mask, mask2, tmp)
-    np.multiply(g, tmp, tmp)
+    np.minimum(g, 0.0, out=tmp)
+    np.greater(v, 0.0, out=mask)
+    np.copyto(tmp, g, where=mask)
     return math.sqrt(float(np.vdot(tmp, tmp)))
 
 
@@ -99,7 +105,6 @@ def kkt_norm(v, g):
     """Frobenius norm of the projected gradient (see ``_kkt_norm_into``)."""
     v = np.ascontiguousarray(v)
     return _kkt_norm_into(v, np.ascontiguousarray(g),
-                          np.empty(v.shape, dtype=np.bool_),
                           np.empty(v.shape, dtype=np.bool_), np.empty(v.shape))
 
 
@@ -127,19 +132,23 @@ def apg_quad_solve(v0, left, right, lin, colsum_w, ridge, obj_const,
     of its own: with g_k = grad(x_k) and u_k = x_k - g_k/LC, the step target
     y_k - grad(y_k)/LC equals u_k + beta_{k-1} (u_k - u_{k-1}). Each
     iteration applies the operator once, to the candidate; a rejected one
-    costs nothing else. Block-sized arrays are buffers allocated once per
-    call and written in place, and the scalars of the loop are Python
-    floats.
+    costs nothing else. The loop holds four block-sized buffers (five for
+    a two-sided operator) and one boolean mask, allocated once per call
+    and written in place, and the scalars of the loop are Python floats. No
+    gradient outlives its step target, so a solve that stops on an accepted
+    count that is not a multiple of 8 applies the operator once more, to
+    the returned block, for its last KKT test.
 
     Raises NumericalError on a non-finite gradient or objective, and on a
     candidate objective past 10x the starting one, which almost always
     means ``lipschitz`` is too small.
 
     Returns (solution, iterations, converged, relative_residual, objective).
-    The iterations count every operator application, rejected ones
-    included; the residual and ``converged`` (residual at most ``rel_tol``)
-    are those of the returned solution, which is ``v0`` if roundoff left
-    the accepted objective above it.
+    The iterations count every candidate's operator application, rejected
+    ones included, and not the final recomputation; the residual and
+    ``converged`` (residual at most ``rel_tol``) are those of the returned
+    solution, which is ``v0`` if roundoff left the accepted objective above
+    it.
     """
     if ridge != 0.0:
         raise InvalidInputError(f"ridge must be 0, got {ridge}")
@@ -150,20 +159,18 @@ def apg_quad_solve(v0, left, right, lin, colsum_w, ridge, obj_const,
     shape = v0.shape
     colsum_vec = None if colsum_w == 0.0 else np.full(shape[0], colsum_w)
     obj_const = float(obj_const)
-    g = np.empty(shape)
+    # Only a two-sided operator needs scratch, for left @ v.
+    tmp = None if left is None or right is None else np.empty(shape)
     u = np.empty(shape)
-    # u_prev holds u_{k-1} only until the step target is formed; for the
-    # rest of each iteration, and outside the loop, it is scratch.
-    u_prev = np.empty(shape)
+    b = np.empty(shape)
     mask = np.empty(shape, dtype=np.bool_)
-    mask2 = np.empty(shape, dtype=np.bool_)
-    _quad_apply_into(v0, left, right, colsum_vec, g, u_prev)
-    np.add(g, lin, g)
-    np.isfinite(g, mask)
+    _quad_apply_into(v0, left, right, colsum_vec, u, tmp)
+    np.add(u, lin, u)
+    np.isfinite(u, mask)
     if not np.all(mask):
         raise NumericalError("gradient produced non-finite entries")
-    r0 = _kkt_norm_into(v0, g, mask, mask2, u_prev)
-    f0 = 0.5 * (float(np.vdot(v0, g)) + float(np.vdot(v0, lin))) + obj_const
+    r0 = _kkt_norm_into(v0, u, mask, b)
+    f0 = 0.5 * (float(np.vdot(v0, u)) + float(np.vdot(v0, lin))) + obj_const
     # Objectives this close to zero are roundoff of the constant term; the
     # divergence test must not fire on their noise.
     div_limit = 10.0 * max(f0, 0.0) + roundoff_slack(obj_const)
@@ -171,13 +178,14 @@ def apg_quad_solve(v0, left, right, lin, colsum_w, ridge, obj_const,
         return v0.copy(), 0, True, 0.0, f0
 
     step = 1.0 / float(lipschitz)
-    np.multiply(g, -step, u)
+    np.multiply(u, -step, u)
     np.add(u, v0, u)
-    # x, g and f_x are the accepted iterate, its gradient and objective; the
-    # candidate is built in y and g_y, and takes their place by a swap.
+    # x and f_x are the accepted iterate and its objective, and u is x's
+    # step target. b holds u_{k-1} until the candidate is formed in y, and
+    # then the candidate's gradient; on acceptance x and y swap and b turns
+    # into the new u in place, so no gradient outlives its step target.
     x = v0.copy()
     y = np.empty(shape)
-    g_y = np.empty(shape)
     f_x = f0
     alpha = 1.0
     beta = 0.0
@@ -186,17 +194,17 @@ def apg_quad_solve(v0, left, right, lin, colsum_w, ridge, obj_const,
     rel = 1.0
     for iters in range(1, max_iters + 1):
         if beta > 0.0:
-            np.subtract(u, u_prev, y)
+            np.subtract(u, b, y)
             np.multiply(y, beta, y)
             np.add(y, u, y)
             np.maximum(y, 0.0, out=y)
         else:
             np.maximum(u, 0.0, out=y)
-        _quad_apply_into(y, left, right, colsum_vec, g_y, u_prev)
-        np.add(g_y, lin, g_y)
-        f_y = (0.5 * (float(np.vdot(y, g_y)) + float(np.vdot(y, lin)))
+        _quad_apply_into(y, left, right, colsum_vec, b, tmp)
+        np.add(b, lin, b)
+        f_y = (0.5 * (float(np.vdot(y, b)) + float(np.vdot(y, lin)))
                + obj_const)
-        # A non-finite entry of g_y makes f_y non-finite.
+        # A non-finite entry of the gradient makes f_y non-finite.
         if not math.isfinite(f_y):
             raise NumericalError("gradient produced non-finite entries")
         if f_y > div_limit:
@@ -206,23 +214,28 @@ def apg_quad_solve(v0, left, right, lin, colsum_w, ridge, obj_const,
         if beta > 0.0 and f_y > f_x:
             alpha, beta = 1.0, 0.0
             continue
-        x, y, g, g_y, f_x = y, x, g_y, g, f_y
+        x, y, f_x = y, x, f_y
         accepted += 1
         alpha_next = 0.5 * (1.0 + math.sqrt(4.0 * alpha * alpha + 1.0))
         beta = (alpha - 1.0) / alpha_next
         alpha = alpha_next
         if accepted % 8 == 0:
-            rel = _kkt_norm_into(x, g, mask, mask2, u_prev) / r0
+            rel = _kkt_norm_into(x, b, mask, y) / r0
             if rel <= rel_tol:
                 break
-        np.multiply(g, -step, u_prev)
-        np.add(u_prev, x, u_prev)
-        u, u_prev = u_prev, u
+        np.multiply(b, -step, b)
+        np.add(b, x, b)
+        u, b = b, u
 
     if f_x > f0:
-        x, f_x, rel = v0.copy(), f0, 1.0
+        np.copyto(x, v0)
+        f_x, rel = f0, 1.0
     elif accepted % 8:
-        rel = _kkt_norm_into(x, g, mask, mask2, u_prev) / r0
+        # x's gradient was turned into its step target; the operator on the
+        # same input gives the same bits again.
+        _quad_apply_into(x, left, right, colsum_vec, b, tmp)
+        np.add(b, lin, b)
+        rel = _kkt_norm_into(x, b, mask, y) / r0
     return x, iters, bool(rel <= rel_tol), rel, f_x
 
 

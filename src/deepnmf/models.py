@@ -231,12 +231,30 @@ def add_layer_penalty(val, spec, layer, w=None, h=None):
     return val
 
 
+def misfit(target, w, rep):
+    """Half the squared Frobenius norm of ``target - w @ rep``.
+
+    Formed in row panels of ``rep.shape[0]`` rows (the last one may be
+    shorter), each reconstructed into, and subtracted in, one ``rep``-sized
+    buffer: no temporary of ``target``'s size is made. The panels' squared
+    sums are added in row order.
+    """
+    k = rep.shape[0]
+    buf = np.empty(rep.shape)
+    total = 0.0
+    for r in range(0, target.shape[0], k):
+        panel = buf[:min(k, target.shape[0] - r)]
+        np.dot(w[r:r + k], rep, out=panel)
+        total += frobenius_sq(np.subtract(target[r:r + k], panel, out=panel))
+    return 0.5 * total
+
+
 def chain_objective(spec, x, w, h_last):
     """Misfit of the chain unrolled from basis factors ``w`` and ``h_last``,
     plus every basis penalty and the final-representation penalty: the
     objective fine-tuning decreases."""
-    recon = unroll(spec.activation, w, h_last)[0][0]
-    val = 0.5 * frobenius_sq(np.subtract(x, recon, out=recon))
+    rep = unroll(spec.activation, w, h_last, stop=1)[1][0]
+    val = misfit(x, w[0], rep)
     for l, w_l in enumerate(w, start=1):
         val = add_layer_penalty(val, spec, l, w=w_l)
     return add_layer_penalty(val, spec, len(w), h=h_last)
@@ -315,7 +333,8 @@ def _h_problem(spec, layer, target, basis):
     gram = basis.T @ basis
     penalty = h_penalty_gram(spec, layer, gram.shape[0])
     gram = gram if penalty is None else gram + penalty
-    return _problem(-(basis.T @ target), gram, None, 0.0, target)
+    lin = basis.T @ target
+    return _problem(np.negative(lin, out=lin), gram, None, 0.0, target)
 
 
 def _w_problem(spec, layer, target, prefix, rep):
@@ -323,10 +342,11 @@ def _w_problem(spec, layer, target, prefix, rep):
     is the identity), plus the layer's basis penalty."""
     right = rep @ rep.T
     if prefix is None:
-        left, lin = None, -(target @ rep.T)
+        left, lin = None, target @ rep.T
     else:
-        left, lin = prefix.T @ prefix, -(prefix.T @ target @ rep.T)
-    return _problem(lin, left, right, spec.w_weight(layer), target)
+        left, lin = prefix.T @ prefix, prefix.T @ target @ rep.T
+    return _problem(np.negative(lin, out=lin), left, right,
+                    spec.w_weight(layer), target)
 
 
 def pretrain_problem(spec, layer, role, h_prev, w_cur, h_cur):

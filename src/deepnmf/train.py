@@ -27,7 +27,7 @@ from .apg import StopRule, apg_solve
 from .errors import InvalidInputError, NumericalError
 from .linalg import as_matrix, check_nonneg, frobenius_sq
 from .models import (FactorStack, add_layer_penalty, finetune_objective,
-                     finetune_problem, pretrain_problem, unroll)
+                     finetune_problem, misfit, pretrain_problem, unroll)
 from .nnsvd import nnsvd_init
 
 
@@ -75,9 +75,7 @@ def _noise_floor(x):
 def layer_objective(spec, layer, h_prev, w, h):
     """Pretraining objective of one layer: half squared fit of the previous
     representation plus this layer's penalties."""
-    recon = w @ h
-    misfit = 0.5 * frobenius_sq(np.subtract(h_prev, recon, out=recon))
-    return add_layer_penalty(misfit, spec, layer, w=w, h=h)
+    return add_layer_penalty(misfit(h_prev, w, h), spec, layer, w=w, h=h)
 
 
 def _pretrain_layer(spec, layer, h_input, cfg):
@@ -223,7 +221,8 @@ def finetune(spec, x, stack, cfg=TrainConfig()):
     # only where the clip engages.
     fresh = unroll(spec.activation, stack.w, stack.h[-1], stop=1)[1]
     for layer in range(1, L):
-        stack.h[layer - 1] = np.maximum(fresh[layer - 1], 0.0)
+        stack.h[layer - 1] = np.maximum(fresh[layer - 1], 0.0,
+                                        out=fresh[layer - 1])
         if linear:
             hp = finetune_problem(spec, layer, "h", x, stack)
             stack.h[layer - 1] = apg_solve(stack.h[layer - 1], hp, cfg.inner_stop)

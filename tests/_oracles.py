@@ -4,6 +4,7 @@ Everything here but three is written from the definitions, sharing no code
 with the package: a plain projected-gradient solver for quadratic blocks,
 NNSVD seeding from the full thin SVD,
 the accelerated solver written with two gradient evaluations per iteration,
+the misfit summed over one residual of the target's size,
 the per-center k-means assignment loop with its coordinate-order distance,
 sample-order cluster means,
 brute-force partition scores, finite differences, and small-case partition
@@ -230,6 +231,13 @@ def per_column_planted(kind, seed, rows, cols, layer_sizes, classes,
     if noise > 0:
         x = x + np.abs(rng.normal(0.0, noise, size=x.shape))
     return np.maximum(x, 0.0), labels
+
+
+def one_shot_misfit(target, w, rep):
+    """Half the squared Frobenius norm of ``target - w @ rep``, formed as one
+    residual of ``target``'s size and summed in one dot product."""
+    r = (target - w @ rep).ravel()
+    return 0.5 * float(np.dot(r, r))
 
 
 def full_svd_nnsvd(x, k):

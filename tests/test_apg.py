@@ -207,6 +207,33 @@ class TestKernelAgainstTwoApplicationLoop:
         assert 2 * iters < iters_ref
 
 
+@pytest.mark.parametrize("sides", [("left",), ("left", "right")])
+def test_residual_at_the_cap_is_that_of_the_returned_block(rng, sides):
+    # Caps that end the loop between two every-8th KKT tests make the
+    # kernel evaluate the returned block's gradient once more.
+    args = _operator_setup(rng, sides, 0.3)
+    for cap in range(1, 18):
+        v, iters, converged, rel, _ = kernels.apg_quad_solve(*args, 0.0, cap)
+        v_ref, _, _, rel_ref, _ = two_application_apg(*args, 0.0, cap)
+        assert iters == cap and not converged
+        assert np.max(np.abs(v - v_ref)) <= 1e-12 * np.max(np.abs(v_ref))
+        assert rel == pytest.approx(rel_ref, rel=1e-12), cap
+
+
+def test_kernel_holds_four_block_buffers(rng, traced_peak):
+    # x, the candidate, the step target, one buffer that carries the
+    # previous step target and then the candidate's gradient, and two
+    # boolean masks; the returned block is one of them.
+    w = rng.uniform(size=(60, 40))
+    x = rng.uniform(size=(60, 4000))
+    gram = w.T @ w
+    v0 = rng.uniform(size=(40, 4000))
+    lc = float(np.linalg.eigvalsh(gram)[-1])
+    peak = traced_peak(kernels.apg_quad_solve, v0, gram, None, -(w.T @ x),
+                       0.0, 0.0, 0.5 * float(np.sum(x * x)), lc, 0.0, 37)
+    assert peak <= 4.5 * v0.nbytes
+
+
 @pytest.mark.parametrize("ridge", [0.2, -0.2, np.nan])
 def test_kernel_rejects_a_ridge(rng, ridge):
     # A representation block carries its penalty in its gram; the kernel
@@ -241,3 +268,14 @@ def test_projected_grad_norm_masks_boundary():
     # Entry (0,0): at zero with positive gradient -> masked out.
     expected = np.sqrt(1.0 + 4.0 + 9.0)
     assert kernels.kkt_norm(v, g) == pytest.approx(expected, rel=1e-12)
+
+
+def test_projected_grad_norm_is_that_of_the_mask_product(rng):
+    # min(g, 0) overwritten with g where v > 0 squares to the same entries as
+    # g * ((v > 0) | (g < 0)), so the norm has the same bits.
+    v = rng.uniform(size=(30, 50))
+    v[rng.uniform(size=v.shape) < 0.4] = 0.0
+    g = rng.normal(size=v.shape)
+    g[::7] = 0.0
+    ref = g * ((v > 0) | (g < 0))
+    assert kernels.kkt_norm(v, g) == np.sqrt(np.vdot(ref, ref))

@@ -5,9 +5,10 @@ from deepnmf import (FactorStack, InvalidInputError, StopRule, TrainConfig,
                      VARIANTS, apg_solve, finetune_objective, finetune_problem,
                      fit, make_spec, objective, pretrain_problem,
                      synth_generate)
+from deepnmf import models
 from deepnmf.models import ModelSpec, chain_objective, unroll
 
-from _oracles import central_diff
+from _oracles import central_diff, one_shot_misfit
 
 ALL_PENALIZED = {
     "dnmf": {},
@@ -162,6 +163,35 @@ class TestObjective:
                          activation=activation)
         peak = traced_peak(chain_objective, spec, x, stack.w, stack.h[-1])
         assert peak <= 1.1 * x.nbytes
+
+    @pytest.mark.parametrize("sizes", [(10,), (10, 5)])
+    def test_chain_objective_holds_rep_sized_panels(self, rng, traced_peak,
+                                                    sizes):
+        # One k1 x n panel buffer, plus the unrolled H_1 at depth 2.
+        stack = random_stack(rng, 400, sizes, 4000)
+        x = rng.uniform(0.0, 1.0, size=(400, 4000))
+        spec = make_spec("sdnmf_rl1", sizes, mu=0.3, lam=0.2)
+        peak = traced_peak(chain_objective, spec, x, stack.w, stack.h[-1])
+        assert peak <= 2.2 * stack.h[0].nbytes
+
+    # 23 rows: panels of 5 rows leave a ragged last one, and k1 = 1 makes
+    # every panel a single row.
+    @pytest.mark.parametrize("sizes", [(5, 3, 2), (1, 1, 1)],
+                             ids=["ragged", "k1=1"])
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    @pytest.mark.parametrize("activation", ["linear", "root", "softplus"])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_chain_objective_matches_one_shot_misfit(
+            self, rng, monkeypatch, variant, activation, depth, sizes):
+        sizes = sizes[:depth]
+        stack = random_stack(rng, 23, sizes, 17)
+        x = rng.uniform(0.0, 1.0, size=(23, 17))
+        spec = make_spec(variant, sizes, activation=activation,
+                         **ALL_PENALIZED[variant])
+        panels = chain_objective(spec, x, stack.w, stack.h[-1])
+        monkeypatch.setattr(models, "misfit", one_shot_misfit)
+        one_shot = chain_objective(spec, x, stack.w, stack.h[-1])
+        assert panels == pytest.approx(one_shot, rel=1e-15, abs=0.0)
 
 
 class TestPretrainProblems:

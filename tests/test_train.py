@@ -11,7 +11,7 @@ from deepnmf.kernels import roundoff_slack
 from deepnmf.models import finetune_problem
 from deepnmf.train import _sweeps, layer_objective
 
-from _oracles import every_hidden_finetune
+from _oracles import every_hidden_finetune, one_shot_misfit
 
 PEN = {
     "dnmf": {},
@@ -80,6 +80,28 @@ class TestPretrain:
         h = rng.uniform(0.0, 1.0, size=(8, 2000))
         spec = make_spec("sdnmf_rl2", (8, 4), mu=0.1, lam=0.1)
         assert traced_peak(layer_objective, spec, 1, x, w, h) <= 1.1 * x.nbytes
+
+    def test_layer_objective_holds_one_rep_sized_panel(self, rng, traced_peak):
+        x = rng.uniform(0.0, 1.0, size=(400, 4000))
+        w = rng.uniform(0.0, 1.0, size=(400, 10))
+        h = rng.uniform(0.0, 1.0, size=(10, 4000))
+        spec = make_spec("sdnmf_rl2", (10, 5), mu=0.1, lam=0.1)
+        assert traced_peak(layer_objective, spec, 1, x, w, h) <= 2.2 * h.nbytes
+
+    # 23 rows: panels of 5 rows leave a ragged last one, and k = 1 makes
+    # every panel a single row.
+    @pytest.mark.parametrize("k", [5, 1])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_layer_objective_matches_one_shot_misfit(self, rng, monkeypatch,
+                                                     variant, k):
+        h_prev = rng.uniform(0.0, 1.0, size=(23, 17))
+        w = rng.uniform(0.0, 1.0, size=(23, k))
+        h = rng.uniform(0.0, 1.0, size=(k, 17))
+        spec = make_spec(variant, (k,), **PEN[variant])
+        panels = layer_objective(spec, 1, h_prev, w, h)
+        monkeypatch.setattr(train, "misfit", one_shot_misfit)
+        one_shot = layer_objective(spec, 1, h_prev, w, h)
+        assert panels == pytest.approx(one_shot, rel=1e-15, abs=0.0)
 
     def test_factors_feasible(self, rng):
         x = rng.uniform(0.0, 1.0, size=(7, 12))
@@ -215,6 +237,14 @@ class TestFinetune:
 def test_train_config_rejects_non_finite_or_zero_tol(tol):
     with pytest.raises(InvalidInputError, match="rel_obj_tol"):
         TrainConfig(rel_obj_tol=tol)
+
+
+def test_linear_fit_traces_under_half_an_input(rng, traced_peak):
+    # Every X-sized product stays a panel or a block: a fit holds one block
+    # solve's buffers and the NNSVD gram beyond its input.
+    x = rng.uniform(0.0, 1.0, size=(400, 4000))
+    cfg = TrainConfig(inner_stop=StopRule(20, 1e-4), max_sweeps=3)
+    assert traced_peak(fit, make_spec("dnmf", (10, 5)), x, cfg) < 0.5 * x.nbytes
 
 
 class TestDataScale:
