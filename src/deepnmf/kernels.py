@@ -92,12 +92,15 @@ def _kkt_norm_into(v, g, mask, tmp):
 
     Gradient entries that are nonnegative at zero-valued variables do not
     count: they satisfy the first-order conditions of the nonneg constraint.
-    The projected gradient is min(g, 0), overwritten with g where v > 0.
-    ``mask`` is boolean and ``tmp`` float scratch of v's shape.
+    ``mask`` is boolean and ``tmp`` float scratch of v's shape; ``tmp``
+    holds g < 0 as 0/1 before the projected gradient, so one mask does. A
+    masked copy (``np.copyto(..., where=)``) runs several times slower on
+    the scattered supports of sparse factors.
     """
-    np.minimum(g, 0.0, out=tmp)
     np.greater(v, 0.0, out=mask)
-    np.copyto(tmp, g, where=mask)
+    np.less(g, 0.0, out=tmp)
+    np.logical_or(mask, tmp, out=tmp)
+    np.multiply(g, tmp, out=tmp)
     return math.sqrt(float(np.vdot(tmp, tmp)))
 
 

@@ -222,8 +222,8 @@ def test_residual_at_the_cap_is_that_of_the_returned_block(rng, sides):
 
 def test_kernel_holds_four_block_buffers(rng, traced_peak):
     # x, the candidate, the step target, one buffer that carries the
-    # previous step target and then the candidate's gradient, and two
-    # boolean masks; the returned block is one of them.
+    # previous step target and then the candidate's gradient, and one
+    # boolean mask; the returned block is one of them.
     w = rng.uniform(size=(60, 40))
     x = rng.uniform(size=(60, 4000))
     gram = w.T @ w
@@ -271,8 +271,8 @@ def test_projected_grad_norm_masks_boundary():
 
 
 def test_projected_grad_norm_is_that_of_the_mask_product(rng):
-    # min(g, 0) overwritten with g where v > 0 squares to the same entries as
-    # g * ((v > 0) | (g < 0)), so the norm has the same bits.
+    # The one-mask form multiplies g by (v > 0) | (g < 0) as 0/1, like the
+    # product of two masks, so the norm has the same bits.
     v = rng.uniform(size=(30, 50))
     v[rng.uniform(size=v.shape) < 0.4] = 0.0
     g = rng.normal(size=v.shape)
